@@ -74,11 +74,12 @@ from ..faults.injector import (
     subset_sites,
 )
 from ..faults.model import FaultPath, FaultSpec
+from ..gemm.counters import MainloopCost
 from ..gemm.executor import TiledGemm, executor_for
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import TileConfig, select_tile
 from ..gpu.specs import GPUSpec
-from ..gpu.timing import KernelWork, time_kernel
+from ..gpu.timing import DeviceTable, KernelWork, time_kernel
 from .detection import (
     CheckVerdict,
     compare_checksums_sparse,
@@ -124,11 +125,17 @@ class SchemePlan:
         self,
         spec: GPUSpec,
         constants: ModelConstants = DEFAULT_CONSTANTS,
+        *,
+        table: DeviceTable | None = None,
     ) -> float:
-        """Visible execution time of the whole plan on ``spec``, seconds."""
+        """Visible execution time of the whole plan on ``spec``, seconds.
+
+        ``table`` is handed to :func:`~repro.gpu.timing.time_kernel` for
+        every kernel of the plan.
+        """
         total = 0.0
         for kernel in self.kernels:
-            timing = time_kernel(spec, kernel.work, constants)
+            timing = time_kernel(spec, kernel.work, constants, table=table)
             total += timing.total_s * kernel.visible_fraction * kernel.time_multiplier
         return total
 
@@ -726,8 +733,15 @@ class Scheme(abc.ABC):
         problem: GemmProblem,
         tile: TileConfig,
         constants: ModelConstants = DEFAULT_CONSTANTS,
+        *,
+        cost: MainloopCost | None = None,
     ) -> SchemePlan:
-        """Resource plan for one protected GEMM under this scheme."""
+        """Resource plan for one protected GEMM under this scheme.
+
+        ``cost`` is ``mainloop_cost(problem, tile, constants)`` when the
+        caller already has it (the profiler shares one across schemes);
+        it is computed when omitted.
+        """
 
     # ------------------------------------------------------------------
     # Prepared-execution engine

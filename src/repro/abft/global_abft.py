@@ -34,6 +34,7 @@ from ..faults.model import FaultSpec
 from ..gemm.counters import (
     BYTES_PER_MEM_INSTR,
     LANES_PER_ALU_INSTR,
+    MainloopCost,
     mainloop_cost,
 )
 from ..gemm.executor import TiledGemm
@@ -77,8 +78,11 @@ class GlobalABFT(Scheme):
         problem: GemmProblem,
         tile: TileConfig,
         constants: ModelConstants = DEFAULT_CONSTANTS,
+        *,
+        cost: MainloopCost | None = None,
     ) -> SchemePlan:
-        cost = mainloop_cost(problem, tile, constants)
+        if cost is None:
+            cost = mainloop_cost(problem, tile, constants)
         outputs = problem.m_pad * problem.n_pad
 
         # Fused epilogue: output summation + next-layer activation

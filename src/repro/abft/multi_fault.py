@@ -20,7 +20,12 @@ from ..config import DEFAULT_CONSTANTS, DetectionConstants, ModelConstants
 from ..errors import ConfigurationError
 from ..faults.injector import FaultSites, corrupted_value
 from ..faults.model import FaultSpec
-from ..gemm.counters import BYTES_PER_MEM_INSTR, LANES_PER_ALU_INSTR, mainloop_cost
+from ..gemm.counters import (
+    BYTES_PER_MEM_INSTR,
+    LANES_PER_ALU_INSTR,
+    MainloopCost,
+    mainloop_cost,
+)
 from ..gemm.executor import EXECUTION_STATS, TiledGemm
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import TileConfig
@@ -88,9 +93,12 @@ class MultiChecksumGlobalABFT(Scheme):
         problem: GemmProblem,
         tile: TileConfig,
         constants: ModelConstants = DEFAULT_CONSTANTS,
+        *,
+        cost: MainloopCost | None = None,
     ) -> SchemePlan:
         r = self.num_checksums
-        cost = mainloop_cost(problem, tile, constants)
+        if cost is None:
+            cost = mainloop_cost(problem, tile, constants)
         outputs = problem.m_pad * problem.n_pad
 
         # r weighted output summations + r next-layer activation

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..config import DEFAULT_CONSTANTS, DetectionConstants, ModelConstants
 from ..faults.model import FaultSpec
-from ..gemm.counters import mainloop_cost
+from ..gemm.counters import MainloopCost, mainloop_cost
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import TileConfig
 from .base import (
@@ -35,8 +35,11 @@ class NoProtection(Scheme):
         problem: GemmProblem,
         tile: TileConfig,
         constants: ModelConstants = DEFAULT_CONSTANTS,
+        *,
+        cost: MainloopCost | None = None,
     ) -> SchemePlan:
-        cost = mainloop_cost(problem, tile, constants)
+        if cost is None:
+            cost = mainloop_cost(problem, tile, constants)
         kernel = PlannedKernel(
             label="mainloop",
             work=cost.to_kernel_work(constants=constants),

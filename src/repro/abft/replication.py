@@ -26,7 +26,7 @@ from ..faults.injector import (
     corrupted_value,
 )
 from ..faults.model import FaultSpec
-from ..gemm.counters import mainloop_cost
+from ..gemm.counters import MainloopCost, mainloop_cost
 from ..gemm.executor import TiledGemm
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import TileConfig
@@ -61,8 +61,11 @@ class ReplicationTraditional(Scheme):
         problem: GemmProblem,
         tile: TileConfig,
         constants: ModelConstants = DEFAULT_CONSTANTS,
+        *,
+        cost: MainloopCost | None = None,
     ) -> SchemePlan:
-        cost = mainloop_cost(problem, tile, constants)
+        if cost is None:
+            cost = mainloop_cost(problem, tile, constants)
         # Mt*Nt/2 extra MMAs per step: Tensor-Core work doubles.
         extra_tc = cost.tc_flops
         # Final element-wise compare of the two accumulator sets.
@@ -129,8 +132,11 @@ class ReplicationSingleAccumulator(Scheme):
         problem: GemmProblem,
         tile: TileConfig,
         constants: ModelConstants = DEFAULT_CONSTANTS,
+        *,
+        cost: MainloopCost | None = None,
     ) -> SchemePlan:
-        cost = mainloop_cost(problem, tile, constants)
+        if cost is None:
+            cost = mainloop_cost(problem, tile, constants)
         extra_tc = cost.tc_flops
         # Final check: sum Mt*Nt original registers + 4 replica
         # registers, one compare.

@@ -26,7 +26,7 @@ import numpy as np
 from ..config import DEFAULT_CONSTANTS, DetectionConstants, ModelConstants
 from ..faults.injector import FaultSites, apply_fault_to_accumulator
 from ..faults.model import FaultSpec
-from ..gemm.counters import mainloop_cost
+from ..gemm.counters import MainloopCost, mainloop_cost
 from ..gemm.executor import TiledGemm
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import KSTEP, TileConfig
@@ -61,8 +61,11 @@ class ThreadLevelOneSided(Scheme):
         problem: GemmProblem,
         tile: TileConfig,
         constants: ModelConstants = DEFAULT_CONSTANTS,
+        *,
+        cost: MainloopCost | None = None,
     ) -> SchemePlan:
-        cost = mainloop_cost(problem, tile, constants)
+        if cost is None:
+            cost = mainloop_cost(problem, tile, constants)
 
         # Mt/2 extra MMAs per K-step versus Mt*Nt/2 mainloop MMAs:
         # a 1/Nt relative increase in Tensor-Core work (Table 1).

@@ -21,9 +21,11 @@ from ..abft import get_scheme
 from ..abft.base import Scheme, SchemePlan
 from ..config import DEFAULT_CONSTANTS, ModelConstants
 from ..errors import OccupancyError, ProfilingError
+from ..gemm.counters import MainloopCost, mainloop_cost
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import DEFAULT_TILE_CONFIGS, TileConfig
 from ..gpu.specs import GPUSpec
+from ..gpu.timing import DeviceTable
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,20 @@ class PredeploymentProfiler:
         self.tiles = list(tiles)
         self.constants = constants
         self._baseline = get_scheme("none")
+        # Per profiler, not process-global: each deploy prices against
+        # its own spec and constants, and the table dies with it.
+        self._device = DeviceTable(spec, constants)
         self._cache: dict[tuple[int, int, int], dict[str, ProfileEntry]] = {}
 
     # ------------------------------------------------------------------
-    def _best_for_scheme(self, problem: GemmProblem, scheme: Scheme) -> ProfileEntry:
+    def _best_for_scheme(
+        self, problem: GemmProblem, scheme: Scheme, costs: Sequence[MainloopCost]
+    ) -> ProfileEntry:
         best: ProfileEntry | None = None
-        for tile in self.tiles:
+        for tile, cost in zip(self.tiles, costs):
             try:
-                plan = scheme.plan(problem, tile, self.constants)
-                time_s = plan.modeled_time(self.spec, self.constants)
+                plan = scheme.plan(problem, tile, self.constants, cost=cost)
+                time_s = plan.modeled_time(self.spec, self.constants, table=self._device)
             except OccupancyError:
                 continue  # configuration cannot be scheduled on this device
             if best is None or time_s < best.time_s:
@@ -102,11 +109,14 @@ class PredeploymentProfiler:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        # Every scheme adds its work to the same unprotected mainloop, so
+        # each tile is costed once per problem, not once per scheme.
+        costs = [mainloop_cost(problem, tile, self.constants) for tile in self.tiles]
         entries: dict[str, ProfileEntry] = {
-            self._baseline.name: self._best_for_scheme(problem, self._baseline)
+            self._baseline.name: self._best_for_scheme(problem, self._baseline, costs)
         }
         for scheme in self.schemes:
-            entries[scheme.name] = self._best_for_scheme(problem, scheme)
+            entries[scheme.name] = self._best_for_scheme(problem, scheme, costs)
         self._cache[key] = entries
         return entries
 

@@ -140,10 +140,14 @@ class TiledGemm:
         a32 = a_pad.astype(np.float32)
         b32 = b_pad.astype(np.float32)
         acc = np.zeros((self.m_full, self.n_full), dtype=np.float32)
-        for k0 in range(0, self.k_full, self.k_chunk):
-            k1 = min(k0 + self.k_chunk, self.k_full)
-            # In-place accumulate: no temporary C-sized copies per chunk.
-            acc += a32[:, k0:k1] @ b32[k0:k1, :]
+        # Operands struck by an exponent-bit flip carry inf/NaN; the
+        # overflowing or NaN accumulator is the hardware's value, as in
+        # the epilogue, so it is not warned about.
+        with np.errstate(invalid="ignore", over="ignore"):
+            for k0 in range(0, self.k_full, self.k_chunk):
+                k1 = min(k0 + self.k_chunk, self.k_full)
+                # In-place accumulate: no temporary C-sized copies per chunk.
+                acc += a32[:, k0:k1] @ b32[k0:k1, :]
         return acc
 
     def run(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

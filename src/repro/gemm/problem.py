@@ -11,7 +11,7 @@ which is how this module computes FLOPs and bytes by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..config import DEFAULT_CONSTANTS
 from ..errors import ShapeError
@@ -31,35 +31,27 @@ class GemmProblem:
         Logical (unpadded) problem dimensions.
     label:
         Optional human-readable origin, e.g. ``"resnet50/layer3.0.conv2"``.
+    m_pad, n_pad, k_pad:
+        The dims rounded up to the MMA-operability multiple (8): the
+        execution view.  Derived once at construction; they take no part
+        in equality, hashing or ``repr``.
     """
 
     m: int
     n: int
     k: int
     label: str = ""
+    m_pad: int = field(init=False, compare=False, repr=False)
+    n_pad: int = field(init=False, compare=False, repr=False)
+    k_pad: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         check_positive_int(self.m, "m")
         check_positive_int(self.n, "n")
         check_positive_int(self.k, "k")
-
-    # ------------------------------------------------------------------
-    # Padded view (execution view)
-    # ------------------------------------------------------------------
-    @property
-    def m_pad(self) -> int:
-        """M rounded up to the MMA-operability multiple (8)."""
-        return round_up(self.m, PAD_MULTIPLE)
-
-    @property
-    def n_pad(self) -> int:
-        """N rounded up to the MMA-operability multiple (8)."""
-        return round_up(self.n, PAD_MULTIPLE)
-
-    @property
-    def k_pad(self) -> int:
-        """K rounded up to the MMA-operability multiple (8)."""
-        return round_up(self.k, PAD_MULTIPLE)
+        object.__setattr__(self, "m_pad", round_up(self.m, PAD_MULTIPLE))
+        object.__setattr__(self, "n_pad", round_up(self.n, PAD_MULTIPLE))
+        object.__setattr__(self, "k_pad", round_up(self.k, PAD_MULTIPLE))
 
     # ------------------------------------------------------------------
     # Paper-style FLOP / byte accounting

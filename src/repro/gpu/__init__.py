@@ -11,7 +11,7 @@ using a multi-pipe (Tensor Core / CUDA core / DRAM / issue) roofline.
 from .specs import GPUSpec, get_gpu, list_gpus, T4, P4, V100, A100, JETSON_AGX_XAVIER
 from .occupancy import OccupancyResult, compute_occupancy
 from .pipes import Pipe, PipeSet, PipeTimes
-from .timing import KernelTiming, time_kernel
+from .timing import DeviceTable, KernelTiming, time_kernel
 
 __all__ = [
     "GPUSpec",
@@ -27,6 +27,7 @@ __all__ = [
     "Pipe",
     "PipeSet",
     "PipeTimes",
+    "DeviceTable",
     "KernelTiming",
     "time_kernel",
 ]

@@ -95,6 +95,45 @@ def build_pipes(spec: GPUSpec, constants: ModelConstants = DEFAULT_CONSTANTS) ->
     )
 
 
+class DeviceTable:
+    """Device-invariant inputs of :func:`time_kernel`, computed once.
+
+    A pre-deployment profiler prices tens of thousands of kernels on one
+    device, but they share one set of pipes and only a few dozen
+    distinct ``(threads, registers, smem)`` launch shapes.  The table
+    holds the device's derated pipes and one occupancy result per launch
+    shape, keyed by plain ints so a lookup never hashes the
+    :class:`GPUSpec`.  Only successes are stored: an unschedulable shape
+    raises :class:`~repro.errors.OccupancyError` on every lookup.
+    """
+
+    __slots__ = ("spec", "constants", "pipes", "_occupancy")
+
+    def __init__(self, spec: GPUSpec, constants: ModelConstants = DEFAULT_CONSTANTS) -> None:
+        self.spec = spec
+        self.constants = constants
+        self.pipes = build_pipes(spec, constants)
+        self._occupancy: dict[tuple[int, int, int], OccupancyResult] = {}
+
+    def occupancy(
+        self, threads_per_block: int, registers_per_thread: int, smem_per_block: int
+    ) -> OccupancyResult:
+        """:func:`compute_occupancy` on this device, memoized per launch shape."""
+        key = (threads_per_block, registers_per_thread, smem_per_block)
+        occ = self._occupancy.get(key)
+        if occ is None:
+            occ = compute_occupancy(
+                self.spec,
+                threads_per_block=threads_per_block,
+                registers_per_thread=registers_per_thread,
+                smem_per_block=smem_per_block,
+            )
+            # A pure function of the key: a racing second insert stores
+            # an equal value, so no lock is needed.
+            self._occupancy[key] = occ
+        return occ
+
+
 def _memory_derating(occupancy: float, knee: float) -> float:
     """Fraction of peak bandwidth achievable at the given occupancy."""
     if knee <= 0.0:
@@ -106,28 +145,40 @@ def time_kernel(
     spec: GPUSpec,
     work: KernelWork,
     constants: ModelConstants = DEFAULT_CONSTANTS,
+    *,
+    table: DeviceTable | None = None,
 ) -> KernelTiming:
     """Model the latency of one kernel launch on ``spec``.
+
+    Pass a :class:`DeviceTable` built for the same ``spec`` and
+    ``constants`` to reuse its pipes and occupancy results across calls;
+    without one, a throwaway table is built.
 
     Raises
     ------
     OccupancyError
         If the kernel cannot be scheduled at all (propagated from the
         occupancy calculator).
+    ConfigurationError
+        If ``table`` was built for a different device or constants.
     """
-    occ = compute_occupancy(
-        spec,
-        threads_per_block=work.threads_per_block,
-        registers_per_thread=work.registers_per_thread,
-        smem_per_block=work.smem_per_block,
-    )
+    if table is None:
+        table = DeviceTable(spec, constants)
+    elif (table.spec is not spec and table.spec != spec) or (
+        table.constants is not constants and table.constants != constants
+    ):
+        raise ConfigurationError(
+            f"device table built for {table.spec.name} does not match this call "
+            f"({spec.name}, or other model constants)"
+        )
+    occ = table.occupancy(work.threads_per_block, work.registers_per_thread, work.smem_per_block)
 
     # Partial-device utilization: a grid smaller than one full wave only
     # keeps `blocks` SMs busy (at most one block per SM counts toward
     # spreading work; co-residency helps latency hiding, not peak math).
     utilization = min(1.0, work.blocks / spec.num_sms)
 
-    pipes = build_pipes(spec, constants)
+    pipes = table.pipes
     mem_derate = _memory_derating(occ.occupancy, constants.mem_latency_occupancy_knee)
 
     pipe_times = PipeTimes(

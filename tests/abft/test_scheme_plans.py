@@ -132,6 +132,16 @@ class TestStructuralProperties:
                 # to smaller tiles for it.
                 assert name == "replication_traditional"
 
+    @pytest.mark.parametrize("name", list_schemes())
+    @pytest.mark.parametrize("dtype", ["fp16", "int8"])
+    def test_shared_mainloop_cost_gives_the_same_plan(self, name, dtype, problem, tile):
+        constants = DEFAULT_CONSTANTS.with_overrides(fp16_bytes=1 if dtype == "int8" else 2)
+        scheme = get_scheme(name, dtype=dtype)
+        cost = mainloop_cost(problem, tile, constants)
+        assert scheme.plan(problem, tile, constants, cost=cost) == scheme.plan(
+            problem, tile, constants
+        )
+
     def test_kernel_timings_labels(self, problem, tile):
         plan = get_scheme("global").plan(problem, tile)
         timings = plan.kernel_timings(T4)

@@ -1,5 +1,8 @@
 """Tests for GemmProblem and the paper's FLOP/byte accounting."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ShapeError
@@ -70,3 +73,34 @@ class TestLabel:
         p = GemmProblem(8, 8, 8).with_label("conv1")
         assert p.label == "conv1"
         assert "conv1" in str(p)
+
+
+class TestStoredPadding:
+    """The padded dims are stored fields that stay out of the identity."""
+
+    def test_equality_and_hash_ignore_padding(self):
+        p, q = GemmProblem(9, 17, 33, label="x"), GemmProblem(9, 17, 33, label="x")
+        assert p == q and hash(p) == hash(q)
+        assert hash(p) == hash((9, 17, 33, "x"))
+        assert p != GemmProblem(9, 17, 33, label="y")
+
+    def test_repr_unchanged(self):
+        assert repr(GemmProblem(9, 17, 33, label="x")) == (
+            "GemmProblem(m=9, n=17, k=33, label='x')"
+        )
+
+    def test_pickle_round_trip(self):
+        p = GemmProblem(9, 17, 33, label="x")
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p)
+        assert (q.m_pad, q.n_pad, q.k_pad) == (16, 24, 40)
+
+    def test_replace_recomputes_padding(self):
+        p = dataclasses.replace(GemmProblem(9, 17, 33), m=100)
+        assert p.m_pad == 104
+
+    def test_padding_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            GemmProblem(9, 17, 33, m_pad=16)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            GemmProblem(9, 17, 33).m_pad = 8

@@ -1,10 +1,14 @@
 """Tests for the kernel latency model."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.config import DEFAULT_CONSTANTS
 from repro.errors import ConfigurationError, OccupancyError
-from repro.gpu import T4, time_kernel
+from repro.gpu import A100, T4, DeviceTable, time_kernel
 from repro.gpu.timing import KernelWork
 
 
@@ -82,6 +86,61 @@ class TestOccupancyCoupling:
     def test_unschedulable_kernel_raises(self):
         with pytest.raises(OccupancyError):
             time_kernel(T4, _work(registers_per_thread=1000))
+
+
+class TestDeviceTable:
+    def test_table_gives_bit_identical_timings(self):
+        table = DeviceTable(T4)
+        works = [_work(), _work(blocks=700), _work(dram_bytes=1e9, smem_per_block=40 * 1024)]
+        for work in works * 2:
+            assert time_kernel(T4, work, table=table) == time_kernel(T4, work)
+
+    def test_table_memoizes_per_launch_shape(self):
+        table = DeviceTable(T4)
+        first = time_kernel(T4, _work(blocks=4), table=table).occupancy
+        again = time_kernel(T4, _work(blocks=400), table=table).occupancy
+        assert again is first
+        assert list(table._occupancy) == [(128, 64, 0)]
+
+    def test_unschedulable_shape_raises_on_every_lookup(self):
+        table = DeviceTable(T4)
+        for _ in range(2):
+            with pytest.raises(OccupancyError):
+                time_kernel(T4, _work(registers_per_thread=1000), table=table)
+        assert table._occupancy == {}
+
+    def test_racing_threads_agree_with_serial_pricing(self):
+        works = [
+            _work(registers_per_thread=r, smem_per_block=s)
+            for r in range(32, 160, 8)
+            for s in (0, 8 * 1024, 40 * 1024)
+        ]
+        expected = [time_kernel(T4, w) for w in works]
+        table = DeviceTable(T4)
+        start = threading.Barrier(6)
+
+        def price():
+            start.wait(timeout=10)
+            return [time_kernel(T4, w, table=table) for w in works]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                results = [f.result(timeout=30) for f in [pool.submit(price) for _ in range(6)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result == expected for result in results)
+        assert len(table._occupancy) == len(works)
+
+    def test_table_for_another_device_rejected(self):
+        with pytest.raises(ConfigurationError):
+            time_kernel(T4, _work(), table=DeviceTable(A100))
+
+    def test_table_for_other_constants_rejected(self):
+        slow_launch = DEFAULT_CONSTANTS.with_overrides(launch_overhead_s=1e-3)
+        with pytest.raises(ConfigurationError):
+            time_kernel(T4, _work(), table=DeviceTable(T4, slow_launch))
 
 
 class TestValidation:
