@@ -372,7 +372,11 @@ class ProtectedSession:
         replays all draw from the session's shared cache.
 
         ``layer`` may be omitted for single-layer plans; ``x`` is the
-        model input the campaign propagates over;
+        model input the campaign propagates over; ``verify_recovery``
+        (on by default) checks once, at construction, that replaying
+        the clean struck-layer output reproduces the clean model output
+        bit-exactly — every recovered trial is byte-checked against
+        that clean struck output, so the check covers all of them;
         ``options=CampaignOptions(workers=N)`` makes every run of the
         returned campaign shard across ``N`` worker processes by
         default (:mod:`repro.faults.parallel`).  Campaign knobs are

@@ -15,8 +15,10 @@ Two contracts are asserted per cell, not just reported:
 * every detected trial recovers under the transient fault model
   (retries re-execute fault-free, so recovery is deterministic), and
 * every recovered trial is bit-identical to the clean pass — at the
-  layer boundary and end to end (``verify_recovery=True`` replays it) —
-  enforced inside the campaign, which raises on violation.
+  layer boundary per trial, and end to end through
+  ``verify_recovery=True``, which replays the clean struck-layer output
+  once per campaign (a recovered trial's struck output byte-equals
+  it) — enforced inside the campaign, which raises on violation.
 """
 
 from __future__ import annotations

@@ -24,17 +24,22 @@ Downstream replay is cheap by construction: a corrupted *input*
 activation yields a self-consistent downstream GEMM (checksums computed
 from the corrupted operand agree with the corrupted output — ABFT
 cannot, and should not, fire there), so downstream layers replay
-through the raw tiled executor reusing each layer's clean prepared
-state from the session's shared :class:`~repro.abft.base.PreparedCache`
-— per trial only the struck activations are re-padded and multiplied;
-no checksum work, no re-preparation.  Trials whose faults are absorbed
-by the FP16 output quantization (or land in the padding region) skip
-the replay entirely: their output *is* the clean output.
+through a raw tiled executor with no checksum work.  The campaign owns
+that replay state: per downstream layer a private executor and the
+layer's padded weights, widened once to the accumulate dtype, both
+built at construction from the session's shared
+:class:`~repro.abft.base.PreparedCache` — per trial only the struck
+activations are re-padded and multiplied, and no cached entry is ever
+written.  Trials whose faults are absorbed by the FP16 output
+quantization (or land in the padding region) skip the replay entirely:
+their output *is* the clean output.
 
 On detection, an optional :class:`~repro.faults.RecoveryPolicy` runs
 the same bounded retry loop the inference engine uses; every recovered
-trial is asserted bit-identical to the clean pass — at the layer
-boundary always, end to end when ``verify_recovery`` is on.
+trial is asserted byte-identical to the clean pass at the layer
+boundary.  Replay is a pure function of the struck output's bytes, so
+the end-to-end half of that check (``verify_recovery``) runs once per
+campaign, at construction, on the clean struck output.
 
 See DESIGN.md §3 for the taxonomy, retry semantics, and degradation
 modes.
@@ -49,6 +54,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, FaultInjectionError
+from ..gemm.executor import executor_for
 from .campaign import FaultCampaign
 from .injector import faulted_site_values
 from .model import FaultSpec
@@ -208,10 +214,14 @@ class PropagationCampaign:
         Trials per chunked injection call (default: the underlying
         GEMM campaign's auto-tuned size).
     verify_recovery:
-        Assert every recovered trial's *end-to-end* output bit-equals
-        the clean pass by replaying it (the layer-boundary bit-identity
-        check always runs).  On by default; large throughput sweeps may
-        disable the replay half.
+        Assert that a recovered trial's *end-to-end* output bit-equals
+        the clean pass.  Every recovered trial's struck output is
+        byte-checked against the clean one (always), and replay is a
+        pure function of those bytes, so this replays the clean struck
+        output once, at construction, and raises
+        :class:`~repro.errors.FaultInjectionError` unless it
+        reproduces the clean model output.  On by default; disabling
+        it skips that one replay.
     workers:
         Default worker-process count for :meth:`run`/:meth:`run_batch`
         (both also take a per-call override).  ``None`` or ``1`` runs
@@ -349,30 +359,50 @@ class PropagationCampaign:
         self._clean_output = trace.output
         self._clean_top1 = self._top1(trace.output)
 
-        # Downstream replay state: the ops after the struck layer, each
-        # linear one paired with its clean prepared state (executor +
-        # padded weights) drawn from the shared cache — per-trial work
-        # is pad_a + multiply + crop, nothing else.
+        # Downstream replay state, owned by the campaign: the ops after
+        # the struck layer, each linear one paired with a private
+        # executor (INT8 pad_a records the activation scale on its
+        # executor, so the cached entry's must not replay) and its
+        # padded weights widened once to the accumulate dtype (exact;
+        # 4 bytes per weight element) — per-trial work is pad_a +
+        # multiply + crop, nothing else.
         idx = self._step.op_index
         self._struck_op = engine.model.ops[idx]
         self._downstream: list = []
         for op in engine.model.ops[idx + 1:]:
-            if op.is_linear:
-                st = trace.step(op.name)
-                prepared = engine.cache.get(
-                    engine.scheme_for(op.name), st.a, st.b, tile=st.tile
+            if not op.is_linear:
+                self._downstream.append((op, None, None))
+                continue
+            st = trace.step(op.name)
+            prepared = engine.cache.get(
+                engine.scheme_for(op.name), st.a, st.b, tile=st.tile
+            )
+            executor = executor_for(
+                prepared.problem, prepared.tile, prepared.executor.dtype
+            )
+            if executor.dtype == "int8":
+                executor.b_scale = prepared.executor.b_scale
+            b_acc = prepared.b_pad.astype(prepared.c_clean.dtype)
+            self._downstream.append((op, executor, b_acc))
+
+        if verify_recovery:
+            replayed = np.ascontiguousarray(self._replay(self._clean_c16))
+            clean_out = np.ascontiguousarray(self._clean_output)
+            if replayed.tobytes() != clean_out.tobytes():
+                raise FaultInjectionError(
+                    f"replaying the clean output of layer {layer!r} "
+                    f"does not reproduce the clean model output "
+                    f"bit-exactly"
                 )
-                self._downstream.append((op, prepared))
-            else:
-                self._downstream.append((op, None))
 
     # ------------------------------------------------------------------
     def _shard_state(self) -> dict:
         """Everything a shard worker needs, free of engine/trace handles.
 
         The heavyweight entries (the struck layer's prepared execution,
-        clean baselines, downstream ops with their prepared weights)
-        are ndarray-bearing object graphs that
+        clean baselines, downstream ops with the campaign's replay
+        executors and widened weights) are ndarray-bearing object
+        graphs that
         :func:`repro.faults.parallel.export_payload` parks in shared
         memory — a worker attaches zero-copy views, never re-preparing
         or re-tracing anything.
@@ -382,7 +412,6 @@ class PropagationCampaign:
             "recovery": self.recovery,
             "output_rtol": self.output_rtol,
             "output_atol": self.output_atol,
-            "verify_recovery": self.verify_recovery,
             "detection": self._detection,
             "prepared": self._prepared,
             "clean_c16": self._clean_c16,
@@ -400,7 +429,8 @@ class PropagationCampaign:
 
         The shard-worker constructor: no engine, no trace, no GEMM
         campaign — just the attributes :meth:`_run_chunk`,
-        :meth:`_replay`, and the recovery checks touch.  Workers never
+        :meth:`_replay`, and the recovery check touch (the end-to-end
+        check already ran at the parent's construction).  Workers never
         draw randomness or aggregate results; the parent owns both.
         """
         self = object.__new__(cls)
@@ -413,7 +443,6 @@ class PropagationCampaign:
         self.recovery = state["recovery"]
         self.output_rtol = state["output_rtol"]
         self.output_atol = state["output_atol"]
-        self.verify_recovery = state["verify_recovery"]
         self._detection = state["detection"]
         self._prepared = state["prepared"]
         self._epilogue = state["prepared"].executor.epilogue
@@ -429,8 +458,8 @@ class PropagationCampaign:
     @property
     def downstream_ops(self) -> list[str]:
         """Names of the ops corruption propagates through, in order."""
-        return [type(op).__name__ if prepared is None else op.name
-                for op, prepared in self._downstream]
+        return [type(op).__name__ if executor is None else op.name
+                for op, executor, _ in self._downstream]
 
     @staticmethod
     def _top1(output: np.ndarray) -> np.ndarray:
@@ -445,21 +474,21 @@ class PropagationCampaign:
         model output, bit-identically to what a protected forward pass
         over the same corrupted activations would compute.
 
-        Downstream linear layers run the raw tiled GEMM against their
-        clean prepared state's executor and padded weights — the
-        protected path's epilogue (accumulate, crop, lower to FP16)
-        with zero checksum work, which is sound because a consistent
-        GEMM over corrupted inputs is exactly what the protected pass
-        computes and cannot flag.
+        Downstream linear layers run the raw tiled GEMM on the
+        campaign's own executors and widened weights — the protected
+        path's epilogue (accumulate, crop, lower to FP16) with zero
+        checksum work, which is sound because a consistent GEMM over
+        corrupted inputs is exactly what the protected pass computes
+        and cannot flag.  Reads no shared state, so the result is a
+        pure function of ``c16``'s bytes.
         """
         activation = self._struck_op.reshape_output(c16, self._step_dims)
-        for op, prepared in self._downstream:
-            if prepared is None:
+        for op, executor, b_acc in self._downstream:
+            if executor is None:
                 activation = op.forward(activation)
                 continue
             a, _, dims = op.lower(activation)
-            executor = prepared.executor
-            acc = executor.multiply(executor.pad_a(a), prepared.b_pad)
+            acc = executor.multiply(executor.pad_a(a), b_acc)
             c = executor.epilogue(executor.crop(acc))
             activation = op.reshape_output(c, dims)
         return activation
@@ -644,10 +673,10 @@ class PropagationCampaign:
     def _check_recovered(self, outcome) -> None:
         """Assert a recovered execution is bit-identical to clean.
 
-        The layer-boundary check always runs (byte equality of the
-        FP16 layer outputs — NaN-safe); with ``verify_recovery`` the
-        recovered output is additionally replayed end to end and must
-        byte-equal the clean model output.
+        Byte equality of the FP16 layer outputs (NaN-safe).  The
+        recovered output therefore replays to exactly what the clean
+        struck output replays to, which ``verify_recovery`` checked
+        end to end once, at construction.
         """
         recovered_c = np.ascontiguousarray(outcome.c)
         clean_c = np.ascontiguousarray(self._clean_c16)
@@ -657,11 +686,3 @@ class PropagationCampaign:
                 f"bit-identical to the clean layer output — the "
                 f"recovery contract is broken"
             )
-        if self.verify_recovery:
-            replayed = np.ascontiguousarray(self._replay(outcome.c))
-            clean_out = np.ascontiguousarray(self._clean_output)
-            if replayed.tobytes() != clean_out.tobytes():
-                raise FaultInjectionError(
-                    f"recovered pass through layer {self.layer!r} does "
-                    f"not reproduce the clean model output bit-exactly"
-                )

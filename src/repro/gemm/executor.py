@@ -130,15 +130,17 @@ class TiledGemm:
 
         Accumulates chunk-by-chunk along K (chunk = ``k_chunk``) into a
         single FP32 accumulator, mirroring the sequential MMA
-        accumulation of the hardware mainloop.
+        accumulation of the hardware mainloop.  An operand may arrive
+        already widened to FP32 (exact for FP16 values); it is then
+        used as is, not copied.
         """
         if a_pad.shape != (self.m_full, self.k_full):
             raise ShapeError(f"padded A must be {self.m_full}x{self.k_full}")
         if b_pad.shape != (self.k_full, self.n_full):
             raise ShapeError(f"padded B must be {self.k_full}x{self.n_full}")
         EXECUTION_STATS.gemms += 1
-        a32 = a_pad.astype(np.float32)
-        b32 = b_pad.astype(np.float32)
+        a32 = a_pad.astype(np.float32, copy=False)
+        b32 = b_pad.astype(np.float32, copy=False)
         acc = np.zeros((self.m_full, self.n_full), dtype=np.float32)
         # Operands struck by an exponent-bit flip carry inf/NaN; the
         # overflowing or NaN accumulator is the hardware's value, as in
@@ -278,14 +280,17 @@ class Int8TiledGemm(TiledGemm):
         return out
 
     def multiply(self, a_pad: np.ndarray, b_pad: np.ndarray) -> np.ndarray:
-        """Exact INT32-accumulated product of padded INT8 operands."""
+        """Exact INT32-accumulated product of padded INT8 operands.
+
+        An operand already widened to INT32 is used as is, not copied.
+        """
         if a_pad.shape != (self.m_full, self.k_full):
             raise ShapeError(f"padded A must be {self.m_full}x{self.k_full}")
         if b_pad.shape != (self.k_full, self.n_full):
             raise ShapeError(f"padded B must be {self.k_full}x{self.n_full}")
         EXECUTION_STATS.gemms += 1
-        a32 = a_pad.astype(np.int32)
-        b32 = b_pad.astype(np.int32)
+        a32 = a_pad.astype(np.int32, copy=False)
+        b32 = b_pad.astype(np.int32, copy=False)
         acc = np.zeros((self.m_full, self.n_full), dtype=np.int32)
         for k0 in range(0, self.k_full, self.k_chunk):
             k1 = min(k0 + self.k_chunk, self.k_full)

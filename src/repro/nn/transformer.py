@@ -39,6 +39,7 @@ matching how the paper treats activations (§6.2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -243,9 +244,12 @@ class _SoftmaxTail(_Op):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         tail = x[:, -self.n :].astype(np.float32)
-        tail -= tail.max(axis=1, keepdims=True)
-        np.exp(tail, out=tail)
-        tail /= tail.sum(axis=1, keepdims=True)
+        # A non-finite score row (a struck upstream GEMM) computes
+        # inf - inf: its NaN probabilities are the hardware's value.
+        with np.errstate(invalid="ignore"):
+            tail -= tail.max(axis=1, keepdims=True)
+            np.exp(tail, out=tail)
+            tail /= tail.sum(axis=1, keepdims=True)
         return np.concatenate([x[:, : -self.n], tail.astype(np.float16)], axis=1)
 
 
@@ -302,13 +306,31 @@ class _TailLinear(_Op):
         return c
 
 
+@functools.cache
+def _gelu_table() -> np.ndarray:
+    """Tanh-approximation GELU of every FP16 bit pattern, in FP16.
+
+    Computed in FP32 over all 65,536 patterns once per process, on
+    first use, and indexed by the pattern.  ``-inf`` maps to NaN
+    (``-inf * 0``), as the formula does elementwise.
+    """
+    x32 = np.arange(1 << 16).astype(np.uint16).view(np.float16).astype(np.float32)
+    with np.errstate(invalid="ignore"):
+        inner = np.sqrt(2.0 / np.pi) * (x32 + 0.044715 * x32**3)
+        table = (0.5 * x32 * (1.0 + np.tanh(inner))).astype(np.float16)
+    table.flags.writeable = False
+    return table
+
+
 class _GELU(_Op):
-    """Tanh-approximation GELU, computed in FP32, emitted in FP16."""
+    """Tanh-approximation GELU of FP16 activations, emitted in FP16.
+
+    Looks each activation's bit pattern up in :func:`_gelu_table`;
+    the input is always an FP16 epilogue output.
+    """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x32 = x.astype(np.float32)
-        inner = np.sqrt(2.0 / np.pi) * (x32 + 0.044715 * x32**3)
-        return (0.5 * x32 * (1.0 + np.tanh(inner))).astype(np.float16)
+        return _gelu_table()[x.view(np.uint16)]
 
 
 def build_transformer_runnable(

@@ -9,12 +9,15 @@ match the graph's problems layer for layer, so deployment plans built
 from the graph drive campaigns on the runnable unchanged.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.abft import get_scheme
 from repro.api import as_policy, deploy
 from repro.errors import ShapeError
+from repro.gemm import GemmProblem, TiledGemm, select_tile
 from repro.gpu import get_gpu
 from repro.nn import (
     ProtectedInference,
@@ -26,7 +29,7 @@ from repro.nn import (
     runnable_input_shape,
     transformer_models,
 )
-from repro.nn.transformer import TRANSFORMER_PRESETS
+from repro.nn.transformer import TRANSFORMER_PRESETS, _GELU
 
 
 class TestSpec:
@@ -163,3 +166,56 @@ class TestDeployment:
         ).run_batch(8)
         assert result.n_trials == 8
         assert result.undetected_sdc_rate == 0.0
+
+
+def apply_op(op, x):
+    """One op of the runnable model, linear ones on a plain tiled GEMM."""
+    if not op.is_linear:
+        return op.forward(x)
+    a, b, ctx = op.lower(x)
+    problem = GemmProblem(a.shape[0], b.shape[1], a.shape[1])
+    gemm = TiledGemm(problem, select_tile(problem))
+    return op.reshape_output(gemm.epilogue(gemm.crop(gemm.run(a, b))), ctx)
+
+
+class TestNonFiniteActivations:
+    """inf/NaN activations (a struck upstream GEMM) are the hardware's
+    values: every op passes them on without a RuntimeWarning and keeps
+    them inside their rows."""
+
+    def test_every_op_passes_non_finite_rows_silently(self):
+        model = build_transformer_runnable("transformer_decoder", seed=0)
+        x = (
+            np.random.default_rng(3)
+            .standard_normal(runnable_input_shape("transformer_decoder"))
+            * 0.5
+        ).astype(np.float16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for op in model.ops:
+                struck = x.copy()
+                struck[0] = np.inf
+                struck[1] = -np.inf
+                struck[2] = np.nan
+                struck[3, ::2], struck[3, 1::2] = np.inf, -np.inf
+                out = apply_op(op, struck)
+                x = apply_op(op, x)
+                assert (~np.isfinite(out[:4])).any(axis=1).all(), type(op).__name__
+                assert out[4:].tobytes() == x[4:].tobytes(), type(op).__name__
+
+    def test_gelu_table_matches_the_formula_exhaustively(self):
+        patterns = np.arange(1 << 16).astype(np.uint16)
+        values = patterns.view(np.float16)
+        nan_in = np.isnan(values)
+        assert (~nan_in).sum() == 63490
+        square = values.reshape(256, 256)
+        for layout in (values, square, square.T):
+            x32 = layout.astype(np.float32)
+            with np.errstate(invalid="ignore"):
+                inner = np.sqrt(2.0 / np.pi) * (x32 + 0.044715 * x32**3)
+                expected = (0.5 * x32 * (1.0 + np.tanh(inner))).astype(np.float16)
+            got = _GELU().forward(layout)
+            assert got.shape == layout.shape and got.dtype == np.float16
+            keep = ~np.isnan(layout)
+            assert got[keep].tobytes() == expected[keep].tobytes()
+            assert np.isnan(got[~keep]).all()
