@@ -19,6 +19,7 @@ across activations of any row count.
 
 from .base import (
     ExecutionOutcome,
+    OutcomeBatch,
     PlannedKernel,
     PreparedCache,
     PreparedExecution,
@@ -26,7 +27,12 @@ from .base import (
     Scheme,
     SchemePlan,
 )
-from .detection import CheckVerdict, compare_checksums, compare_checksums_batch
+from .detection import (
+    CheckVerdict,
+    VerdictColumns,
+    compare_checksums,
+    compare_checksums_batch,
+)
 from .none import NoProtection
 from .global_abft import GlobalABFT
 from .thread_onesided import ThreadLevelOneSided
@@ -163,10 +169,12 @@ __all__ = [
     "SchemePlan",
     "PlannedKernel",
     "ExecutionOutcome",
+    "OutcomeBatch",
     "PreparedCache",
     "PreparedExecution",
     "PreparedWeights",
     "CheckVerdict",
+    "VerdictColumns",
     "compare_checksums",
     "compare_checksums_batch",
     "NoProtection",

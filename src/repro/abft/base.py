@@ -54,8 +54,9 @@ import abc
 import hashlib
 import threading
 from collections import OrderedDict
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -82,6 +83,7 @@ from ..gpu.specs import GPUSpec
 from ..gpu.timing import DeviceTable, KernelWork, time_kernel
 from .detection import (
     CheckVerdict,
+    VerdictColumns,
     compare_checksums_sparse,
     prepare_clean_comparison,
 )
@@ -243,6 +245,72 @@ class ExecutionOutcome:
             f"ExecutionOutcome(scheme={self.scheme!r}, detected={self.detected}, "
             f"injected={self.injected!r})"
         )
+
+
+class OutcomeBatch(Sequence):
+    """The outcomes of one :meth:`PreparedExecution.inject_batch` call.
+
+    A ``Sequence[ExecutionOutcome]`` that builds each outcome on first
+    access (and keeps it): campaigns read :attr:`verdicts` — the
+    batch's :class:`~repro.abft.detection.VerdictColumns` — and never
+    pay for per-trial objects.  Dense batches hand each outcome a view
+    into the stacked accumulator ``c_batch``; sparse ones a factory
+    that materializes the trial's grid on demand.  Compares equal to
+    any sequence of the same outcomes.
+    """
+
+    __slots__ = ("verdicts", "_prepared", "_faults", "_c_batch", "_built")
+
+    def __init__(
+        self,
+        prepared: "PreparedExecution",
+        faults_batch: Sequence[Sequence[FaultSpec]],
+        verdicts: Sequence[CheckVerdict | None],
+        c_batch: np.ndarray | None = None,
+    ) -> None:
+        self.verdicts = verdicts
+        self._prepared = prepared
+        self._faults = faults_batch
+        self._c_batch = c_batch
+        self._built: list[ExecutionOutcome | None] = [None] * len(faults_batch)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        outcome = self._built[i]
+        if outcome is None:
+            prepared = self._prepared
+            faults = tuple(self._faults[i])
+            if self._c_batch is not None:
+                acc, factory = self._c_batch[i], None
+            else:
+                acc, factory = None, _accumulator_factory(prepared.c_clean, faults)
+            outcome = ExecutionOutcome(
+                scheme=prepared.scheme.name,
+                c_accumulator=acc,
+                verdict=self.verdicts[i],
+                injected=faults,
+                crop=(prepared.problem.m, prepared.problem.n),
+                acc_factory=factory,
+                epilogue=prepared.executor.epilogue,
+            )
+            self._built[i] = outcome
+        return outcome
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -448,7 +516,7 @@ class PreparedExecution:
         out: np.ndarray | None = None,
         sparse: bool | None = None,
         sites: FaultSites | None = None,
-    ) -> list[ExecutionOutcome]:
+    ) -> OutcomeBatch:
         """N independent fault trials against the prepared state at once.
 
         ``specs_batch[i]`` holds trial ``i``'s fault specs (empty for a
@@ -457,7 +525,9 @@ class PreparedExecution:
         vectorized fancy indexing, the output side is re-reduced for
         every trial in single NumPy calls, and all verdicts render at
         once — bit-identical, element for element, to N sequential
-        :meth:`inject` calls with the same specs.
+        :meth:`inject` calls with the same specs.  The result is an
+        :class:`OutcomeBatch`: its ``verdicts`` columns are computed,
+        each outcome object is built only when indexed.
 
         ``sparse`` selects the re-reduction path: ``None`` (default)
         uses sparse re-reduction whenever the scheme supports it,
@@ -487,11 +557,12 @@ class PreparedExecution:
         exactly ``specs_batch`` — callers that already derived it (the
         campaign runner shares one map between injection and record
         classification) pass it to skip the recomputation.  Only the
-        sparse path consumes it.
+        sparse path consumes it, and then reads no spec tuple except
+        those of the trials ``sites.checksum_trials`` lists.
         """
-        faults_batch = [tuple(faults) for faults in specs_batch]
-        if not faults_batch:
-            return []
+        n = len(specs_batch)
+        if not n:
+            return OutcomeBatch(self, (), ())
         if detection is None:
             detection = self.scheme.default_detection
         use_sparse = self.scheme.supports_sparse if sparse is None else sparse
@@ -502,15 +573,17 @@ class PreparedExecution:
                     f"re-reduction path; call with sparse=False or None"
                 )
             if sites is None:
-                sites = faulted_site_values(self.c_clean, faults_batch)
-            elif sites.n_trials != len(faults_batch):
+                specs_batch = [tuple(faults) for faults in specs_batch]
+                sites = faulted_site_values(self.c_clean, specs_batch)
+            elif sites.n_trials != n:
                 raise ConfigurationError(
                     f"precomputed sites cover {sites.n_trials} trials, "
-                    f"batch has {len(faults_batch)}"
+                    f"batch has {n}"
                 )
             return self.scheme._finish_batch_sparse(
-                self, sites, faults_batch, detection
+                self, sites, specs_batch, detection
             )
+        faults_batch = [tuple(faults) for faults in specs_batch]
         c_batch = Scheme._apply_original_faults_batch(
             self.c_clean, faults_batch, out=out
         )
@@ -851,16 +924,6 @@ class Scheme(abc.ABC):
         """Fault-invariant checksum state (override where the scheme has any)."""
         return None
 
-    def _finish(
-        self,
-        prepared: PreparedExecution,
-        c_faulty: np.ndarray,
-        faults: tuple[FaultSpec, ...],
-        detection: DetectionConstants,
-    ) -> ExecutionOutcome:
-        """Single-trial wrapper over :meth:`_finish_batch` (``N == 1``)."""
-        return self._finish_batch(prepared, c_faulty[None], (faults,), detection)[0]
-
     @abc.abstractmethod
     def _finish_batch(
         self,
@@ -868,7 +931,7 @@ class Scheme(abc.ABC):
         c_batch: np.ndarray,
         faults_batch: Sequence[tuple[FaultSpec, ...]],
         detection: DetectionConstants,
-    ) -> list[ExecutionOutcome]:
+    ) -> OutcomeBatch:
         """Apply checksum-path faults, re-reduce the output side of all
         trials in batch-wide NumPy calls, render every verdict.  Must
         not mutate ``prepared`` (state is shared across trials);
@@ -942,7 +1005,7 @@ class Scheme(abc.ABC):
         references: np.ndarray,
         output_side: np.ndarray,
         detection: DetectionConstants,
-    ) -> list[CheckVerdict]:
+    ) -> VerdictColumns:
         """Dense verdicts for prepared references vs output reductions."""
         raise NotImplementedError(
             f"scheme {self.name!r} has no batched verdict renderer"
@@ -954,7 +1017,7 @@ class Scheme(abc.ABC):
         output_side: np.ndarray,
         faults_batch: Sequence[tuple[FaultSpec, ...]],
         detection: DetectionConstants,
-    ) -> list[CheckVerdict]:
+    ) -> VerdictColumns:
         """Dense verdict rendering through the ``CleanComparison`` walk.
 
         A single-site fault perturbs a handful of checks, so a dense
@@ -989,7 +1052,6 @@ class Scheme(abc.ABC):
             checks_idx,
             flat[trials_idx, checks_idx],
             n_trials=n,
-            skip=corrupted,
         )
         if corrupted:
             sub_faults = [faults_batch[i] for i in corrupted]
@@ -997,17 +1059,16 @@ class Scheme(abc.ABC):
             dense = self._verdicts(
                 prepared, references, out[corrupted], detection
             )
-            for i, verdict in zip(corrupted, dense):
-                verdicts[i] = verdict
+            verdicts = verdicts.splice(np.asarray(corrupted, dtype=np.intp), dense)
         return verdicts
 
     def _finish_batch_sparse(
         self,
         prepared: PreparedExecution,
         sites: FaultSites,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
+        faults_batch: Sequence[Sequence[FaultSpec]],
         detection: DetectionConstants,
-    ) -> list[ExecutionOutcome]:
+    ) -> OutcomeBatch:
         """Sparse counterpart of :meth:`_finish_batch` (engine template).
 
         Never materializes per-trial accumulators or check arrays:
@@ -1016,33 +1077,27 @@ class Scheme(abc.ABC):
         cached clean comparison — field-for-field bit-identical to
         :meth:`_finish_batch`, pinned by the sparse-equivalence
         hypothesis suite.  Trials whose *checksum side* was corrupted
-        (checksum-path faults) have no clean half to compare against;
-        they fall back to the dense comparison on sparsely spliced
-        check arrays (:meth:`_sparse_output_reduction`), still without
-        touching an accumulator stack.
+        (``sites.checksum_trials``) have no clean half to compare
+        against; they fall back to the dense comparison on sparsely
+        spliced check arrays (:meth:`_sparse_output_reduction`), still
+        without touching an accumulator stack.  Only those trials' spec
+        tuples are read.
         """
-        corrupted = [
-            i for i, faults in enumerate(faults_batch)
-            if self._checksum_faults(faults)
-        ]
         trials, checks, values = self._struck_checks(prepared, sites)
         verdicts = compare_checksums_sparse(
             prepared.clean_comparison(detection),
             trials, checks, values,
-            n_trials=len(faults_batch),
-            skip=corrupted,
+            n_trials=sites.n_trials,
         )
-        if corrupted:
+        corrupted = sites.checksum_trials
+        if len(corrupted):
             sub_sites = subset_sites(sites, corrupted)
-            sub_faults = [faults_batch[i] for i in corrupted]
+            sub_faults = [tuple(faults_batch[i]) for i in corrupted]
             references = self._references_batch(prepared, sub_faults)
             output_side = self._sparse_output_reduction(prepared, sub_sites)
-            dense_verdicts = self._verdicts(
-                prepared, references, output_side, detection
-            )
-            for i, verdict in zip(corrupted, dense_verdicts):
-                verdicts[i] = verdict
-        return self._outcome_batch_sparse(prepared, verdicts, faults_batch)
+            dense = self._verdicts(prepared, references, output_side, detection)
+            verdicts = verdicts.splice(corrupted, dense)
+        return OutcomeBatch(prepared, faults_batch, verdicts)
 
     # ------------------------------------------------------------------
     # Shared helpers for subclasses
@@ -1095,61 +1150,6 @@ class Scheme(abc.ABC):
         a_pad = executor.pad_a(a)
         c_clean = executor.multiply(a_pad, b_pad)
         return problem, chosen, executor, a_pad, b_pad, c_clean
-
-    def _outcome_batch(
-        self,
-        prepared: PreparedExecution,
-        c_batch: np.ndarray,
-        verdicts: Sequence[CheckVerdict | None],
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-    ) -> list[ExecutionOutcome]:
-        """Assemble the outcome records every ``_finish_batch`` returns.
-
-        Per-trial ``c_accumulator`` values are views into the stacked
-        batch array (trial slices are disjoint, so they stay
-        independent); the FP16 ``c`` is quantized lazily per outcome.
-        """
-        crop = (prepared.problem.m, prepared.problem.n)
-        return [
-            ExecutionOutcome(
-                scheme=self.name,
-                c_accumulator=c_batch[i],
-                verdict=verdicts[i],
-                injected=faults_batch[i],
-                crop=crop,
-                epilogue=prepared.executor.epilogue,
-            )
-            for i in range(len(faults_batch))
-        ]
-
-    def _outcome_batch_sparse(
-        self,
-        prepared: PreparedExecution,
-        verdicts: Sequence[CheckVerdict | None],
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-    ) -> list[ExecutionOutcome]:
-        """Outcome records for a sparse batch: lazy accumulators.
-
-        No stacked accumulator exists on the sparse path, so each
-        outcome carries a factory that materializes its padded grid on
-        first access (clean copy + the trial's original-path faults in
-        spec order — bit-identical to the dense batch's slice, pinned
-        by the injector equivalence properties).
-        """
-        crop = (prepared.problem.m, prepared.problem.n)
-        c_clean = prepared.c_clean
-        return [
-            ExecutionOutcome(
-                scheme=self.name,
-                c_accumulator=None,
-                verdict=verdicts[i],
-                injected=faults_batch[i],
-                crop=crop,
-                acc_factory=_accumulator_factory(c_clean, faults_batch[i]),
-                epilogue=prepared.executor.epilogue,
-            )
-            for i in range(len(faults_batch))
-        ]
 
     @staticmethod
     def _apply_original_faults_batch(
@@ -1211,7 +1211,12 @@ class Scheme(abc.ABC):
 def _accumulator_factory(
     c_clean: np.ndarray, faults: tuple[FaultSpec, ...]
 ) -> Callable[[], np.ndarray]:
-    """Deferred materialization of one sparse trial's faulted accumulator."""
+    """Deferred materialization of one sparse trial's faulted accumulator.
+
+    Clean copy plus the trial's original-path faults in spec order —
+    bit-identical to the dense batch's slice, pinned by the injector
+    equivalence properties.
+    """
 
     def materialize() -> np.ndarray:
         acc = c_clean.copy()

@@ -77,6 +77,19 @@ def _working_scalar_dtype(arr: np.ndarray) -> type:
     return np.float64 if np.issubdtype(arr.dtype, np.integer) else np.float32
 
 
+def _hardware_values():
+    """Arithmetic scope for reductions over a possibly non-finite grid.
+
+    An exponent-bit flip or a ``SET`` fault can leave ±inf/NaN in an
+    accumulator, and a detected-but-unrecovered one flows into every
+    downstream layer's activations.  Summing ``+inf`` and ``-inf`` then
+    yields the NaN the hardware's adders would produce, and a large
+    finite sum may round to inf: those are the values, not numerical
+    errors, so NumPy's invalid/overflow warnings are silenced here.
+    """
+    return np.errstate(invalid="ignore", over="ignore")
+
+
 # ----------------------------------------------------------------------
 # Global ABFT
 # ----------------------------------------------------------------------
@@ -130,10 +143,11 @@ def global_checksums(
         weights = global_weight_checksums(b_pad)
     EXECUTION_STATS.activation_reductions += 1
     a32 = _as_working(a_pad)
-    col_a = a32.sum(axis=0)  # (K,)
     row_b = weights.row_sums  # (K,)
-    reference = float(col_a @ row_b)
-    magnitude = float(np.abs(a32).sum(axis=0) @ weights.abs_row_sums)
+    with _hardware_values():
+        col_a = a32.sum(axis=0)  # (K,)
+        reference = float(col_a @ row_b)
+        magnitude = float(np.abs(a32).sum(axis=0) @ weights.abs_row_sums)
     return GlobalChecksums(
         activation_checksum=col_a,
         weight_checksum=row_b,
@@ -160,8 +174,9 @@ def _slice_sum(arr: np.ndarray, axis: int) -> np.ndarray:
     """
     view = np.moveaxis(arr, axis, -1)
     acc = view[..., 0].astype(_working_scalar_dtype(view))
-    for j in range(1, view.shape[-1]):
-        acc += view[..., j]
+    with _hardware_values():
+        for j in range(1, view.shape[-1]):
+            acc += view[..., j]
     return acc
 
 
@@ -179,7 +194,8 @@ def output_row_sums(c_pad: np.ndarray) -> np.ndarray:
     """
     if c_pad.ndim != 2:
         raise ShapeError(f"C must be a 2-D accumulator, got {c_pad.ndim}-D")
-    return _as_working(c_pad).sum(axis=1, dtype=np.float64)
+    with _hardware_values():
+        return _as_working(c_pad).sum(axis=1, dtype=np.float64)
 
 
 def output_summation_batch(c_batch: np.ndarray) -> np.ndarray:
@@ -194,8 +210,9 @@ def output_summation_batch(c_batch: np.ndarray) -> np.ndarray:
     """
     if c_batch.ndim != 3:
         raise ShapeError(f"stacked C must be 3-D, got {c_batch.ndim}-D")
-    rows = _as_working(c_batch).sum(axis=2, dtype=np.float64)
-    return rows.sum(axis=1)
+    with _hardware_values():
+        rows = _as_working(c_batch).sum(axis=2, dtype=np.float64)
+        return rows.sum(axis=1)
 
 
 def struck_output_summations(
@@ -221,12 +238,11 @@ def struck_output_summations(
     u_trials, u_rows = np.divmod(uniq, m_full)
     struck = c_clean[u_rows].astype(_working_scalar_dtype(c_clean), copy=True)
     struck[inverse, sites.cols] = sites.values
-    new_rows = struck.sum(axis=1, dtype=np.float64)
-
     touched, compact = np.unique(u_trials, return_inverse=True)
     row_sums = np.broadcast_to(clean_row_sums, (len(touched), m_full)).copy()
-    row_sums[compact, u_rows] = new_rows
-    return touched, row_sums.sum(axis=1)
+    with _hardware_values():
+        row_sums[compact, u_rows] = struck.sum(axis=1, dtype=np.float64)
+        return touched, row_sums.sum(axis=1)
 
 
 def splice_output_summation(
@@ -242,7 +258,8 @@ def splice_output_summation(
     :func:`struck_output_summations`.  Bit-identical to
     :func:`output_summation_batch` on the materialized batch.
     """
-    clean_total = clean_row_sums.sum()
+    with _hardware_values():
+        clean_total = clean_row_sums.sum()
     out = np.full(sites.n_trials, clean_total, dtype=np.float64)
     touched, values = struck_output_summations(clean_row_sums, c_clean, sites)
     out[touched] = values
@@ -312,8 +329,9 @@ def one_sided_checksums(
     EXECUTION_STATS.activation_reductions += 1
     a32 = _as_working(a_pad)
     w = weights.row_sums
-    reference = a32 @ w
-    magnitude = np.abs(a32) @ weights.abs_row_sums
+    with _hardware_values():
+        reference = a32 @ w
+        magnitude = np.abs(a32) @ weights.abs_row_sums
     return OneSidedChecksums(weight_checksums=w, reference=reference, magnitude=magnitude)
 
 
@@ -407,14 +425,15 @@ def two_sided_checksums(
     EXECUTION_STATS.activation_reductions += 1
     mt = executor.tile.mt
     a32 = _as_working(a_pad)
-    # Column checksum of each thread's At: (m_tiles, K).
-    col_a = a32.reshape(executor.m_tiles, mt, executor.k_full).sum(axis=1)
-    # Row checksum of each thread's Bt: (K, n_tiles).
-    reference = col_a @ weights.row_sums
-    magnitude = (
-        np.abs(a32).reshape(executor.m_tiles, mt, executor.k_full).sum(axis=1)
-        @ weights.abs_row_sums
-    )
+    with _hardware_values():
+        # Column checksum of each thread's At: (m_tiles, K).
+        col_a = a32.reshape(executor.m_tiles, mt, executor.k_full).sum(axis=1)
+        # Row checksum of each thread's Bt: (K, n_tiles).
+        reference = col_a @ weights.row_sums
+        magnitude = (
+            np.abs(a32).reshape(executor.m_tiles, mt, executor.k_full).sum(axis=1)
+            @ weights.abs_row_sums
+        )
     return TwoSidedChecksums(reference=reference, magnitude=magnitude)
 
 
@@ -597,7 +616,8 @@ def multi_row_partials(c_pad: np.ndarray, weights_n: np.ndarray) -> np.ndarray:
     if c_pad.ndim != 2:
         raise ShapeError(f"C must be a 2-D accumulator, got {c_pad.ndim}-D")
     c64 = np.asarray(c_pad, dtype=np.float64)
-    out = c64[:, None, :] @ _weights_n_t(weights_n)  # (m, 1, count)
+    with _hardware_values():
+        out = c64[:, None, :] @ _weights_n_t(weights_n)  # (m, 1, count)
     return out[:, 0, :]
 
 
@@ -612,7 +632,8 @@ def _multi_combine_row_partials(
     """
     w_m = np.asarray(weights_m, dtype=np.float64)  # (count, m_full)
     stacked = row_partials.transpose(0, 2, 1)[:, :, :, None]  # (N, count, m, 1)
-    out = w_m[None, :, None, :] @ stacked  # (N, count, 1, 1)
+    with _hardware_values():
+        out = w_m[None, :, None, :] @ stacked  # (N, count, 1, 1)
     return out[..., 0, 0]
 
 
@@ -633,7 +654,8 @@ def multi_weighted_output_sums(
     if c_batch.ndim != 3:
         raise ShapeError(f"stacked C must be 3-D, got {c_batch.ndim}-D")
     c64 = np.asarray(c_batch, dtype=np.float64)
-    partials = c64[:, :, None, :] @ _weights_n_t(weights_n)  # (N, m, 1, count)
+    with _hardware_values():
+        partials = c64[:, :, None, :] @ _weights_n_t(weights_n)  # (N, m, 1, count)
     return _multi_combine_row_partials(partials[:, :, 0, :], weights_m)
 
 
@@ -665,7 +687,8 @@ def struck_multi_weighted_sums(
     struck = c_clean[u_rows].astype(_working_scalar_dtype(c_clean), copy=True)
     struck[inverse, sites.cols] = sites.values
     struck64 = struck.astype(np.float64)
-    new_partials = struck64[:, None, :] @ _weights_n_t(weights_n)
+    with _hardware_values():
+        new_partials = struck64[:, None, :] @ _weights_n_t(weights_n)
 
     touched, compact = np.unique(u_trials, return_inverse=True)
     partials = np.broadcast_to(

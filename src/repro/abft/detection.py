@@ -10,8 +10,8 @@ accumulated magnitude can explain.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +43,94 @@ class CheckVerdict:
     max_residual: float
     tolerance: float
     checks: int
+
+
+class VerdictColumns(Sequence):
+    """The verdicts of one trial batch, held as columns.
+
+    A ``Sequence[CheckVerdict]`` whose items are built on indexing:
+    campaigns read the columns and never pay for per-trial verdict
+    objects, while per-trial callers see exactly the verdicts the
+    scalar path renders.
+
+    Attributes
+    ----------
+    detected, max_residual, tolerance:
+        Per-trial ``(N,)`` arrays of the matching
+        :class:`CheckVerdict` fields.
+    checks:
+        Number of checks per trial (one check array serves a batch).
+    ptr, idx:
+        Violations in CSR form: trial ``i`` violates checks
+        ``idx[ptr[i]:ptr[i + 1]]``.
+    """
+
+    __slots__ = ("detected", "max_residual", "tolerance", "checks", "ptr", "idx")
+
+    def __init__(
+        self,
+        detected: np.ndarray,
+        max_residual: np.ndarray,
+        tolerance: np.ndarray,
+        checks: int,
+        ptr: np.ndarray,
+        idx: np.ndarray,
+    ) -> None:
+        self.detected = detected
+        self.max_residual = max_residual
+        self.tolerance = tolerance
+        self.checks = checks
+        self.ptr = ptr
+        self.idx = idx
+
+    def __len__(self) -> int:
+        return len(self.detected)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"verdict index {i} out of range for {n} trials")
+        i %= n
+        return CheckVerdict(
+            detected=bool(self.detected[i]),
+            violations=tuple(self.idx[self.ptr[i]:self.ptr[i + 1]].tolist()),
+            max_residual=float(self.max_residual[i]),
+            tolerance=float(self.tolerance[i]),
+            checks=self.checks,
+        )
+
+    def splice(self, trials: np.ndarray, other: "VerdictColumns") -> "VerdictColumns":
+        """These columns with trial ``trials[j]`` replaced by ``other[j]``."""
+        detected = self.detected.copy()
+        max_residual = self.max_residual.copy()
+        tolerance = self.tolerance.copy()
+        detected[trials] = other.detected
+        max_residual[trials] = other.max_residual
+        tolerance[trials] = other.tolerance
+        counts = np.diff(self.ptr)
+        starts = self.ptr[:-1].copy()
+        counts[trials] = np.diff(other.ptr)
+        starts[trials] = other.ptr[:-1] + len(self.idx)
+        pool = np.concatenate((self.idx, other.idx))
+        ptr, idx = _ragged_take(pool, starts, counts)
+        return VerdictColumns(detected, max_residual, tolerance, self.checks, ptr, idx)
+
+
+def _csr_ptr(counts: np.ndarray) -> np.ndarray:
+    ptr = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _ragged_take(
+    pool: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(ptr, idx)`` of the runs ``pool[starts[i]:starts[i] + counts[i]]``."""
+    ptr = _csr_ptr(counts)
+    offsets = np.arange(ptr[-1], dtype=np.intp) - np.repeat(ptr[:-1], counts)
+    return ptr, pool[np.repeat(starts, counts) + offsets]
 
 
 def compare_checksums(
@@ -111,8 +199,8 @@ def compare_checksums_batch(
     n_terms: int,
     magnitudes: np.ndarray | float,
     constants: DetectionConstants = DEFAULT_DETECTION,
-) -> list[CheckVerdict]:
-    """Render one :class:`CheckVerdict` per trial of a stacked comparison.
+) -> VerdictColumns:
+    """Render the verdicts of every trial of a stacked comparison.
 
     Axis 0 indexes independent trials; the remaining axes are per-trial
     check arrays.  Either side may carry a leading axis of 1 when its
@@ -182,32 +270,22 @@ def compare_checksums_batch(
     else:
         max_residual = np.full(n, np.inf)
 
-    # One batch-wide nonzero replaces a per-trial scan: undetected
-    # trials contribute no entries, and searchsorted locates each
-    # detected trial's span in the sorted trial indices.
-    violations_per_trial: list[tuple[int, ...]] = [()] * n
-    detected_trials = np.flatnonzero(detected)
-    if detected_trials.size:
+    # One batch-wide nonzero lists every violation, trial-major: its
+    # trial indices count each trial's span of the CSR index array.
+    if detected.any():
         trial_idx, check_idx = np.nonzero(bad)
-        starts = np.searchsorted(trial_idx, detected_trials, side="left")
-        ends = np.searchsorted(trial_idx, detected_trials, side="right")
-        for t, lo, hi in zip(detected_trials, starts, ends):
-            violations_per_trial[int(t)] = tuple(
-                int(j) for j in check_idx[lo:hi]
-            )
-
-    verdicts: list[CheckVerdict] = []
-    for i in range(n):
-        verdicts.append(
-            CheckVerdict(
-                detected=bool(detected[i]),
-                violations=violations_per_trial[i],
-                max_residual=float(max_residual[i]),
-                tolerance=float(tolerance[i]),
-                checks=checks,
-            )
-        )
-    return verdicts
+        ptr = _csr_ptr(np.bincount(trial_idx, minlength=n))
+    else:
+        check_idx = np.empty(0, dtype=np.intp)
+        ptr = np.zeros(n + 1, dtype=np.intp)
+    return VerdictColumns(
+        detected=detected,
+        max_residual=max_residual.astype(np.float64),
+        tolerance=np.asarray(tolerance, dtype=np.float64),
+        checks=checks,
+        ptr=ptr,
+        idx=check_idx,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -218,12 +296,11 @@ class CleanComparison:
     """Fault-invariant half of a checksum comparison, prepared once.
 
     Holds the clean check arrays' full comparison — per-check residuals,
-    violation mask, tolerances — plus a descending residual ordering,
-    so :func:`compare_checksums_sparse` can render a trial's verdict
-    from *only its struck checks*: untouched checks keep their clean
-    residuals, and the trial's ``max_residual`` is found by walking the
-    precomputed order past the handful of struck indices instead of
-    re-reducing the whole check array.  Valid only while the checksum
+    violation mask, tolerances — so :func:`compare_checksums_sparse`
+    can render a trial's verdict from *only its struck checks*:
+    untouched checks keep their clean residuals, and the trial's
+    ``max_residual`` is the larger of its fresh struck keys and the
+    largest clean key it left untouched.  Valid only while the checksum
     side stays clean (checksum-path faults corrupt it; those trials
     take the dense comparison).
 
@@ -237,8 +314,6 @@ class CleanComparison:
         ``residual`` with non-finite entries mapped to ``+inf`` — the
         max-reduction key (``max`` must report inf whenever any
         residual is non-finite).
-    order:
-        Check indices sorted by descending ``key`` (ties stable).
     tol_flat:
         Per-check tolerances (fault-invariant magnitudes only).
     bad:
@@ -253,25 +328,14 @@ class CleanComparison:
     checksum_side: np.ndarray
     residual: np.ndarray
     key: np.ndarray
-    order: np.ndarray
     tol_flat: np.ndarray
     bad: np.ndarray
-    violations: tuple[int, ...]
+    violations: np.ndarray
     n_violations: int
     max_residual: float
     tolerance: float
     checks: int
     dtype: np.dtype
-
-    def clean_verdict(self) -> CheckVerdict:
-        """The verdict of a trial whose checks are all untouched."""
-        return CheckVerdict(
-            detected=self.n_violations > 0,
-            violations=self.violations if self.n_violations else (),
-            max_residual=self.max_residual,
-            tolerance=self.tolerance,
-            checks=self.checks,
-        )
 
 
 def prepare_clean_comparison(
@@ -319,8 +383,7 @@ def prepare_clean_comparison(
     bad = residual > tol_flat
     bad |= ~finite
     key = np.where(finite, residual.astype(np.float64), np.inf)
-    order = np.argsort(-key, kind="stable")
-    violations = tuple(int(i) for i in np.flatnonzero(bad))
+    violations = np.flatnonzero(bad)
     checks = int(residual.size)
     if checks:
         raw_max = float(residual.max())
@@ -331,7 +394,6 @@ def prepare_clean_comparison(
         checksum_side=lhs,
         residual=residual,
         key=key,
-        order=order,
         tol_flat=tol_flat,
         bad=bad,
         violations=violations,
@@ -350,24 +412,42 @@ def compare_checksums_sparse(
     values: np.ndarray,
     *,
     n_trials: int,
-    skip: Sequence[int] = (),
-) -> list[CheckVerdict | None]:
+) -> VerdictColumns:
     """Verdicts from struck checks alone, against a clean comparison.
 
     ``(trials, checks, values)`` hold one entry per unique struck
     (trial, check) pair in trial-major order — a re-reduced output-side
     check value per struck slice.  Each listed trial's verdict combines
     its struck checks' fresh residuals with the clean comparison's
-    untouched remainder (set arithmetic for ``detected``/``violations``,
-    an order walk for ``max_residual``); unlisted trials get the clean
-    verdict outright.  Bit-identical, field for field, to
+    untouched remainder; unlisted trials get the clean verdict
+    outright.  Bit-identical, field for field, to
     :func:`compare_checksums_batch` on the materialized check arrays —
     pinned by the sparse-equivalence hypothesis suite.
 
-    Trials in ``skip`` (their checksum side was corrupted, so the clean
-    half does not apply) are left as ``None`` for the caller to fill
-    via the dense comparison.
+    The whole batch is array work over the struck spans:
+
+    * violation counts are the clean count, minus the clean violations
+      a trial struck, plus its fresh ones (``np.add.reduceat`` over the
+      spans); the CSR index array lists them ascending per trial;
+    * ``max_residual`` is the larger of a trial's fresh struck keys and
+      the largest clean key it left untouched.  With ``K`` the most
+      checks any trial of the call struck, that key lies among the
+      ``K + 1`` largest clean keys, whatever order ties take — so one
+      ``np.argpartition`` per call replaces a per-trial walk.
+
+    Callers splice dense verdicts over trials whose checksum side was
+    corrupted (:meth:`VerdictColumns.splice`); the clean half does not
+    apply to them.
     """
+    n_viol = clean.n_violations
+    counts = np.full(n_trials, n_viol, dtype=np.intp)
+    max_residual = np.full(n_trials, clean.max_residual)
+    tolerance = np.full(n_trials, clean.tolerance)
+    if not len(trials):
+        ptr = _csr_ptr(counts)
+        idx = np.tile(clean.violations, n_trials)
+        return VerdictColumns(counts > 0, max_residual, tolerance, clean.checks, ptr, idx)
+
     with np.errstate(invalid="ignore"):
         residual = np.abs(
             np.subtract(clean.checksum_side[checks], values, dtype=clean.dtype)
@@ -377,50 +457,46 @@ def compare_checksums_sparse(
     new_bad |= ~finite
     new_key = np.where(finite, residual.astype(np.float64), np.inf)
 
-    verdicts: list[CheckVerdict | None] = [None] * n_trials
-    clean_verdict = clean.clean_verdict()
-    skip_set = set(int(i) for i in skip)
-    for i in range(n_trials):
-        if i not in skip_set:
-            verdicts[i] = clean_verdict
+    # Struck spans: one per listed trial, entries contiguous.
+    starts = np.flatnonzero(np.diff(trials)) + 1
+    starts = np.concatenate(([0], starts))
+    spans = np.diff(np.append(starts, len(trials)))
+    touched = trials[starts]
 
-    if not len(trials):
-        return verdicts
-    spans = np.flatnonzero(np.diff(trials)) + 1
-    starts = np.concatenate(([0], spans))
-    ends = np.concatenate((spans, [len(trials)]))
-    for lo, hi in zip(starts, ends):
-        t = int(trials[lo])
-        if t in skip_set:
-            continue
-        struck = [int(c) for c in checks[lo:hi]]
-        struck_set = set(struck)
+    counts[touched] += np.add.reduceat(new_bad.astype(np.intp), starts)
+    if n_viol:
+        counts[touched] -= np.add.reduceat(clean.bad[checks].astype(np.intp), starts)
 
-        # Violations: clean ones outside the struck set, plus struck
-        # checks that now violate — ascending, like the dense nonzero.
-        fresh = [struck[j] for j in range(hi - lo) if new_bad[lo + j]]
-        if clean.n_violations:
-            kept = [v for v in clean.violations if v not in struck_set]
-            fresh = sorted(kept + fresh)
-        violations = tuple(fresh)
+    # Largest untouched clean key: among the K + 1 largest clean keys,
+    # mask the ones each trial struck, take the row max.
+    k = int(spans.max())
+    if k + 1 < clean.checks:
+        top = np.sort(np.argpartition(clean.key, clean.checks - k - 1)[-(k + 1):])
+    else:
+        top = np.arange(clean.checks)
+    pos = np.minimum(np.searchsorted(top, checks), len(top) - 1)
+    hit = top[pos] == checks
+    candidates = np.broadcast_to(clean.key[top], (len(touched), len(top))).copy()
+    row = np.repeat(np.arange(len(touched)), spans)
+    candidates[row[hit], pos[hit]] = -np.inf
+    max_residual[touched] = np.maximum(
+        candidates.max(axis=1), np.maximum.reduceat(new_key, starts)
+    )
 
-        # Max residual: the fresh struck keys vs the clean order walked
-        # past the struck indices (expected O(1) steps — a struck check
-        # is rarely the clean argmax).
-        best = -np.inf
-        for idx in clean.order:
-            if int(idx) not in struck_set:
-                best = clean.key[idx]
-                break
-        if hi > lo:
-            best = max(best, new_key[lo:hi].max())
-        max_residual = float(best) if np.isfinite(best) else float("inf")
-
-        verdicts[t] = CheckVerdict(
-            detected=bool(violations),
-            violations=violations,
-            max_residual=max_residual,
-            tolerance=clean.tolerance,
-            checks=clean.checks,
-        )
-    return verdicts
+    ptr = _csr_ptr(counts)
+    if not n_viol:
+        # No clean violations: each trial's violations are its fresh
+        # ones, in (trial-major) entry order.
+        idx = checks[new_bad]
+    else:
+        # Clean violations of every trial, minus the ones it struck,
+        # plus its fresh ones — sorted per trial.
+        pair_trial = np.repeat(np.arange(n_trials), n_viol)
+        pair_check = np.tile(clean.violations, n_trials)
+        struck_keys = trials * clean.checks + checks
+        pair_keys = pair_trial * clean.checks + pair_check
+        kept = ~np.isin(pair_keys, struck_keys)
+        all_trial = np.concatenate((pair_trial[kept], trials[new_bad]))
+        all_check = np.concatenate((pair_check[kept], checks[new_bad]))
+        idx = all_check[np.lexsort((all_check, all_trial))]
+    return VerdictColumns(counts > 0, max_residual, tolerance, clean.checks, ptr, idx)

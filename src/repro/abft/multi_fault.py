@@ -31,7 +31,7 @@ from ..gemm.problem import GemmProblem
 from ..gemm.tiles import TileConfig
 from ..gpu.timing import KernelWork
 from .base import (
-    ExecutionOutcome,
+    OutcomeBatch,
     PlannedKernel,
     PreparedExecution,
     Scheme,
@@ -238,13 +238,13 @@ class MultiChecksumGlobalABFT(Scheme):
         c_batch: np.ndarray,
         faults_batch: Sequence[tuple[FaultSpec, ...]],
         detection: DetectionConstants,
-    ) -> list[ExecutionOutcome]:
+    ) -> OutcomeBatch:
         state: _MultiState = prepared.state
         out_sums = multi_weighted_output_sums(
             c_batch, state.weights_m, state.weights_n
         )  # (N, r)
         verdicts = self._walk_verdicts(prepared, out_sums, faults_batch, detection)
-        return self._outcome_batch(prepared, c_batch, verdicts, faults_batch)
+        return OutcomeBatch(prepared, faults_batch, verdicts, c_batch)
 
     # -- sparse re-reduction hooks -------------------------------------
     def _clean_output_reductions(self, prepared: PreparedExecution) -> np.ndarray:

@@ -16,7 +16,7 @@ from ..gemm.counters import MainloopCost, mainloop_cost
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import TileConfig
 from .base import (
-    ExecutionOutcome,
+    OutcomeBatch,
     PlannedKernel,
     PreparedExecution,
     Scheme,
@@ -52,7 +52,5 @@ class NoProtection(Scheme):
         c_batch: np.ndarray,
         faults_batch: Sequence[tuple[FaultSpec, ...]],
         detection: DetectionConstants,
-    ) -> list[ExecutionOutcome]:
-        return self._outcome_batch(
-            prepared, c_batch, [None] * len(faults_batch), faults_batch
-        )
+    ) -> OutcomeBatch:
+        return OutcomeBatch(prepared, faults_batch, [None] * len(faults_batch), c_batch)

@@ -31,7 +31,7 @@ from ..gemm.executor import TiledGemm
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import TileConfig
 from .base import (
-    ExecutionOutcome,
+    OutcomeBatch,
     PlannedKernel,
     PreparedExecution,
     Scheme,
@@ -89,7 +89,7 @@ class ReplicationTraditional(Scheme):
         c_batch: np.ndarray,
         faults_batch: Sequence[tuple[FaultSpec, ...]],
         detection: DetectionConstants,
-    ) -> list[ExecutionOutcome]:
+    ) -> OutcomeBatch:
         # The replica runs the identical MMA sequence on the identical
         # fragments, so absent faults it reproduces the accumulator
         # exactly; checksum-path faults corrupt the replica instead.
@@ -118,7 +118,7 @@ class ReplicationTraditional(Scheme):
             magnitudes=magnitudes,
             constants=detection,
         )
-        return self._outcome_batch(prepared, c_batch, verdicts, faults_batch)
+        return OutcomeBatch(prepared, faults_batch, verdicts, c_batch)
 
 
 class ReplicationSingleAccumulator(Scheme):
@@ -219,12 +219,12 @@ class ReplicationSingleAccumulator(Scheme):
         c_batch: np.ndarray,
         faults_batch: Sequence[tuple[FaultSpec, ...]],
         detection: DetectionConstants,
-    ) -> list[ExecutionOutcome]:
+    ) -> OutcomeBatch:
         original_sums = thread_tile_sums_batch(prepared.executor, c_batch)
         verdicts = self._walk_verdicts(
             prepared, original_sums, faults_batch, detection
         )
-        return self._outcome_batch(prepared, c_batch, verdicts, faults_batch)
+        return OutcomeBatch(prepared, faults_batch, verdicts, c_batch)
 
     # -- sparse re-reduction hooks -------------------------------------
     def _clean_output_reductions(self, prepared: PreparedExecution) -> np.ndarray:

@@ -28,7 +28,7 @@ from ..gemm.executor import TiledGemm
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import KSTEP, TileConfig
 from .base import (
-    ExecutionOutcome,
+    OutcomeBatch,
     PlannedKernel,
     PreparedExecution,
     Scheme,
@@ -162,10 +162,10 @@ class ThreadLevelTwoSided(Scheme):
         c_batch: np.ndarray,
         faults_batch: Sequence[tuple[FaultSpec, ...]],
         detection: DetectionConstants,
-    ) -> list[ExecutionOutcome]:
+    ) -> OutcomeBatch:
         tile_sums = thread_tile_sums_batch(prepared.executor, c_batch)
         verdicts = self._walk_verdicts(prepared, tile_sums, faults_batch, detection)
-        return self._outcome_batch(prepared, c_batch, verdicts, faults_batch)
+        return OutcomeBatch(prepared, faults_batch, verdicts, c_batch)
 
     # -- sparse re-reduction hooks -------------------------------------
     def _clean_output_reductions(self, prepared: PreparedExecution) -> np.ndarray:

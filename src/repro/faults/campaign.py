@@ -30,15 +30,20 @@ are classified from the fault sites' final values rather than from
 materialized accumulators, so the whole record pipeline — delta
 gather, significance classification, verdict extraction — is
 vectorized end to end and scales with the *faults per trial*, not the
-output.  The chunk size (:attr:`FaultCampaign.batch_size`) is
-auto-tuned from the scheme's check-array footprint unless overridden.
+output.  A drawn batch stays columnar from the RNG draw to the
+:class:`CampaignResult`: sites are valued from the drawn
+:class:`SpecArrays`, verdicts come back as columns, and no per-trial
+object is built until a caller reads ``result.trials``.  The chunk
+size (:attr:`FaultCampaign.batch_size`) is auto-tuned from the
+scheme's check-array footprint unless overridden.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,76 +54,32 @@ if TYPE_CHECKING:  # avoid the faults <-> abft import cycle at runtime
 from ..errors import FaultInjectionError
 from ..gemm.tiles import TileConfig
 from .injector import FaultSites, faulted_site_values, sites_from_flat_specs
-from .model import FaultKind, FaultPath, FaultSpec
+from .model import SPEC_KINDS, FaultKind, FaultSpec, SpecArrays, drawn_spec
 from .options import CampaignOptions, resolve_option
 
 #: One campaign trial's fault set, or a bare spec (normalized to a
 #: 1-tuple) — what ``run``/``run_batch`` accept per trial.
 TrialFaults = "FaultSpec | Sequence[FaultSpec]"
 
-#: Kind table for :class:`SpecArrays` wire codes (index == code).  The
-#: order matches the draw distribution of :meth:`FaultCampaign.
-#: random_fault`, which samples these three original-path kinds.
-SPEC_KINDS = (FaultKind.BITFLIP_FP32, FaultKind.BITFLIP_FP16, FaultKind.ADD)
-
-
-@dataclass(frozen=True)
-class SpecArrays:
-    """Columnar form of a drawn random-spec batch.
-
-    The raw whole-batch RNG draws behind :meth:`FaultCampaign.
-    draw_faults`, before per-spec assembly: one entry per spec, fault
-    kinds wire-coded as ``uint8`` indices into :data:`SPEC_KINDS`.  A
-    batch in this form ships to sharded campaign workers as five small
-    numeric arrays instead of thousands of pickled :class:`FaultSpec`
-    objects; :func:`assemble_specs` materializes any slice back into
-    specs, bit-identically to the in-process assembly.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    kind_codes: np.ndarray
-    values: np.ndarray
-    bits: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def slice(self, lo: int, hi: int) -> "SpecArrays":
-        """The ``[lo, hi)`` sub-batch (views, no copies)."""
-        return SpecArrays(
-            rows=self.rows[lo:hi],
-            cols=self.cols[lo:hi],
-            kind_codes=self.kind_codes[lo:hi],
-            values=self.values[lo:hi],
-            bits=self.bits[lo:hi],
-        )
-
 
 def assemble_specs(arrays: SpecArrays) -> list[FaultSpec]:
     """Materialize drawn spec arrays into :class:`FaultSpec` objects.
 
-    The (cheap, per-spec) assembly half of :meth:`FaultCampaign.
-    draw_faults`, shared verbatim between the in-process path and shard
-    workers so both produce identical specs from identical draws.
+    The bulk form of :meth:`SpecArrays.spec`, shared by every consumer
+    that needs spec objects for a whole drawn batch — the dense path,
+    and a result's ``trials`` list — so all of them build identical
+    specs from identical draws.
     """
-    rows, cols = arrays.rows, arrays.cols
-    values, bits = arrays.values, arrays.bits
-    specs: list[FaultSpec] = []
-    for i, code in enumerate(arrays.kind_codes):
-        kind = SPEC_KINDS[code]
-        if kind is FaultKind.ADD:
-            specs.append(
-                FaultSpec(row=int(rows[i]), col=int(cols[i]), kind=kind,
-                          value=float(values[i]))
-            )
-        else:
-            n_bits = 32 if kind is FaultKind.BITFLIP_FP32 else 16
-            specs.append(
-                FaultSpec(row=int(rows[i]), col=int(cols[i]), kind=kind,
-                          bit=int(bits[i]) % n_bits)
-            )
-    return specs
+    return list(
+        map(
+            drawn_spec,
+            arrays.kind_codes.tolist(),
+            arrays.rows.tolist(),
+            arrays.cols.tolist(),
+            arrays.values.tolist(),
+            arrays.bits.tolist(),
+        )
+    )
 
 
 def group_spec_trials(
@@ -133,6 +94,54 @@ def group_spec_trials(
     if r == 1:
         return [(spec,) for spec in specs]
     return [tuple(specs[i * r:(i + 1) * r]) for i in range(len(specs) // r)]
+
+
+class _DrawnTrials(Sequence):
+    """Per-trial fault tuples of a drawn batch, built on access.
+
+    Trial ``i`` holds entries ``[i*r, (i+1)*r)`` of the drawn
+    :class:`SpecArrays` (``r = faults_per_trial``).  Slicing returns
+    another view, so chunking a campaign costs nothing; only indexing a
+    trial builds its :class:`FaultSpec` tuple.
+    """
+
+    __slots__ = ("arrays", "faults_per_trial", "_start", "_len")
+
+    def __init__(
+        self, arrays: SpecArrays, faults_per_trial: int, start: int = 0,
+        length: int | None = None,
+    ) -> None:
+        self.arrays = arrays
+        self.faults_per_trial = faults_per_trial
+        self._start = start
+        self._len = len(arrays) // faults_per_trial if length is None else length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            lo, hi, step = i.indices(self._len)
+            if step != 1:
+                return [self[j] for j in range(lo, hi, step)]
+            return _DrawnTrials(
+                self.arrays, self.faults_per_trial, self._start + lo, max(0, hi - lo)
+            )
+        if not -self._len <= i < self._len:
+            raise IndexError(f"trial {i} out of range for {self._len} trials")
+        r = self.faults_per_trial
+        base = (self._start + i % self._len) * r
+        return tuple(self.arrays.spec(base + j) for j in range(r))
+
+    @property
+    def specs(self) -> SpecArrays:
+        """The drawn columns of exactly these trials (views)."""
+        r = self.faults_per_trial
+        return self.arrays.slice(self._start * r, (self._start + self._len) * r)
+
+    def materialize(self) -> list[tuple[FaultSpec, ...]]:
+        """Every trial's fault tuple, assembled in one pass."""
+        return group_spec_trials(assemble_specs(self.specs), self.faults_per_trial)
 
 
 @dataclass(frozen=True)
@@ -186,42 +195,121 @@ class TrialRecord:
         return self.faults[0]
 
 
-@dataclass
 class CampaignResult:
-    """Aggregated campaign statistics."""
+    """Aggregated campaign statistics, held as columns.
 
-    scheme: str
-    trials: list[TrialRecord] = field(default_factory=list)
+    A result keeps every trial's faults — the drawn :class:`SpecArrays`
+    behind a per-trial view for :meth:`FaultCampaign.run_batch`, the
+    explicit fault tuples for :meth:`FaultCampaign.run` — and four
+    per-trial columns: ``deltas`` (float64), ``detected``,
+    ``significant`` and ``benign`` (bool), the fields of
+    :class:`TrialRecord`.  Every aggregate reads the columns;
+    :attr:`trials` builds the record list once, on first access.
+
+    ``CampaignResult(scheme, records)`` wraps already-built records.
+    """
+
+    def __init__(self, scheme: str, trials: Iterable[TrialRecord] = ()) -> None:
+        records = list(trials)
+        self.scheme = scheme
+        self._faults: Sequence[Sequence[FaultSpec]] = [r.faults for r in records]
+        self.deltas = np.array([r.delta for r in records], dtype=np.float64)
+        self.detected = np.array([r.detected for r in records], dtype=bool)
+        self.significant = np.array([r.significant for r in records], dtype=bool)
+        self.benign = np.array([r.benign_alarm for r in records], dtype=bool)
+        self._trials: list[TrialRecord] | None = records
+
+    @classmethod
+    def _from_columns(
+        cls,
+        scheme: str,
+        faults: Sequence[Sequence[FaultSpec]],
+        deltas: np.ndarray,
+        detected: np.ndarray,
+        significant: np.ndarray,
+        benign: np.ndarray,
+    ) -> "CampaignResult":
+        """A result over per-trial faults and their verdict columns."""
+        self = cls.__new__(cls)
+        self.scheme = scheme
+        self._faults = faults
+        self.deltas = deltas
+        self.detected = detected
+        self.significant = significant
+        self.benign = benign
+        self._trials = None
+        return self
+
+    def __repr__(self) -> str:
+        return f"CampaignResult(scheme={self.scheme!r}, n_trials={self.n_trials})"
+
+    @property
+    def trials(self) -> list[TrialRecord]:
+        """One :class:`TrialRecord` per trial, built once on first access."""
+        if self._trials is None:
+            faults = self._faults
+            if isinstance(faults, _DrawnTrials):
+                faults = faults.materialize()
+            self._trials = [
+                TrialRecord(
+                    faults=tuple(f), delta=d, detected=det,
+                    significant=sig, benign_alarm=ben,
+                )
+                for f, d, det, sig, ben in zip(
+                    faults,
+                    self.deltas.tolist(),
+                    self.detected.tolist(),
+                    self.significant.tolist(),
+                    self.benign.tolist(),
+                )
+            ]
+        return self._trials
+
+    def _subset(self, indices: np.ndarray) -> "CampaignResult":
+        if len(indices) == self.n_trials:
+            faults = self._faults
+        else:
+            faults = [self._faults[i] for i in indices]
+        sub = CampaignResult._from_columns(
+            self.scheme, faults, self.deltas[indices], self.detected[indices],
+            self.significant[indices], self.benign[indices],
+        )
+        if self._trials is not None:
+            sub._trials = [self._trials[i] for i in indices]
+        return sub
 
     @property
     def n_trials(self) -> int:
-        return len(self.trials)
+        return len(self.deltas)
 
     @property
     def n_detected(self) -> int:
-        return sum(t.detected for t in self.trials)
+        return int(np.count_nonzero(self.detected))
 
     @property
     def n_significant(self) -> int:
-        return sum(t.significant for t in self.trials)
+        return int(np.count_nonzero(self.significant))
 
     @property
     def n_benign_alarms(self) -> int:
         """Trials whose alarm is attributable to checksum-path faults."""
-        return sum(t.benign_alarm for t in self.trials)
+        return int(np.count_nonzero(self.benign))
 
     @property
     def coverage(self) -> float:
         """Detection rate over *significant* faults (the ABFT guarantee)."""
-        significant = [t for t in self.trials if t.significant]
+        significant = self.n_significant
         if not significant:
             return 1.0
-        return sum(t.detected for t in significant) / len(significant)
+        return int(np.count_nonzero(self.detected & self.significant)) / significant
 
     @property
     def false_negatives(self) -> list[TrialRecord]:
         """Significant faults that escaped detection."""
-        return [t for t in self.trials if t.significant and not t.detected]
+        missed = np.flatnonzero(self.significant & ~self.detected)
+        if not len(missed):
+            return []
+        return self._subset(missed).trials
 
     def by_fault_count(self) -> dict[int, "CampaignResult"]:
         """Per-simultaneous-fault-count sub-results, ascending.
@@ -231,12 +319,17 @@ class CampaignResult:
         number of simultaneous faults* — the axis of the paper's §2.4
         multi-fault detection claim.
         """
-        grouped: dict[int, CampaignResult] = {}
-        for trial in self.trials:
-            grouped.setdefault(
-                trial.n_faults, CampaignResult(scheme=self.scheme)
-            ).trials.append(trial)
-        return dict(sorted(grouped.items()))
+        faults = self._faults
+        if isinstance(faults, _DrawnTrials):
+            counts = np.full(self.n_trials, faults.faults_per_trial)
+        else:
+            counts = np.fromiter(
+                (len(f) for f in faults), dtype=np.intp, count=self.n_trials
+            )
+        return {
+            int(k): self._subset(np.flatnonzero(counts == k))
+            for k in np.unique(counts)
+        }
 
     def coverage_by_fault_count(self) -> dict[int, float]:
         """Detection coverage keyed by per-trial fault count, ascending."""
@@ -563,47 +656,34 @@ class FaultCampaign:
         element twice (then holding fewer than ``r`` distinct faulty
         values, still within the §2.4 ``<= r`` guarantee).
         """
-        if n < 0:
-            raise FaultInjectionError(f"cannot draw {n} faults")
-        if faults_per_trial < 1:
-            raise FaultInjectionError(
-                f"faults_per_trial must be >= 1, got {faults_per_trial}"
-            )
-        specs = self._draw_spec_batch(n * faults_per_trial)
+        _check_draw(n, faults_per_trial)
+        specs = assemble_specs(self._draw_spec_arrays(n * faults_per_trial))
         if faults_per_trial == 1:
             return specs
-        return [
-            tuple(specs[i * faults_per_trial:(i + 1) * faults_per_trial])
-            for i in range(n)
-        ]
+        return group_spec_trials(specs, faults_per_trial)
 
     def _draw_spec_arrays(self, total: int) -> SpecArrays:
         """``total`` random original-path draws as columnar arrays.
 
         All randomness for a batch happens here, in whole-batch RNG
-        calls on the campaign's single seeded stream — the assembly
-        into :class:`FaultSpec` objects (:func:`assemble_specs`) is
-        pure, so the draw can be split from the assembly: sharded runs
-        draw once in the parent and assemble per worker, consuming the
-        RNG stream identically to an in-process run.
+        calls on the campaign's single seeded stream.  Everything after
+        the draw is a pure function of these columns, so
+        :meth:`run_batch` runs them without building spec objects, and
+        sharded runs draw once in the parent and ship column slices,
+        consuming the RNG stream identically to an in-process run.
         """
         rows_total, cols_total = self.fault_domain
         rows = self.rng.integers(rows_total, size=total)
         cols = self.rng.integers(cols_total, size=total)
-        kinds = self.rng.choice(np.array(SPEC_KINDS, dtype=object), size=total)
+        # Uniform over the kind table: the same RNG draw as a choice
+        # over the kinds themselves, returned as wire codes directly.
+        codes = self.rng.choice(len(SPEC_KINDS), size=total).astype(np.uint8)
         scale = float(np.abs(self._prepared.c_clean).mean() + 1.0)
         values = self.rng.normal(0.0, scale, size=total)
         bits = self.rng.integers(32, size=total)
-        codes = np.empty(total, dtype=np.uint8)
-        for code, kind in enumerate(SPEC_KINDS):
-            codes[kinds == kind] = code
         return SpecArrays(
             rows=rows, cols=cols, kind_codes=codes, values=values, bits=bits
         )
-
-    def _draw_spec_batch(self, total: int) -> list[FaultSpec]:
-        """``total`` random original-path specs from whole-batch RNG calls."""
-        return assemble_specs(self._draw_spec_arrays(total))
 
     @staticmethod
     def _normalize_trials(
@@ -629,18 +709,27 @@ class FaultCampaign:
     ) -> TrialRecord:
         """Classify one trial outcome against the clean accumulator.
 
-        Delegates to :meth:`_records_batch` with a batch of one, so the
-        two paths are record-for-record identical by construction.
+        A batch of one through :meth:`_classify_batch`, so the
+        single-trial and batched records are identical by construction.
         """
-        return self._records_batch((faults,), (outcome,))[0]
+        deltas, detected, significant, benign = self._classify_batch(
+            (faults,), (outcome,)
+        )
+        return TrialRecord(
+            faults=tuple(faults),
+            delta=float(deltas[0]),
+            detected=bool(detected[0]),
+            significant=bool(significant[0]),
+            benign_alarm=bool(benign[0]),
+        )
 
-    def _records_batch(
+    def _classify_batch(
         self,
-        trials: Sequence[tuple[FaultSpec, ...]],
+        trials: Sequence[Sequence[FaultSpec]],
         outcomes: Sequence,
         sites=None,
-    ) -> list[TrialRecord]:
-        """Vectorized record assembly for one trial chunk.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Verdict columns ``(deltas, detected, significant, benign)``.
 
         Deltas come from the fault sites' final values
         (:func:`~repro.faults.injector.faulted_site_values` — the same
@@ -654,24 +743,9 @@ class FaultCampaign:
         with no original-path site — checksum-path-only fault sets —
         are never significant: they corrupt the redundant computation,
         so a detection there is a *benign alarm*, not coverage of a
-        significant fault.
-        """
-        return self._records_from_columns(
-            trials, *self._classify_batch(trials, outcomes, sites)
-        )
-
-    def _classify_batch(
-        self,
-        trials: Sequence[tuple[FaultSpec, ...]],
-        outcomes: Sequence,
-        sites=None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Verdict columns ``(deltas, detected, significant, benign)``.
-
-        The vectorized half of record assembly — everything except the
-        :class:`TrialRecord` object construction, which shard workers
-        leave to the parent: four compact arrays cross a process
-        boundary far cheaper than pickled record objects.
+        significant fault.  ``detected`` is read from the outcome
+        batch's verdict columns, so no outcome object is built; with
+        ``sites`` given, no spec tuple is read either.
         """
         n = len(trials)
         clean = self._prepared.c_clean
@@ -697,77 +771,44 @@ class FaultCampaign:
             deltas[touched] = site_deltas[rep]
             threshold = self.significance_factor * self._tolerance_scale
             significant[touched] = keys[rep] > threshold
-        detected = np.fromiter(
-            (bool(o.detected) for o in outcomes), dtype=bool, count=n
-        )
-        # Attribution must be unambiguous: only trials whose every
-        # fault hit the checksum path can blame the alarm on it (such
-        # trials have no output corruption, hence are never significant
-        # either).
-        benign = np.fromiter(
-            (
-                bool(detected[i])
-                and bool(trials[i])
-                and all(f.path is FaultPath.CHECKSUM for f in trials[i])
-                for i in range(n)
-            ),
-            dtype=bool,
-            count=n,
-        )
-        return deltas, detected, significant, benign
-
-    @staticmethod
-    def _records_from_columns(
-        trials: Sequence[tuple[FaultSpec, ...]],
-        deltas: np.ndarray,
-        detected: np.ndarray,
-        significant: np.ndarray,
-        benign: np.ndarray,
-    ) -> list[TrialRecord]:
-        """Render verdict columns into :class:`TrialRecord` objects."""
-        return [
-            TrialRecord(
-                faults=tuple(trials[i]),
-                delta=float(deltas[i]),
-                detected=bool(detected[i]),
-                significant=bool(significant[i]),
-                benign_alarm=bool(benign[i]),
+        # An OutcomeBatch carries VerdictColumns: read the column.
+        columns = getattr(getattr(outcomes, "verdicts", None), "detected", None)
+        if isinstance(columns, np.ndarray):
+            detected = columns.astype(bool)
+        else:
+            detected = np.fromiter(
+                (bool(o.detected) for o in outcomes), dtype=bool, count=n
             )
-            for i in range(len(trials))
+        # Attribution must be unambiguous: only trials whose every
+        # fault hit the checksum path can blame the alarm on it — those
+        # carrying a checksum-path fault but no original-path site
+        # (such trials have no output corruption, hence are never
+        # significant either).
+        benign = np.zeros(n, dtype=bool)
+        checksum_only = sites.checksum_trials[
+            ~np.isin(sites.checksum_trials, sites.trials)
         ]
-
-    def _run_specs(
-        self,
-        trials: Sequence[tuple[FaultSpec, ...]],
-        sites_fn=None,
-    ) -> list[TrialRecord]:
-        """Execute all trials through chunked ``inject_batch`` calls.
-
-        On the dense path one scratch buffer of ``batch_size`` stacked
-        accumulators is allocated lazily and reused across chunks (and
-        campaign runs): records are extracted from each chunk's
-        outcomes before the next chunk overwrites the buffer.  The
-        sparse path materializes no accumulators, so it needs no
-        scratch at all.  ``sites_fn`` — ``(start, chunk) -> FaultSites``
-        — supplies each chunk's site valuation when the caller already
-        fused it with drawing (:meth:`run_batch`); otherwise the sparse
-        path derives it per chunk from the specs.
-        """
-        return self._records_from_columns(
-            trials, *self._run_specs_columns(trials, sites_fn)
-        )
+        benign[checksum_only] = detected[checksum_only]
+        return deltas, detected, significant, benign
 
     def _run_specs_columns(
         self,
-        trials: Sequence[tuple[FaultSpec, ...]],
+        trials: Sequence[Sequence[FaultSpec]],
         sites_fn=None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The chunked execution loop, returning verdict columns.
+        """Execute all trials through chunked ``inject_batch`` calls.
 
-        Same contract as :meth:`_run_specs` minus the final record
-        rendering: the per-chunk ``(deltas, detected, significant,
-        benign)`` columns are concatenated across chunks.  Shard
-        workers call this directly and ship the columns home.
+        Returns the ``(deltas, detected, significant, benign)`` columns
+        of :meth:`_classify_batch`, concatenated across chunks.  On the
+        dense path one scratch buffer of ``batch_size`` stacked
+        accumulators is allocated lazily and reused across chunks (and
+        campaign runs): each chunk is classified before the next one
+        overwrites the buffer.  The sparse path materializes no
+        accumulators, so it needs no scratch at all.  ``sites_fn`` —
+        ``(start, chunk) -> FaultSites`` — supplies each chunk's site
+        valuation when the caller already fused it with drawing
+        (:meth:`run_batch`); otherwise the sparse path derives it per
+        chunk from the specs.
         """
         columns: list[tuple[np.ndarray, ...]] = []
         scratch = None
@@ -781,7 +822,7 @@ class FaultCampaign:
                 )
                 self._tls.scratch = scratch
         for start in range(0, len(trials), self.batch_size):
-            chunk = list(trials[start:start + self.batch_size])
+            chunk = trials[start:start + self.batch_size]
             sites = None
             if sites_fn is not None:
                 sites = sites_fn(start, chunk)
@@ -876,55 +917,54 @@ class FaultCampaign:
                 tuple(self.random_fault() for _ in range(per_trial))
                 for _ in range(n_trials)
             ]
-        result = CampaignResult(scheme=self.scheme.name)
         n_workers = self._resolve_workers(workers, len(trials))
         if n_workers > 1:
             from .parallel import run_campaign_sharded
 
-            result.trials.extend(
-                run_campaign_sharded(self, trials=trials, workers=n_workers)
-            )
-        else:
-            result.trials.extend(self._run_specs(trials))
-        return result
-
-    def _fused_sites_fn(self, trials: Sequence[tuple[FaultSpec, ...]]):
-        """Per-chunk :class:`FaultSites` builder fused with a drawn batch.
-
-        Extracts the batch's flat trial-major coordinate arrays once,
-        so each chunk's site valuation is a slice + one vectorized
-        corruption call (:func:`sites_from_flat_specs`) instead of the
-        generic per-spec first-occurrence walk.  Returns ``None`` —
-        caller falls back to :func:`faulted_site_values` — when any
-        trial strikes one site twice (possible for multi-fault trials
-        over tiny fault domains), where single-step application would
-        diverge from spec-order semantics.
-        """
-        counts = np.fromiter(
-            (len(t) for t in trials), dtype=np.intp, count=len(trials)
+            return run_campaign_sharded(self, trials=trials, workers=n_workers)
+        return CampaignResult._from_columns(
+            self.scheme.name, trials, *self._run_specs_columns(trials)
         )
-        flat = [spec for trial in trials for spec in trial]
-        total = len(flat)
-        trial_ids = np.repeat(np.arange(len(trials), dtype=np.intp), counts)
-        rows = np.fromiter((s.row for s in flat), dtype=np.intp, count=total)
-        cols = np.fromiter((s.col for s in flat), dtype=np.intp, count=total)
-        rows_total, cols_total = self.fault_domain
-        keys = (trial_ids * rows_total + rows) * cols_total + cols
-        if len(np.unique(keys)) != total:
-            return None
-        offsets = np.concatenate(([0], np.cumsum(counts)))
+
+    def _run_drawn(
+        self, trials: _DrawnTrials
+    ) -> tuple[Sequence[tuple[FaultSpec, ...]], tuple[np.ndarray, ...]]:
+        """Execute a drawn batch: ``(per-trial faults, verdict columns)``.
+
+        The sparse path runs straight from the drawn columns — sites
+        valued by :meth:`_fused_sites_fn`, injection and classification
+        reading no spec tuple — so no :class:`FaultSpec` is built.  The
+        dense path stacks accumulators from spec tuples, so it
+        assembles them once for the whole batch.
+        """
+        sites_fn = self._fused_sites_fn(trials)
+        if not self._use_sparse:
+            trials = trials.materialize()
+        return trials, self._run_specs_columns(trials, sites_fn)
+
+    def _fused_sites_fn(self, trials: _DrawnTrials):
+        """Per-chunk :class:`FaultSites` builder over a drawn batch.
+
+        Each chunk's site valuation is a slice of the drawn columns and
+        one vectorized corruption (:func:`sites_from_flat_specs`),
+        unless a trial of that chunk strikes one site twice (possible
+        for multi-fault trials): single-step application would then
+        diverge from spec-order semantics, so that chunk alone takes
+        the generic :func:`faulted_site_values` walk.
+        """
+        r = trials.faults_per_trial
+        c_clean = self._prepared.c_clean
+        cols_total = self.fault_domain[1]
 
         def build(start: int, chunk) -> "FaultSites":
-            lo = int(offsets[start])
-            hi = int(offsets[start + len(chunk)])
-            return sites_from_flat_specs(
-                self._prepared.c_clean,
-                trial_ids[lo:hi] - start,
-                rows[lo:hi],
-                cols[lo:hi],
-                flat[lo:hi],
-                len(chunk),
-            )
+            specs = trials[start:start + len(chunk)].specs
+            if r > 1:
+                keys = (specs.rows * cols_total + specs.cols).reshape(-1, r)
+                keys = np.sort(keys, axis=1)
+                if (keys[:, 1:] == keys[:, :-1]).any():
+                    return faulted_site_values(c_clean, chunk)
+            trial_ids = np.arange(len(specs), dtype=np.intp) // r
+            return sites_from_flat_specs(c_clean, trial_ids, specs, len(chunk))
 
         return build
 
@@ -940,9 +980,12 @@ class FaultCampaign:
         Equivalent coverage semantics to :meth:`run` (each trial is one
         fault-set injection against the shared prepared state), but the
         randomness is drawn in vectorized batch RNG calls before any
-        trial executes, and the fault→site valuation feeding the sparse
-        engine and record classification is fused with the draw
-        (:meth:`_fused_sites_fn`) — the fastest path through a
+        trial executes, and the batch then runs from the drawn columns:
+        the fault→site valuation feeding the sparse engine and record
+        classification reads them directly (:meth:`_fused_sites_fn`),
+        and the result holds them with the verdict columns, building
+        :class:`FaultSpec` and :class:`TrialRecord` objects only when
+        ``result.trials`` is read — the fastest path through a
         campaign, record-for-record identical to
         ``run(n_trials, specs=draw_faults(...))``.
         ``faults_per_trial`` sets every trial's simultaneous fault
@@ -971,30 +1014,28 @@ class FaultCampaign:
         >>> sorted(result.coverage_by_fault_count()) == [2]
         True
         """
+        _check_draw(n_trials, faults_per_trial)
         n_workers = self._resolve_workers(workers, n_trials)
+        arrays = self._draw_spec_arrays(n_trials * faults_per_trial)
         if n_workers > 1:
-            if faults_per_trial < 1:
-                raise FaultInjectionError(
-                    f"faults_per_trial must be >= 1, got {faults_per_trial}"
-                )
             from .parallel import run_campaign_sharded
 
-            arrays = self._draw_spec_arrays(n_trials * faults_per_trial)
-            result = CampaignResult(scheme=self.scheme.name)
-            result.trials.extend(
-                run_campaign_sharded(
-                    self,
-                    arrays=arrays,
-                    n_trials=n_trials,
-                    faults_per_trial=faults_per_trial,
-                    workers=n_workers,
-                )
+            return run_campaign_sharded(
+                self,
+                arrays=arrays,
+                n_trials=n_trials,
+                faults_per_trial=faults_per_trial,
+                workers=n_workers,
             )
-            return result
-        drawn = self.draw_faults(n_trials, faults_per_trial=faults_per_trial)
-        trials = self._normalize_trials(drawn)
-        result = CampaignResult(scheme=self.scheme.name)
-        result.trials.extend(
-            self._run_specs(trials, sites_fn=self._fused_sites_fn(trials))
+        trials, columns = self._run_drawn(_DrawnTrials(arrays, faults_per_trial))
+        return CampaignResult._from_columns(self.scheme.name, trials, *columns)
+
+
+def _check_draw(n: int, faults_per_trial: int) -> None:
+    """Reject a draw of ``n`` trials x ``faults_per_trial`` faults."""
+    if n < 0:
+        raise FaultInjectionError(f"cannot draw {n} faults")
+    if faults_per_trial < 1:
+        raise FaultInjectionError(
+            f"faults_per_trial must be >= 1, got {faults_per_trial}"
         )
-        return result

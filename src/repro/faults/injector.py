@@ -10,22 +10,24 @@ accumulator at all — the fault→coordinate mapping that feeds the
 sparse re-reduction path of
 :meth:`repro.abft.base.PreparedExecution.inject_batch`.
 
-All paths share one corruption core (:func:`corrupted_values_batch`)
-and are bit-identical to the scalar reference per element: additive
-faults accumulate in float64 before rounding back to float32, and bit
-flips operate on the same FP32/FP16 views the scalar helpers use.
+All paths share one corruption core (:func:`corrupted_values_batch`,
+or :func:`corrupted_values_columns` for drawn spec columns, which
+applies the same operations without spec objects) and are
+bit-identical to the scalar reference per element: additive faults
+accumulate in float64 before rounding back to float32, and bit flips
+operate on the same FP32/FP16 views the scalar helpers use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import FaultInjectionError
 from .bits import flip_fp16_bit, flip_fp32_bit
-from .model import FaultKind, FaultPath, FaultSpec
+from .model import SPEC_KINDS, FaultKind, FaultPath, FaultSpec, SpecArrays
 
 
 def corrupted_value(original: float, spec: FaultSpec) -> float:
@@ -104,7 +106,7 @@ def apply_fault_to_accumulator(c_pad: np.ndarray, spec: FaultSpec) -> float:
 def corrupted_values_batch(
     values: np.ndarray, specs: Sequence[FaultSpec]
 ) -> np.ndarray:
-    """Post-fault values of a flat float32 vector, one spec per element.
+    """Post-fault values of a flat accumulator vector, one spec per element.
 
     The vectorized corruption core shared by every batch path: faults
     are grouped by kind and each group is applied in one NumPy
@@ -112,101 +114,111 @@ def corrupted_values_batch(
     (additive faults accumulate in float64 before rounding back to
     float32; bit flips round-trip through float64 exactly like the
     scalar helpers, so a flip into the NaN space stores the quieted
-    pattern, not the raw signaling bits).
+    pattern, not the raw signaling bits) on float32 accumulators, and
+    to :func:`corrupted_int32_value` on int32 ones.
+    """
+    count = len(specs)
+    if values.shape != (count,):
+        raise FaultInjectionError(
+            f"{values.shape} corruption values for {count} fault specs"
+        )
+    return _corrupted(
+        values,
+        _ALL_KINDS,
+        np.fromiter((_ALL_KINDS.index(s.kind) for s in specs), np.uint8, count),
+        np.fromiter((s.value for s in specs), np.float64, count),
+        np.fromiter((s.bit for s in specs), np.int64, count),
+    )
+
+
+def corrupted_values_columns(values: np.ndarray, specs: SpecArrays) -> np.ndarray:
+    """:func:`corrupted_values_batch` over spec columns, no spec objects.
+
+    ``specs`` entry ``i`` strikes ``values[i]``: the same per-kind
+    operations :func:`corrupted_values_batch` applies to the specs
+    :func:`~repro.faults.campaign.assemble_specs` would build (pinned
+    by a hypothesis property), on float32 and int32 accumulators alike.
     """
     if values.shape != (len(specs),):
         raise FaultInjectionError(
             f"{values.shape} corruption values for {len(specs)} fault specs"
         )
-    if np.issubdtype(values.dtype, np.integer):
-        return _corrupted_int32_values_batch(values, specs)
-    out = np.ascontiguousarray(values, dtype=np.float32)
-    if out is values:
-        out = values.copy()
-    groups: dict[FaultKind, list[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault(spec.kind, []).append(i)
-    for kind, members in groups.items():
-        sel = np.asarray(members, dtype=np.intp)
-        if kind is FaultKind.ADD:
-            deltas = np.fromiter(
-                (specs[i].value for i in members), dtype=np.float64,
-                count=len(members),
-            )
-            out[sel] = (out[sel].astype(np.float64) + deltas).astype(np.float32)
-        elif kind is FaultKind.SET:
-            news = np.fromiter(
-                (specs[i].value for i in members), dtype=np.float64,
-                count=len(members),
-            )
-            out[sel] = news.astype(np.float32)
-        elif kind is FaultKind.BITFLIP_FP32:
-            masks = np.fromiter(
-                (1 << specs[i].bit for i in members), dtype=np.uint32,
-                count=len(members),
-            )
-            flipped = (out[sel].view(np.uint32) ^ masks).view(np.float32)
-            with np.errstate(invalid="ignore"):
-                out[sel] = flipped.astype(np.float64).astype(np.float32)
-        elif kind is FaultKind.BITFLIP_FP16:
-            masks = np.fromiter(
-                (1 << specs[i].bit for i in members), dtype=np.uint16,
-                count=len(members),
-            )
+    return _corrupted(values, SPEC_KINDS, specs.kind_codes, specs.values, specs.bits)
+
+
+#: Kind table of :func:`corrupted_values_batch`'s codes (index == code).
+_ALL_KINDS = tuple(FaultKind)
+
+
+def _corrupted(
+    values: np.ndarray,
+    kinds: Sequence[FaultKind],
+    codes: np.ndarray,
+    spec_values: np.ndarray,
+    bits: np.ndarray,
+) -> np.ndarray:
+    """Entry ``i`` of ``values`` struck by kind ``kinds[codes[i]]``.
+
+    Float32 accumulators take the float semantics of
+    :func:`corrupted_value`; int32 ones those of
+    :func:`corrupted_int32_value` — bit flips XOR the 32-bit word (an
+    FP16 flip strikes the low half-word), ``ADD``/``SET`` round the
+    value to the nearest integer and wrap in two's complement.  Bits
+    reduce modulo the kind's width, as drawn bits do.
+    """
+    integer = np.issubdtype(values.dtype, np.integer)
+    out = np.array(values, dtype=np.int32 if integer else np.float32)
+    for code, kind in enumerate(kinds):
+        sel = np.flatnonzero(codes == code)
+        if not len(sel):
+            continue
+        if kind in (FaultKind.ADD, FaultKind.SET):
+            news = np.asarray(spec_values[sel], dtype=np.float64)
+            if integer:
+                ints = _int32_words(news)
+                if kind is FaultKind.ADD:
+                    ints = out[sel].astype(np.int64) + ints
+                out[sel] = (ints & _WORD).astype(np.uint32).view(np.int32)
+            elif kind is FaultKind.ADD:
+                out[sel] = (out[sel].astype(np.float64) + news).astype(np.float32)
+            else:
+                out[sel] = news.astype(np.float32)
+            continue
+        width = 32 if kind is FaultKind.BITFLIP_FP32 else 16
+        shifts = (np.asarray(bits[sel]) % width).astype(np.uint32)
+        if integer or kind is FaultKind.BITFLIP_FP32:
+            words = out[sel].view(np.uint32) ^ np.left_shift(np.uint32(1), shifts)
+            if integer:
+                out[sel] = words.view(np.int32)
+                continue
+            flipped = words.view(np.float32)
+        else:
             with np.errstate(over="ignore"):
                 halves = out[sel].astype(np.float16)
+            masks = np.left_shift(np.uint16(1), shifts.astype(np.uint16))
             flipped = (halves.view(np.uint16) ^ masks).view(np.float16)
-            with np.errstate(invalid="ignore"):
-                out[sel] = flipped.astype(np.float64).astype(np.float32)
-        else:
-            raise FaultInjectionError(f"unhandled fault kind {kind!r}")
+        with np.errstate(invalid="ignore"):
+            out[sel] = flipped.astype(np.float64).astype(np.float32)
     return out
 
 
-def _corrupted_int32_values_batch(
-    values: np.ndarray, specs: Sequence[FaultSpec]
-) -> np.ndarray:
-    """INT32 corruption core: vectorized :func:`corrupted_int32_value`.
+#: Low 32 bits of an int64: an INT32 word modulo 2**32.
+_WORD = np.int64(_INT32_WRAP - 1)
 
-    Both bit-flip kinds XOR the 32-bit word (an FP16 flip is a low
-    half-word strike, ``bit < 16`` by :class:`FaultSpec` contract);
-    ADD/SET round the float spec value to the nearest integer and wrap
-    in two's complement — element-identical to the scalar reference.
-    """
-    out = np.ascontiguousarray(values, dtype=np.int32)
-    if out is values:
-        out = values.copy()
-    groups: dict[FaultKind, list[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault(spec.kind, []).append(i)
-    for kind, members in groups.items():
-        sel = np.asarray(members, dtype=np.intp)
-        if kind in (FaultKind.BITFLIP_FP32, FaultKind.BITFLIP_FP16):
-            masks = np.fromiter(
-                (1 << specs[i].bit for i in members), dtype=np.uint32,
-                count=len(members),
-            )
-            out[sel] = (out[sel].view(np.uint32) ^ masks).view(np.int32)
-        elif kind in (FaultKind.ADD, FaultKind.SET):
-            raw = [float(specs[i].value) for i in members]
-            if not np.all(np.isfinite(raw)):
-                raise FaultInjectionError(
-                    "non-finite fault value on an integer accumulator"
-                )
-            ints = np.fromiter(
-                (_wrap_int32(int(np.rint(v))) for v in raw),
-                dtype=np.int64, count=len(members),
-            )
-            if kind is FaultKind.ADD:
-                summed = out[sel].astype(np.int64) + ints
-                out[sel] = (summed & np.int64(_INT32_WRAP - 1)).astype(
-                    np.uint32
-                ).view(np.int32)
-            else:
-                out[sel] = ints.astype(np.uint32).view(np.int32)
-        else:
-            raise FaultInjectionError(f"unhandled fault kind {kind!r}")
-    return out
+
+def _int32_words(values: np.ndarray) -> np.ndarray:
+    """Spec values rounded to integers, as INT32 words in ``[0, 2**32)``."""
+    if not np.all(np.isfinite(values)):
+        raise FaultInjectionError("non-finite fault value on an integer accumulator")
+    rounded = np.rint(values)
+    if np.all(np.abs(rounded) < 2.0**63):
+        return rounded.astype(np.int64) & _WORD
+    # Beyond int64: wrap through exact Python integers.
+    return np.fromiter(
+        (_wrap_int32(int(v)) & (_INT32_WRAP - 1) for v in rounded),
+        dtype=np.int64,
+        count=len(rounded),
+    )
 
 
 def _validated_coords(
@@ -271,6 +283,11 @@ class FaultSites:
     cols: np.ndarray  # (S,) intp — padded accumulator column
     values: np.ndarray  # (S,) accumulator dtype — final post-fault value
     n_trials: int
+    #: Ascending trials carrying at least one checksum-path fault — the
+    #: only ones whose checksum side differs from the clean one.
+    checksum_trials: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.intp)
+    )
 
     def __len__(self) -> int:
         return len(self.trials)
@@ -308,11 +325,14 @@ def faulted_site_values(
     site_trials: list[int] = []
     site_rows: list[int] = []
     site_cols: list[int] = []
+    checksum_trials: list[int] = []
     steps: list[list[tuple[int, FaultSpec]]] = []
     for t, faults in enumerate(faults_batch):
         step = 0
         for spec in faults:
             if spec.path is not FaultPath.ORIGINAL:
+                if not checksum_trials or checksum_trials[-1] != t:
+                    checksum_trials.append(t)
                 continue
             key = (t, spec.row, spec.col)
             idx = site_index.get(key)
@@ -345,49 +365,51 @@ def faulted_site_values(
     return FaultSites(
         trials=trials, rows=rows, cols=cols, values=values,
         n_trials=len(faults_batch),
+        checksum_trials=np.asarray(checksum_trials, dtype=np.intp),
     )
 
 
 def sites_from_flat_specs(
     c_clean: np.ndarray,
     trial_ids: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    specs: Sequence[FaultSpec],
+    specs: SpecArrays,
     n_trials: int,
 ) -> FaultSites:
-    """:class:`FaultSites` assembled directly from flat trial-major arrays.
+    """:class:`FaultSites` valued straight from drawn spec columns.
 
     The fused fast path for freshly *drawn* batches
-    (:meth:`repro.faults.FaultCampaign.run_batch`): the caller
-    guarantees every spec targets the original path, the arrays are in
-    trial-major spec order, and no trial strikes one site twice — so
-    the dict-based first-occurrence walk of :func:`faulted_site_values`
-    collapses to one gather + one :func:`corrupted_values_batch` call.
-    Bit-identical to :func:`faulted_site_values` on the same batch:
-    unique sites in trial-major order *are* first-occurrence order, and
-    single-step corruption over disjoint elements matches the stepped
-    application per element.
+    (:meth:`repro.faults.FaultCampaign.run_batch`): ``trial_ids[i]`` is
+    the trial of ``specs`` entry ``i``, entries are in trial-major spec
+    order, every spec targets the original path, and the caller
+    guarantees no trial strikes one site twice — so the dict-based
+    first-occurrence walk of :func:`faulted_site_values` collapses to
+    one gather + one :func:`corrupted_values_columns` call, with no
+    :class:`FaultSpec` object built.  Bit-identical to
+    :func:`faulted_site_values` on the assembled batch: unique sites in
+    trial-major order *are* first-occurrence order, and single-step
+    corruption over disjoint elements matches the stepped application
+    per element.
     """
-    if not (len(trial_ids) == len(rows) == len(cols) == len(specs)):
+    if len(trial_ids) != len(specs):
         raise FaultInjectionError(
             f"mismatched flat site arrays: {len(trial_ids)} trials, "
-            f"{len(rows)} rows, {len(cols)} cols, {len(specs)} specs"
+            f"{len(specs)} specs"
         )
+    rows = np.asarray(specs.rows, dtype=np.intp)
+    cols = np.asarray(specs.cols, dtype=np.intp)
     rows_total, cols_total = c_clean.shape
     out_of_bounds = (rows >= rows_total) | (cols >= cols_total)
     if len(rows) and out_of_bounds.any():
         i = int(np.flatnonzero(out_of_bounds)[0])
         raise FaultInjectionError(
-            f"fault site ({specs[i].row}, {specs[i].col}) outside "
+            f"fault site ({rows[i]}, {cols[i]}) outside "
             f"accumulator {rows_total}x{cols_total}"
         )
-    values = corrupted_values_batch(c_clean[rows, cols], specs)
     return FaultSites(
         trials=np.asarray(trial_ids, dtype=np.intp),
-        rows=np.asarray(rows, dtype=np.intp),
-        cols=np.asarray(cols, dtype=np.intp),
-        values=values,
+        rows=rows,
+        cols=cols,
+        values=corrupted_values_columns(c_clean[rows, cols], specs),
         n_trials=n_trials,
     )
 
@@ -403,12 +425,17 @@ def subset_sites(sites: FaultSites, trial_indices: Sequence[int]) -> FaultSites:
     renumber = {int(t): j for j, t in enumerate(trial_indices)}
     if len(renumber) != len(trial_indices):
         raise FaultInjectionError("trial_indices must be unique")
-    mask = np.isin(sites.trials, np.asarray(trial_indices, dtype=np.intp))
+    wanted = np.asarray(trial_indices, dtype=np.intp)
+    mask = np.isin(sites.trials, wanted)
     kept = sites.trials[mask]
+    checksum = sites.checksum_trials[np.isin(sites.checksum_trials, wanted)]
     return FaultSites(
         trials=np.asarray([renumber[int(t)] for t in kept], dtype=np.intp),
         rows=sites.rows[mask],
         cols=sites.cols[mask],
         values=sites.values[mask],
         n_trials=len(trial_indices),
+        checksum_trials=np.asarray(
+            sorted(renumber[int(t)] for t in checksum), dtype=np.intp
+        ),
     )

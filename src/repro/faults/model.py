@@ -16,6 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import FaultInjectionError
 
 
@@ -89,3 +91,65 @@ class FaultSpec:
                 f"bit must be in [0, {max_bits}) for {self.kind.value} "
                 f"faults, got {self.bit}"
             )
+
+
+#: Kind table for :class:`SpecArrays` wire codes (index == code).  The
+#: order matches the draw distribution of :meth:`~repro.faults.
+#: FaultCampaign.random_fault`, which samples these three original-path
+#: kinds.
+SPEC_KINDS = (FaultKind.BITFLIP_FP32, FaultKind.BITFLIP_FP16, FaultKind.ADD)
+
+
+@dataclass(frozen=True)
+class SpecArrays:
+    """Columnar form of a drawn random-spec batch.
+
+    The raw whole-batch RNG draws behind :meth:`~repro.faults.
+    FaultCampaign.draw_faults`: one entry per original-path spec, fault
+    kinds wire-coded as ``uint8`` indices into :data:`SPEC_KINDS`.  A
+    campaign keeps a drawn batch in this form from the draw to its
+    result — sites are valued from the columns
+    (:func:`~repro.faults.injector.sites_from_flat_specs`), shard
+    workers receive five small arrays, and
+    :func:`~repro.faults.campaign.assemble_specs` materializes
+    :class:`FaultSpec` objects only when a caller asks for them.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    kind_codes: np.ndarray
+    values: np.ndarray
+    bits: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def slice(self, lo: int, hi: int) -> "SpecArrays":
+        """The ``[lo, hi)`` sub-batch (views, no copies)."""
+        return SpecArrays(
+            rows=self.rows[lo:hi],
+            cols=self.cols[lo:hi],
+            kind_codes=self.kind_codes[lo:hi],
+            values=self.values[lo:hi],
+            bits=self.bits[lo:hi],
+        )
+
+    def spec(self, i: int) -> FaultSpec:
+        """Entry ``i`` as a :class:`FaultSpec` (see :func:`drawn_spec`)."""
+        return drawn_spec(
+            int(self.kind_codes[i]), int(self.rows[i]), int(self.cols[i]),
+            float(self.values[i]), int(self.bits[i]),
+        )
+
+
+def drawn_spec(code: int, row: int, col: int, value: float, bit: int) -> FaultSpec:
+    """The :class:`FaultSpec` one :class:`SpecArrays` entry stands for.
+
+    ``ADD`` entries keep the drawn value; bit-flip entries reduce the
+    drawn bit modulo the kind's width (32 or 16).
+    """
+    kind = SPEC_KINDS[code]
+    if kind is FaultKind.ADD:
+        return FaultSpec(row=row, col=col, kind=kind, value=value)
+    n_bits = 32 if kind is FaultKind.BITFLIP_FP32 else 16
+    return FaultSpec(row=row, col=col, kind=kind, bit=bit % n_bits)

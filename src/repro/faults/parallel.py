@@ -48,14 +48,8 @@ import numpy as np
 
 from ..config import DetectionConstants
 from ..errors import CampaignError, FaultInjectionError
-from .campaign import (
-    FaultCampaign,
-    SpecArrays,
-    TrialRecord,
-    assemble_specs,
-    group_spec_trials,
-)
-from .model import FaultSpec
+from .campaign import CampaignResult, FaultCampaign, _DrawnTrials
+from .model import FaultSpec, SpecArrays
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .propagation import PropagationCampaign, PropagationRecord
@@ -296,10 +290,10 @@ def _run_campaign_shard(
     faults.FaultCampaign.run` path) or as a slice of the parent's raw
     spec-draw arrays (the :meth:`~repro.faults.FaultCampaign.run_batch`
     path — five small numeric arrays instead of thousands of pickled
-    specs); the worker assembles specs locally, bit-identically to the
-    parent's own assembly.  Returns the classification *columns*
-    ``(deltas, detected, significant, benign)`` — compact numpy arrays
-    — leaving record-object construction to the parent.
+    specs), which the worker runs exactly like the in-process path
+    does.  Returns the classification *columns* ``(deltas, detected,
+    significant, benign)`` — compact numpy arrays; no record object is
+    built on either side of the process boundary.
     """
     prepared = attach_payload(payload)
     campaign = FaultCampaign._from_prepared(
@@ -310,11 +304,9 @@ def _run_campaign_shard(
         batch_size=cfg.batch_size,
         use_sparse=cfg.use_sparse,
     )
-    sites_fn = None
     if trials is None:
-        trials = group_spec_trials(assemble_specs(arrays), faults_per_trial)
-        sites_fn = campaign._fused_sites_fn(trials)
-    return campaign._run_specs_columns(trials, sites_fn=sites_fn)
+        return campaign._run_drawn(_DrawnTrials(arrays, faults_per_trial))[1]
+    return campaign._run_specs_columns(trials)
 
 
 def _run_propagation_shard(
@@ -355,20 +347,18 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-def _gather_shards(pool, futures, shm, parent_side=None):
+def _gather_shards(pool, futures, shm):
     """Collect shard results in submission order; always clean up.
 
-    ``parent_side`` (optional thunk) runs after submission, overlapping
-    parent-side assembly with worker execution.  Any worker failure —
-    an exception raised mid-shard, or a dead worker surfacing as
-    ``BrokenProcessPool`` — cancels what it can, tears the pool down,
-    and re-raises as one :class:`CampaignError` with the cause chained.
+    Any worker failure — an exception raised mid-shard, or a dead
+    worker surfacing as ``BrokenProcessPool`` — cancels what it can,
+    tears the pool down, and re-raises as one :class:`CampaignError`
+    with the cause chained.
     The shared segment is closed and unlinked on every path, so neither
     success, failure, nor ``KeyboardInterrupt`` leaks ``/dev/shm``
     space.
     """
     try:
-        extra = parent_side() if parent_side is not None else None
         results = []
         for future in futures:
             try:
@@ -379,7 +369,7 @@ def _gather_shards(pool, futures, shm, parent_side=None):
                 raise CampaignError(
                     f"sharded campaign failed in a worker process: {exc}"
                 ) from exc
-        return results, extra
+        return results
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         shm.close()
@@ -397,7 +387,7 @@ def run_campaign_sharded(
     arrays: SpecArrays | None = None,
     n_trials: int | None = None,
     faults_per_trial: int = 1,
-) -> list[TrialRecord]:
+) -> CampaignResult:
     """Run a campaign's trials across a process pool; merge in order.
 
     Exactly one of ``trials`` (explicit fault tuples) or ``arrays`` (a
@@ -405,8 +395,9 @@ def run_campaign_sharded(
     specs) selects the shard transport.  The prepared state ships once
     via shared memory; each worker classifies its contiguous shard and
     returns verdict columns, which the parent concatenates in shard
-    order and renders into :class:`TrialRecord` objects — yielding the
-    exact record sequence the in-process path produces.
+    order into a columnar :class:`CampaignResult` over the same faults
+    — the exact record sequence the in-process path produces.  The
+    parent never assembles specs.
     """
     if (trials is None) == (arrays is None):
         raise FaultInjectionError(
@@ -451,18 +442,12 @@ def run_campaign_sharded(
             shard = (None, arrays.slice(lo * r, hi * r), r)
         futures.append(pool.submit(_run_campaign_shard, payload, cfg, *shard))
 
-    def parent_side():
-        # Record skeletons (the per-trial fault tuples) are built here,
-        # overlapping the workers' numeric phase.
-        if trials is not None:
-            return trials
-        return group_spec_trials(assemble_specs(arrays), faults_per_trial)
-
-    columns, all_trials = _gather_shards(pool, futures, shm, parent_side)
+    columns = _gather_shards(pool, futures, shm)
     merged = tuple(
         np.concatenate([shard[k] for shard in columns]) for k in range(4)
     )
-    return FaultCampaign._records_from_columns(all_trials, *merged)
+    faults = trials if trials is not None else _DrawnTrials(arrays, faults_per_trial)
+    return CampaignResult._from_columns(campaign.scheme.name, faults, *merged)
 
 
 def run_propagation_sharded(
@@ -490,5 +475,5 @@ def run_propagation_sharded(
         pool.submit(_run_propagation_shard, payload, trials[lo:hi])
         for lo, hi in bounds
     ]
-    shards, _ = _gather_shards(pool, futures, shm)
+    shards = _gather_shards(pool, futures, shm)
     return [record for shard in shards for record in shard]

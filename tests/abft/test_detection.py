@@ -1,9 +1,18 @@
 """Tests for the tolerance-aware checksum comparison."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.abft.detection import compare_checksums
+from repro.abft.detection import (
+    VerdictColumns,
+    compare_checksums,
+    compare_checksums_batch,
+    compare_checksums_sparse,
+    prepare_clean_comparison,
+)
 from repro.config import DetectionConstants
 from repro.errors import DetectionError
 
@@ -81,3 +90,105 @@ class TestToleranceScaling:
         # Same residual: flagged where magnitude (and thus tolerance) is
         # small, passed where the accumulated magnitude explains it.
         assert v.violations == (0,)
+
+
+def _same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def _sparse_vs_dense(clean_out, struck, magnitudes):
+    """Sparse verdicts of ``struck`` trials next to the dense ones.
+
+    ``struck[t]`` maps check index -> new output-side value for trial
+    ``t``; the checksum side is all zeros, so a residual is
+    ``|output|``.
+    """
+    lhs = np.zeros_like(clean_out)
+    clean = prepare_clean_comparison(
+        lhs, clean_out, n_terms=64, magnitudes=magnitudes
+    )
+    trials, checks, values = [], [], []
+    dense_out = np.tile(clean_out, (len(struck), 1))
+    for t, hits in enumerate(struck):
+        for c in sorted(hits):
+            trials.append(t)
+            checks.append(c)
+            values.append(hits[c])
+            dense_out[t, c] = hits[c]
+    sparse = compare_checksums_sparse(
+        clean,
+        np.asarray(trials, dtype=np.intp),
+        np.asarray(checks, dtype=np.intp),
+        np.asarray(values, dtype=clean_out.dtype),
+        n_trials=len(struck),
+    )
+    dense = compare_checksums_batch(
+        lhs[None], dense_out, n_terms=64, magnitudes=magnitudes
+    )
+    return sparse, dense
+
+
+def _assert_same_verdicts(sparse, dense):
+    assert isinstance(sparse, VerdictColumns) and len(sparse) == len(dense)
+    for s, d in zip(sparse, dense):
+        assert s.detected == d.detected
+        assert s.violations == d.violations
+        assert s.checks == d.checks
+        assert _same_float(s.max_residual, d.max_residual)
+        assert _same_float(s.tolerance, d.tolerance)
+
+
+class TestSparseVerdictColumns:
+    """The struck-check walk renders the dense verdict without a
+    precomputed clean order: the untouched maximum comes from the K+1
+    largest clean keys, whichever ties they include."""
+
+    #: Clean residuals with the argmax (index 1) tied at 3.0 with 2 and 4.
+    CLEAN = np.array([0.5, 3.0, 3.0, 1.0, 3.0, 0.2, 0.0, 0.1], dtype=np.float32)
+
+    @pytest.mark.parametrize("magnitudes", [1e9, 0.0])
+    def test_striking_argmax_and_tied_checks(self, magnitudes):
+        struck = [
+            {1: 0.25},  # the clean argmax
+            {1: 0.0, 2: 0.0},  # two of three tied maxima
+            {1: 0.0, 2: 0.0, 4: 0.0},  # every tied maximum
+            {1: 7.0},  # struck above the clean max
+            {0: 0.5},  # unchanged value on a struck check
+            {},  # untouched trial
+            {6: float("inf"), 3: float("nan")},
+            {c: 0.0 for c in range(8)},  # every check struck
+        ]
+        sparse, dense = _sparse_vs_dense(self.CLEAN, struck, magnitudes)
+        _assert_same_verdicts(sparse, dense)
+        assert sparse[0].max_residual == 3.0
+        assert sparse[2].max_residual == 1.0
+
+    @given(
+        data=st.data(),
+        n_checks=st.integers(1, 12),
+        n_trials=st.integers(1, 6),
+        magnitudes=st.sampled_from([1e9, 0.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_on_tied_residuals(self, data, n_checks, n_trials, magnitudes):
+        levels = st.sampled_from([0.0, 1.0, 2.0, 2.0, 4.0])
+        clean = np.asarray(
+            data.draw(st.lists(levels, min_size=n_checks, max_size=n_checks)),
+            dtype=np.float32,
+        )
+        fresh = st.sampled_from([0.0, 1.0, 2.0, 4.0, 9.0, float("inf"), float("nan")])
+        struck = [
+            data.draw(st.dictionaries(st.integers(0, n_checks - 1), fresh, max_size=n_checks))
+            for _ in range(n_trials)
+        ]
+        _assert_same_verdicts(*_sparse_vs_dense(clean, struck, magnitudes))
+
+    def test_splice_replaces_whole_trials(self):
+        sparse, _ = _sparse_vs_dense(self.CLEAN, [{1: 0.0}, {2: 9.0}, {}], 0.0)
+        other, _ = _sparse_vs_dense(self.CLEAN[:8], [{5: 0.0}], 1e9)
+        spliced = sparse.splice(np.array([1]), other)
+        assert [v.violations for v in spliced] == [
+            sparse[0].violations, other[0].violations, sparse[2].violations,
+        ]
+        assert spliced[1].max_residual == other[0].max_residual
+        assert spliced[1].tolerance == other[0].tolerance

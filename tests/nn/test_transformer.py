@@ -17,6 +17,7 @@ import pytest
 from repro.abft import get_scheme
 from repro.api import as_policy, deploy
 from repro.errors import ShapeError
+from repro.faults import FaultKind, FaultSpec
 from repro.gemm import GemmProblem, TiledGemm, select_tile
 from repro.gpu import get_gpu
 from repro.nn import (
@@ -202,6 +203,43 @@ class TestNonFiniteActivations:
                 x = apply_op(op, x)
                 assert (~np.isfinite(out[:4])).any(axis=1).all(), type(op).__name__
                 assert out[4:].tobytes() == x[4:].tobytes(), type(op).__name__
+
+    @pytest.mark.parametrize(
+        "policy",
+        ["guided"]
+        + [
+            f"fixed:{name}"
+            for name in (
+                "global",
+                "thread_onesided",
+                "thread_twosided",
+                "global_multi:2",
+                "replication_single",
+                "replication_traditional",
+            )
+        ],
+    )
+    def test_protected_pass_over_non_finite_activation(self, policy):
+        """A detected but unrecovered inf/NaN reaches every downstream
+        layer; their checksum reductions keep the hardware's values
+        without a RuntimeWarning, and the struck layer reports it."""
+        session = deploy(
+            "transformer_decoder",
+            "T4",
+            batch=2,
+            policy=policy,
+            runnable=build_runnable("transformer_decoder", batch=2, seed=0),
+        )
+        shape = runnable_input_shape("transformer_decoder", batch=2)
+        x = (np.random.default_rng(1).standard_normal(shape) * 0.5).astype(np.float16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for layer in ("qkv", "ffn.fc1"):
+                for value in (np.inf, -np.inf, np.nan):
+                    spec = FaultSpec(row=0, col=0, kind=FaultKind.SET, value=value)
+                    result = session.run(x, faults={layer: [spec]})
+                    struck = [o for o in result.layer_outcomes if o.name == layer]
+                    assert [o.detected for o in struck] == [True], (layer, value)
 
     def test_gelu_table_matches_the_formula_exhaustively(self):
         patterns = np.arange(1 << 16).astype(np.uint16)
