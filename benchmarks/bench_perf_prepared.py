@@ -6,11 +6,10 @@ Measures the two hot paths the engine amortizes (DESIGN.md §8):
 * **Campaign throughput** (trials/sec): a fault-injection campaign via
   the old direct path (full ``scheme.execute`` per trial — padding,
   tile selection, clean GEMM, operand checksums every time) versus the
-  batched prepared engine on *both* of its re-reduction paths — the
-  dense stacked batch (``sparse=False``) and sparse re-reduction
-  (DESIGN.md §1.3), reported side by side.  All paths run the *same*
-  pre-drawn fault specs, so the numeric work per verdict is identical;
-  only the amortization, batching, and slice sparsity differ.  Each
+  batched prepared engine, which re-reduces only the struck checks
+  (DESIGN.md §1.3; the ``sparse`` path label).  Both run the *same*
+  pre-drawn fault specs, so the verdicts are identical; only the
+  amortization, batching, and slice sparsity differ.  Each
   path takes the best of several repetitions after one untimed warmup,
   so the number is steady-state campaign throughput (construction
   included) rather than first-touch page faults or background load.
@@ -198,7 +197,7 @@ def bench_campaign(
     faults_per_trial: int = 1,
     shape: tuple[int, int, int] = (DEFAULT_M, DEFAULT_N, DEFAULT_K),
 ) -> dict:
-    """Direct-execute vs dense vs sparse prepared campaigns, same specs.
+    """Direct-execute vs prepared campaigns, same specs.
 
     ``faults_per_trial > 1`` benches the multi-fault campaign mode:
     every trial injects that many simultaneous faults, so the direct
@@ -218,19 +217,19 @@ def bench_campaign(
         entry if isinstance(entry, tuple) else (entry,) for entry in drawn
     ]
 
-    # Cross-check once: every path must agree on every verdict.
+    # Cross-check once: the engine must agree with direct execution on
+    # every verdict.
     scheme = _make_scheme(scheme_name)
     direct_detected = [
         scheme.execute(a, b, faults=list(faults)).detected
         for faults in trial_sets
     ]
-    for sparse in (False, True):
-        batched = FaultCampaign(
-            _make_scheme(scheme_name), a, b, seed=seed, sparse=sparse
-        ).run(len(trial_sets), specs=trial_sets)
-        assert [t.detected for t in batched.trials] == direct_detected, (
-            f"{'sparse' if sparse else 'dense'} path disagrees on verdicts"
-        )
+    batched = FaultCampaign(_make_scheme(scheme_name), a, b, seed=seed).run(
+        len(trial_sets), specs=trial_sets
+    )
+    assert [t.detected for t in batched.trials] == direct_detected, (
+        "prepared engine disagrees with direct execution on verdicts"
+    )
 
     # Direct baseline: what every trial cost before this engine existed.
     direct_s = _best_time(
@@ -240,26 +239,23 @@ def bench_campaign(
         repeats=repeats,
     )
 
-    # Batched prepared paths, construction included (prepare + baseline):
-    # the dense stacked batch and sparse re-reduction, side by side.
-    def prepared_run(sparse: bool):
-        fresh = FaultCampaign(
-            _make_scheme(scheme_name), a, b, seed=seed, sparse=sparse
-        )
+    # The batched prepared engine, construction included (prepare +
+    # baseline).
+    def prepared_run():
+        fresh = FaultCampaign(_make_scheme(scheme_name), a, b, seed=seed)
         fresh.run(len(trial_sets), specs=trial_sets)
 
-    paths = {}
-    for label, sparse in (("dense", False), ("sparse", True)):
-        path_s = _best_time(lambda s=sparse: prepared_run(s), repeats=repeats)
-        paths[label] = {
+    path_s = _best_time(prepared_run, repeats=repeats)
+    paths = {
+        "sparse": {
             "s": path_s,
             "trials_per_s": trials / path_s,
             "speedup": direct_s / path_s,
         }
+    }
 
-    # ``prepared_*`` mirrors the engine's default path (sparse) so the
-    # ROADMAP trajectory and history rows stay directly comparable
-    # across PRs.
+    # ``prepared_*`` repeats the engine path's numbers so the ROADMAP
+    # trajectory and history rows stay directly comparable across PRs.
     return {
         "trials": trials,
         "faults_per_trial": faults_per_trial,
@@ -621,12 +617,9 @@ def main() -> None:
         )
         row = report["campaign"][key]
         print(f"campaign[{key}]: direct {row['direct_trials_per_s']:8.1f} "
-              f"trials/s -> dense {row['paths']['dense']['trials_per_s']:8.1f} "
-              f"({row['paths']['dense']['speedup']:.1f}x) -> sparse "
+              f"trials/s -> prepared "
               f"{row['paths']['sparse']['trials_per_s']:8.1f} "
-              f"({row['paths']['sparse']['speedup']:.1f}x, "
-              f"{row['paths']['sparse']['speedup'] / row['paths']['dense']['speedup']:.1f}x "
-              f"over dense)")
+              f"({row['paths']['sparse']['speedup']:.1f}x)")
 
     for key, (token, shape) in TRANSFORMER_INT8_ROWS.items():
         report["campaign"][key] = bench_campaign(
@@ -636,7 +629,7 @@ def main() -> None:
         row = report["campaign"][key]
         print(f"campaign[{key}]: {token} on "
               f"{shape[0]}x{shape[1]}x{shape[2]}: direct "
-              f"{row['direct_trials_per_s']:8.1f} trials/s -> sparse "
+              f"{row['direct_trials_per_s']:8.1f} trials/s -> prepared "
               f"{row['paths']['sparse']['trials_per_s']:8.1f} "
               f"({row['paths']['sparse']['speedup']:.1f}x)")
 

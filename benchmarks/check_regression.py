@@ -10,11 +10,10 @@ Absolute trials/sec depends on the runner, so campaign throughput is
 compared through the machine-normalized **speedup** — each prepared
 path's throughput in units of the direct path's, both measured in the
 same run on the same machine.  Every ``(scheme, path)`` pair the
-baseline commits to is gated independently — the dense stacked batch
-and sparse re-reduction each fail the gate when their speedup drops
-more than ``--threshold`` (default 25%) below the committed value, so
-a regression confined to one path of one scheme cannot hide behind the
-others.  The inference section gates on the structural property (zero
+baseline commits to is gated independently — each fails the gate when
+its speedup drops more than ``--threshold`` (default 25%) below the
+committed value, so a regression confined to one path of one scheme
+cannot hide behind the others.  The inference section gates on the structural property (zero
 warm-pass weight-side reductions: the m-independent cache did its job)
 rather than on noisy small-latency ratios.
 

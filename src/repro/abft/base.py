@@ -13,33 +13,28 @@ Numeric execution is split into a **prepared-execution engine**: all
 fault-invariant work (operand padding, tile selection, the clean FP32
 GEMM, operand-side checksum/magnitude reductions) lives in a
 :class:`PreparedExecution` built once by :meth:`Scheme.prepare`, and
-each fault trial only pays the injection half — a copy of the
-accumulator, the output-side re-reduction, and the verdict.
+each fault trial only pays the injection half — the struck checks'
+re-reduction and the verdict.
 
-Injection itself is **batched**: :meth:`PreparedExecution.inject_batch`
-stacks N trials' accumulators into one ``(N, m, n)`` array, applies all
-faults with vectorized fancy indexing, re-reduces the output side of
-every trial in single NumPy calls, and renders all verdicts at once.
-:meth:`PreparedExecution.inject` is the ``N == 1`` wrapper and
-``execute`` a thin ``prepare(...).inject(...)`` wrapper, so one-shot
-callers are untouched while campaigns run hundreds of trials per NumPy
-dispatch.  Because both paths share one set of batch-aware reducers
-(and NumPy applies the identical core reduction per stacked slice),
-``inject_batch`` is bit-identical to sequential ``inject`` calls.
-
-On top of the dense batch sits **sparse re-reduction** (DESIGN.md
-§1.3): a single-element fault perturbs exactly one reduction slice —
-one row partial for the global schemes, one row/tile sum for the
-thread-level ones — so schemes that declare :attr:`Scheme.
-supports_sparse` derive each trial's struck slices from its fault
-coordinates (:func:`repro.faults.injector.faulted_site_values`), fully
-recompute *only those slices* in the dense composition order, and
-splice them into broadcast copies of the clean check arrays.  The
-stacked accumulator is never materialized on this path — outcomes
-build theirs lazily on first access — yet every verdict and every
-accumulator element is bit-identical to the dense batch, because each
-slice is recomputed by the identical core reduction on identically
-laid-out data.
+Injection has **one path**, :meth:`PreparedExecution.inject_batch`,
+which runs N trials per call (:meth:`PreparedExecution.inject` is the
+``N == 1`` wrapper, ``execute`` a thin ``prepare(...).inject(...)``
+wrapper).  A *struck check* is a check whose inputs a fault touched:
+an original-path fault site perturbs exactly one reduction slice — one
+row partial for the global schemes, one row/tile sum for the
+thread-level ones, the element itself for elementwise replication —
+and a checksum-path fault corrupts one check's checksum side.  Each
+trial's struck checks are derived from its fault coordinates
+(:func:`repro.faults.injector.faulted_site_values`), their slices
+fully recomputed in the dense composition order, and every verdict is
+rendered from those entries plus the prepared clean comparison
+(:func:`~repro.abft.detection.compare_checksums_sparse`, DESIGN.md
+§1.3).  No per-trial accumulator or check array is materialized —
+outcomes build their accumulator lazily on first access — yet every
+verdict and every accumulator element is bit-identical to reducing a
+materialized accumulator in full, because each slice is recomputed by
+the identical core reduction on identically laid-out data.  The test
+suite keeps that full reduction as its dense oracle.
 
 One level further, :class:`PreparedWeights` carries just the
 weight-side state (padded ``B`` + weight checksums), which is constant
@@ -54,7 +49,7 @@ import abc
 import hashlib
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -71,8 +66,8 @@ from ..errors import ConfigurationError, ShapeError
 from ..faults.injector import (
     FaultSites,
     apply_fault_to_accumulator,
+    corrupted_element,
     faulted_site_values,
-    subset_sites,
 )
 from ..faults.model import FaultPath, FaultSpec
 from ..gemm.counters import MainloopCost
@@ -83,6 +78,7 @@ from ..gpu.specs import GPUSpec
 from ..gpu.timing import DeviceTable, KernelWork, time_kernel
 from .detection import (
     CheckVerdict,
+    CleanComparison,
     VerdictColumns,
     compare_checksums_sparse,
     prepare_clean_comparison,
@@ -172,12 +168,11 @@ class ExecutionOutcome:
         batched trials skip the epilogue entirely.
     c_accumulator:
         Padded accumulator grid after fault application (FP32 on the
-        FP16 pipeline, INT32 on the quantized one).  Sparse
-        re-reduction never materializes per-trial accumulators, so
-        outcomes it produces build this lazily on first access (clean
-        copy plus the scalar fault applications — bit-identical to the
-        dense batch's slice); campaigns that read only verdicts and
-        fault sites never pay for it.
+        FP16 pipeline, INT32 on the quantized one).  Injection never
+        materializes per-trial accumulators, so outcomes build this
+        lazily on first access (clean copy plus the trial's
+        original-path faults in spec order); campaigns that read only
+        verdicts and fault sites never pay for it.
     verdict:
         Consistency-check outcome (None for the unprotected scheme).
     injected:
@@ -252,26 +247,24 @@ class OutcomeBatch(Sequence):
 
     A ``Sequence[ExecutionOutcome]`` that builds each outcome on first
     access (and keeps it): campaigns read :attr:`verdicts` — the
-    batch's :class:`~repro.abft.detection.VerdictColumns` — and never
-    pay for per-trial objects.  Dense batches hand each outcome a view
-    into the stacked accumulator ``c_batch``; sparse ones a factory
-    that materializes the trial's grid on demand.  Compares equal to
-    any sequence of the same outcomes.
+    batch's :class:`~repro.abft.detection.VerdictColumns`, or ``None``
+    per trial for the unprotected scheme — and never pay for per-trial
+    objects.  Each outcome gets a factory that materializes its
+    accumulator on demand.  Compares equal to any sequence of the same
+    outcomes.
     """
 
-    __slots__ = ("verdicts", "_prepared", "_faults", "_c_batch", "_built")
+    __slots__ = ("verdicts", "_prepared", "_faults", "_built")
 
     def __init__(
         self,
         prepared: "PreparedExecution",
         faults_batch: Sequence[Sequence[FaultSpec]],
         verdicts: Sequence[CheckVerdict | None],
-        c_batch: np.ndarray | None = None,
     ) -> None:
         self.verdicts = verdicts
         self._prepared = prepared
         self._faults = faults_batch
-        self._c_batch = c_batch
         self._built: list[ExecutionOutcome | None] = [None] * len(faults_batch)
 
     def __len__(self) -> int:
@@ -284,17 +277,13 @@ class OutcomeBatch(Sequence):
         if outcome is None:
             prepared = self._prepared
             faults = tuple(self._faults[i])
-            if self._c_batch is not None:
-                acc, factory = self._c_batch[i], None
-            else:
-                acc, factory = None, _accumulator_factory(prepared.c_clean, faults)
             outcome = ExecutionOutcome(
                 scheme=prepared.scheme.name,
-                c_accumulator=acc,
+                c_accumulator=None,
                 verdict=self.verdicts[i],
                 injected=faults,
                 crop=(prepared.problem.m, prepared.problem.n),
-                acc_factory=factory,
+                acc_factory=_accumulator_factory(prepared.c_clean, faults),
                 epilogue=prepared.executor.epilogue,
             )
             self._built[i] = outcome
@@ -376,18 +365,14 @@ class PreparedExecution:
 
     Owns the padded operands, the chosen tile, the clean FP32
     accumulator, and the scheme's checksum/magnitude arrays.
-    :meth:`inject_batch` applies N trials' faults to a stacked *copy* of
-    the accumulator, re-reduces the output side of all trials in single
-    NumPy calls, and renders all verdicts — it never re-runs the GEMM or
-    the operand-side reductions, so a campaign of N trials pays the
-    expensive half exactly once and the Python dispatch overhead once
-    per batch instead of once per trial.
-
-    Schemes with :attr:`Scheme.supports_sparse` additionally get
-    **sparse re-reduction**: :attr:`clean_reductions` caches the clean
-    output-side check arrays (built lazily, once), and sparse batches
-    recompute only the reduction slices each trial's faults actually
-    struck — see the module docstring and DESIGN.md §1.3.
+    :meth:`inject_batch` re-reduces only the checks each of N trials'
+    faults struck and renders all verdicts in batch-wide NumPy calls —
+    it never re-runs the GEMM or the operand-side reductions, so a
+    campaign of N trials pays the expensive half exactly once and the
+    Python dispatch overhead once per batch instead of once per trial.
+    :attr:`clean_reductions` and :meth:`clean_comparison` cache the
+    clean half those struck checks are compared against (built lazily,
+    once) — see the module docstring and DESIGN.md §1.3.
     """
 
     __slots__ = (
@@ -426,8 +411,8 @@ class PreparedExecution:
         self._clean_reductions: Any = None
         self._clean_comparisons: dict[DetectionConstants, Any] = {}
         # Prepared state is shared across campaigns and threads (via
-        # PreparedCache); the lazily built sparse-path state below must
-        # build exactly once even under racing readers.  Reentrant:
+        # PreparedCache); the lazily built clean-comparison state below
+        # must build exactly once even under racing readers.  Reentrant:
         # building the comparison state reads clean_reductions through
         # the scheme hook while the lock is held.
         self._lazy_lock = threading.RLock()
@@ -447,13 +432,14 @@ class PreparedExecution:
 
     @property
     def clean_reductions(self) -> Any:
-        """Clean output-side check arrays for sparse splicing.
+        """Clean output-side check arrays the struck checks replace.
 
         Scheme-specific (row partials, row sums, or tile sums of the
-        *clean* accumulator), built by the scheme's
-        :meth:`Scheme._clean_output_reductions` hook on first sparse
-        batch and cached for the lifetime of the prepared state.
-        Thread-safe: racing readers build it exactly once.
+        *clean* accumulator, or the accumulator itself for elementwise
+        replication), built by the scheme's
+        :meth:`Scheme._clean_output_reductions` hook on first use and
+        cached for the lifetime of the prepared state.  Thread-safe:
+        racing readers build it exactly once.
         """
         if self._clean_reductions is None:  # repro: ignore[RL002] double-checked fast path
             with self._lazy_lock:
@@ -464,15 +450,14 @@ class PreparedExecution:
         return self._clean_reductions  # repro: ignore[RL002] GIL-atomic read after publication
 
     def clean_comparison(self, detection: "DetectionConstants | None"):
-        """Fault-invariant comparison state for sparse verdicts.
+        """Fault-invariant comparison state for struck-check verdicts.
 
         The scheme's clean checksum-vs-output comparison
         (:class:`repro.abft.detection.CleanComparison`), built once per
-        detection-constants value and cached — the other half of what
-        sparse batches splice against.  ``None`` resolves to the
-        scheme's pipeline default, the same rule ``inject`` applies.
-        Thread-safe: racing readers build each per-constants entry
-        exactly once.
+        detection-constants value and cached — the untouched half of
+        every verdict.  ``None`` resolves to the scheme's pipeline
+        default, the same rule ``inject`` applies.  Thread-safe: racing
+        readers build each per-constants entry exactly once.
         """
         if detection is None:
             detection = self.scheme.default_detection
@@ -513,81 +498,48 @@ class PreparedExecution:
         specs_batch: Sequence[Sequence[FaultSpec]],
         *,
         detection: DetectionConstants | None = None,
-        out: np.ndarray | None = None,
-        sparse: bool | None = None,
         sites: FaultSites | None = None,
     ) -> OutcomeBatch:
         """N independent fault trials against the prepared state at once.
 
         ``specs_batch[i]`` holds trial ``i``'s fault specs (empty for a
-        clean trial).  On the dense path all trials' accumulators are
-        stacked into one ``(N, m_full, n_full)`` array, faults land via
-        vectorized fancy indexing, the output side is re-reduced for
-        every trial in single NumPy calls, and all verdicts render at
-        once — bit-identical, element for element, to N sequential
-        :meth:`inject` calls with the same specs.  The result is an
-        :class:`OutcomeBatch`: its ``verdicts`` columns are computed,
-        each outcome object is built only when indexed.
-
-        ``sparse`` selects the re-reduction path: ``None`` (default)
-        uses sparse re-reduction whenever the scheme supports it,
-        ``False`` forces the dense batch, ``True`` demands sparse and
-        raises :class:`~repro.errors.ConfigurationError` for schemes
-        without a sparse path.  The sparse path recomputes only the
-        reduction slices each trial's faults struck and never
-        materializes the stacked accumulator (outcomes build theirs
-        lazily on first ``c_accumulator`` access), but is — by the
-        recompute-in-order contract, pinned by the hypothesis suite in
-        ``tests/properties/test_sparse_reduction.py`` — bit-identical
-        to the dense path.
-
-        Dense memory scales with ``N * m_full * n_full`` FP32 values
-        (plus the float64 reduction intermediates); callers running
-        very large campaigns should chunk —
-        :meth:`repro.faults.FaultCampaign.run` does.  ``out``, if
-        given, is used as the dense stacked accumulator storage (shape
-        ``(N, m_full, n_full)`` float32), letting such callers reuse
-        one scratch buffer across chunks instead of faulting in fresh
-        pages per call; the returned outcomes' ``c_accumulator`` arrays
-        are then views into ``out`` and are invalidated when the buffer
-        is next reused.  Sparse batches ignore ``out``.
+        clean trial).  Faults map to their struck checks, only those are
+        re-reduced, and every verdict renders from them against the
+        cached clean comparison (:meth:`Scheme._render_verdicts`) — bit
+        -identical, field for field, to reducing each trial's
+        materialized accumulator in full, which the test suite's dense
+        oracle pins, and so to N sequential :meth:`inject` calls.  The
+        result is an :class:`OutcomeBatch`: its ``verdicts`` columns
+        are computed, each outcome object is built only when indexed,
+        and its accumulator only when read.
 
         ``sites``, if given, must be the
         :func:`~repro.faults.injector.faulted_site_values` map of
         exactly ``specs_batch`` — callers that already derived it (the
         campaign runner shares one map between injection and record
-        classification) pass it to skip the recomputation.  Only the
-        sparse path consumes it, and then reads no spec tuple except
-        those of the trials ``sites.checksum_trials`` lists.
+        classification) pass it to skip the recomputation; no spec
+        tuple is then read except those of the trials
+        ``sites.checksum_trials`` lists.  Deriving the map bounds-checks
+        every spec, so an out-of-range site raises
+        :class:`~repro.errors.FaultInjectionError`.
         """
         n = len(specs_batch)
         if not n:
             return OutcomeBatch(self, (), ())
         if detection is None:
             detection = self.scheme.default_detection
-        use_sparse = self.scheme.supports_sparse if sparse is None else sparse
-        if use_sparse:
-            if not self.scheme.supports_sparse:
-                raise ConfigurationError(
-                    f"scheme {self.scheme.name!r} has no sparse "
-                    f"re-reduction path; call with sparse=False or None"
-                )
-            if sites is None:
-                specs_batch = [tuple(faults) for faults in specs_batch]
-                sites = faulted_site_values(self.c_clean, specs_batch)
-            elif sites.n_trials != n:
-                raise ConfigurationError(
-                    f"precomputed sites cover {sites.n_trials} trials, "
-                    f"batch has {n}"
-                )
-            return self.scheme._finish_batch_sparse(
-                self, sites, specs_batch, detection
+        if sites is None:
+            specs_batch = [tuple(faults) for faults in specs_batch]
+            sites = faulted_site_values(self.c_clean, specs_batch)
+        elif sites.n_trials != n:
+            raise ConfigurationError(
+                f"precomputed sites cover {sites.n_trials} trials, "
+                f"batch has {n}"
             )
-        faults_batch = [tuple(faults) for faults in specs_batch]
-        c_batch = Scheme._apply_original_faults_batch(
-            self.c_clean, faults_batch, out=out
-        )
-        return self.scheme._finish_batch(self, c_batch, faults_batch, detection)
+        if not self.scheme.protects:
+            return OutcomeBatch(self, specs_batch, [None] * n)
+        verdicts = self.scheme._render_verdicts(self, sites, specs_batch, detection)
+        return OutcomeBatch(self, specs_batch, verdicts)
 
 
 class PreparedCache:
@@ -604,7 +556,7 @@ class PreparedCache:
     explicit override and the tile ``select_tile`` would pick
     deduplicate to one entry) — so a sweep of N campaigns runs the
     expensive half exactly once, asserted in tests via
-    ``EXECUTION_STATS``.  Lazily built sparse-path state
+    ``EXECUTION_STATS``.  Lazily built clean-comparison state
     (:attr:`PreparedExecution.clean_reductions`, the per-constants
     ``CleanComparison``) lives on the shared entry too, so later
     campaigns skip even that.
@@ -746,7 +698,7 @@ class Scheme(abc.ABC):
     accumulation — the paper's configuration) or ``"int8"`` (per-tensor
     symmetric quantization, INT8 operands, exact INT32 accumulation,
     checksum reductions over the quantized domain).  All prepared
-    /batched/sparse machinery is dtype-generic; the pipeline only
+    /batched/struck-check machinery is dtype-generic; the pipeline only
     changes the executor, the accumulator dtype, and the default
     detection constants.
     """
@@ -754,15 +706,10 @@ class Scheme(abc.ABC):
     #: Registry name; subclasses override.
     name: str = "abstract"
 
-    #: Whether the scheme performs any checking at all.
+    #: Whether the scheme performs any checking at all.  A scheme that
+    #: does implements the struck-check hooks below; one that does not
+    #: (none) renders ``None`` verdicts.
     protects: bool = True
-
-    #: Whether the scheme implements sparse re-reduction — a
-    #: slice-decomposable output check whose struck slices can be
-    #: recomputed alone (:meth:`_finish_batch_sparse`).  Schemes whose
-    #: check is elementwise over the full output (replication) or
-    #: nonexistent (none) leave this False and always run dense.
-    supports_sparse: bool = False
 
     def __init__(self, *, dtype: str = "fp16") -> None:
         if dtype not in ("fp16", "int8"):
@@ -924,180 +871,121 @@ class Scheme(abc.ABC):
         """Fault-invariant checksum state (override where the scheme has any)."""
         return None
 
-    @abc.abstractmethod
-    def _finish_batch(
-        self,
-        prepared: PreparedExecution,
-        c_batch: np.ndarray,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-        detection: DetectionConstants,
-    ) -> OutcomeBatch:
-        """Apply checksum-path faults, re-reduce the output side of all
-        trials in batch-wide NumPy calls, render every verdict.  Must
-        not mutate ``prepared`` (state is shared across trials);
-        ``c_batch`` — one ``(m_full, n_full)`` slice per trial, original
-        -path faults already applied — is the batch's own copy.  Slice
-        ``i`` of the result must be bit-identical to an ``N == 1`` call
-        on trial ``i`` alone (use elementwise ops and the batch-aware
-        reducers in :mod:`repro.abft.checksums`, which guarantee it)."""
-
     def _clean_output_reductions(self, prepared: PreparedExecution) -> Any:
-        """Clean output-side check arrays backing sparse splicing.
+        """Clean output-side check arrays the struck checks replace.
 
-        Sparse-capable schemes return the reduction of the *clean*
-        accumulator that the sparse engine splices struck slices into
-        (cached on the prepared state by
+        The reduction of the *clean* accumulator that a trial's struck
+        slices are recomputed against (cached on the prepared state by
         :attr:`PreparedExecution.clean_reductions`).
         """
-        raise NotImplementedError(
-            f"scheme {self.name!r} has no sparse re-reduction path"
-        )
+        raise NotImplementedError(f"scheme {self.name!r} performs no checks")
 
     def _clean_comparison_inputs(
         self, prepared: PreparedExecution
     ) -> tuple[np.ndarray, np.ndarray, int, Any]:
         """``(checksum_side, output_side, n_terms, magnitudes)`` of the
-        clean comparison — the same four quantities the scheme's dense
-        ``_verdicts`` feeds :func:`~repro.abft.detection.
-        compare_checksums_batch`, evaluated on the clean state."""
-        raise NotImplementedError(
-            f"scheme {self.name!r} has no sparse re-reduction path"
-        )
+        clean comparison: the check arrays, reduction length and
+        magnitude bounds the scheme compares, on the clean state."""
+        raise NotImplementedError(f"scheme {self.name!r} performs no checks")
 
     def _struck_checks(
         self, prepared: PreparedExecution, sites: FaultSites
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(trials, checks, values)`` of every struck check.
+        """``(trials, checks, values)`` of every check a fault site struck.
 
         One entry per unique (trial, flat check index) pair in
-        trial-major order, ``values`` holding the re-reduced output
-        -side check value (the ``*_struck_*`` reducers in
-        :mod:`repro.abft.checksums`)."""
-        raise NotImplementedError(
-            f"scheme {self.name!r} has no sparse re-reduction path"
-        )
+        trial-major, ascending-check order, ``values`` holding the
+        re-reduced output-side check value (the ``*struck_*`` reducers
+        in :mod:`repro.abft.checksums`)."""
+        raise NotImplementedError(f"scheme {self.name!r} performs no checks")
 
-    def _sparse_output_reduction(
-        self, prepared: PreparedExecution, sites: FaultSites
-    ) -> np.ndarray:
-        """Full per-trial output-side check arrays, spliced sparsely.
+    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
+        """Flat index of the check whose checksum side ``spec`` corrupts
+        (a checksum-path spec, already bounds-checked)."""
+        raise NotImplementedError(f"scheme {self.name!r} performs no checks")
 
-        The ``splice_*`` reducers in :mod:`repro.abft.checksums`: the
-        dense-shaped arrays the engine's fallback needs for trials
-        whose checksum side was corrupted."""
-        raise NotImplementedError(
-            f"scheme {self.name!r} has no sparse re-reduction path"
-        )
+    def _struck_magnitudes(
+        self, references: np.ndarray, values: np.ndarray
+    ) -> np.ndarray | None:
+        """Magnitude bounds of struck checks from their two sides.
 
-    def _references_batch(
-        self,
-        prepared: PreparedExecution,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-    ) -> np.ndarray:
-        """Per-trial checksum-side values, checksum-path faults applied."""
-        raise NotImplementedError(
-            f"scheme {self.name!r} has no batched reference builder"
-        )
+        ``None`` (the default) when the bound is fault-invariant and the
+        clean comparison's serves; schemes bounding by the compared
+        values themselves (elementwise replication) override."""
+        return None
 
-    def _verdicts(
-        self,
-        prepared: PreparedExecution,
-        references: np.ndarray,
-        output_side: np.ndarray,
-        detection: DetectionConstants,
-    ) -> VerdictColumns:
-        """Dense verdicts for prepared references vs output reductions."""
-        raise NotImplementedError(
-            f"scheme {self.name!r} has no batched verdict renderer"
-        )
-
-    def _walk_verdicts(
-        self,
-        prepared: PreparedExecution,
-        output_side: np.ndarray,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-        detection: DetectionConstants,
-    ) -> VerdictColumns:
-        """Dense verdict rendering through the ``CleanComparison`` walk.
-
-        A single-site fault perturbs a handful of checks, so a dense
-        trial's re-reduced check array differs from the clean one in
-        only a few entries: one elementwise comparison finds them, and
-        :func:`~repro.abft.detection.compare_checksums_sparse` renders
-        each verdict from those entries plus the cached clean
-        comparison — bit-identical, field for field, to the full
-        batched comparison (pinned by the dense-walk equivalence test).
-        Trials with checksum-path faults have no clean checksum side to
-        reuse; they take the full comparison.
-        """
-        n = len(faults_batch)
-        corrupted = [
-            i for i, faults in enumerate(faults_batch)
-            if self._checksum_faults(faults)
-        ]
-        clean = prepared.clean_comparison(detection)
-        clean_out = np.asarray(
-            self._clean_comparison_inputs(prepared)[1]
-        ).reshape(1, -1)
-        out = np.asarray(output_side)
-        flat = out.reshape(n, -1)
-        # NaN output entries always register as changed (NaN != NaN);
-        # their residuals are re-rendered fresh, matching the dense
-        # comparison's non-finite handling.
-        with np.errstate(invalid="ignore"):
-            trials_idx, checks_idx = np.nonzero(flat != clean_out)
-        verdicts = compare_checksums_sparse(
-            clean,
-            trials_idx,
-            checks_idx,
-            flat[trials_idx, checks_idx],
-            n_trials=n,
-        )
-        if corrupted:
-            sub_faults = [faults_batch[i] for i in corrupted]
-            references = self._references_batch(prepared, sub_faults)
-            dense = self._verdicts(
-                prepared, references, out[corrupted], detection
-            )
-            verdicts = verdicts.splice(np.asarray(corrupted, dtype=np.intp), dense)
-        return verdicts
-
-    def _finish_batch_sparse(
+    def _render_verdicts(
         self,
         prepared: PreparedExecution,
         sites: FaultSites,
         faults_batch: Sequence[Sequence[FaultSpec]],
         detection: DetectionConstants,
-    ) -> OutcomeBatch:
-        """Sparse counterpart of :meth:`_finish_batch` (engine template).
+    ) -> VerdictColumns:
+        """Every trial's verdict from its struck checks (engine template).
 
         Never materializes per-trial accumulators or check arrays:
         struck checks are re-reduced alone (:meth:`_struck_checks`, in
-        the dense composition order) and verdicts assembled against the
-        cached clean comparison — field-for-field bit-identical to
-        :meth:`_finish_batch`, pinned by the sparse-equivalence
-        hypothesis suite.  Trials whose *checksum side* was corrupted
-        (``sites.checksum_trials``) have no clean half to compare
-        against; they fall back to the dense comparison on sparsely
-        spliced check arrays (:meth:`_sparse_output_reduction`), still
-        without touching an accumulator stack.  Only those trials' spec
-        tuples are read.
+        the dense composition order), checks corrupted on the checksum
+        side join them (:meth:`_with_checksum_faults`), and one
+        :func:`~repro.abft.detection.compare_checksums_sparse` call
+        renders the batch against the cached clean comparison.  Only
+        the spec tuples of ``sites.checksum_trials`` are read.
         """
+        clean = prepared.clean_comparison(detection)
         trials, checks, values = self._struck_checks(prepared, sites)
-        verdicts = compare_checksums_sparse(
-            prepared.clean_comparison(detection),
-            trials, checks, values,
+        if len(sites.checksum_trials):
+            trials, checks, values, references = self._with_checksum_faults(
+                prepared, clean, trials, checks, values,
+                faults_batch, sites.checksum_trials,
+            )
+        else:
+            references = clean.checksum_side[checks]
+        return compare_checksums_sparse(
+            clean, trials, checks, values,
             n_trials=sites.n_trials,
+            references=references,
+            magnitudes=self._struck_magnitudes(references, values),
         )
-        corrupted = sites.checksum_trials
-        if len(corrupted):
-            sub_sites = subset_sites(sites, corrupted)
-            sub_faults = [tuple(faults_batch[i]) for i in corrupted]
-            references = self._references_batch(prepared, sub_faults)
-            output_side = self._sparse_output_reduction(prepared, sub_sites)
-            dense = self._verdicts(prepared, references, output_side, detection)
-            verdicts = verdicts.splice(corrupted, dense)
-        return OutcomeBatch(prepared, faults_batch, verdicts)
+
+    def _with_checksum_faults(
+        self,
+        prepared: PreparedExecution,
+        clean: CleanComparison,
+        trials: np.ndarray,
+        checks: np.ndarray,
+        values: np.ndarray,
+        faults_batch: Sequence[Sequence[FaultSpec]],
+        checksum_trials: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Struck entries joined by the checks checksum-path faults hit.
+
+        A corrupted check's checksum side starts clean and takes its
+        trial's checksum-path faults in spec order
+        (:func:`~repro.faults.injector.corrupted_element` in the
+        checksum side's own dtype).  Returns ``(trials, checks, values,
+        references)`` over the union of both entry sets, in trial-major,
+        ascending-check order: ``values`` is the re-reduced output side
+        where a fault site struck the check and the clean one
+        elsewhere, ``references`` the checksum side.
+        """
+        n_checks = clean.checks
+        corrupted: dict[int, np.generic] = {}
+        for t in checksum_trials.tolist():
+            for spec in faults_batch[t]:
+                if spec.path is FaultPath.CHECKSUM:
+                    check = self._checksum_check(prepared, spec)
+                    key = t * n_checks + check
+                    current = corrupted.get(key, clean.checksum_side[check])
+                    corrupted[key] = corrupted_element(current, spec)
+        struck = trials * n_checks + checks
+        hit = np.fromiter(corrupted, dtype=np.intp, count=len(corrupted))
+        keys = np.union1d(struck, hit)
+        trials, checks = np.divmod(keys, n_checks)
+        merged = clean.output_side[checks]
+        merged[np.searchsorted(keys, struck)] = values
+        references = clean.checksum_side[checks]
+        references[np.searchsorted(keys, hit)] = list(corrupted.values())
+        return trials, checks, merged, references
 
     # ------------------------------------------------------------------
     # Shared helpers for subclasses
@@ -1152,51 +1040,6 @@ class Scheme(abc.ABC):
         return problem, chosen, executor, a_pad, b_pad, c_clean
 
     @staticmethod
-    def _apply_original_faults_batch(
-        c_clean: np.ndarray,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Stacked copies of the accumulator with original-path faults.
-
-        One vectorized N-way copy (into ``out`` when provided), then one
-        :func:`apply_fault_batch` call per ordering step: step ``j``
-        applies the ``j``-th original-path fault of every trial that has
-        one, preserving the sequential per-trial application order while
-        keeping the common single-fault campaign at exactly one
-        fancy-indexed call.
-        """
-        from ..faults.injector import apply_fault_batch
-
-        shape = (len(faults_batch), *c_clean.shape)
-        if out is None:
-            c_batch = np.empty(shape, dtype=c_clean.dtype)
-        else:
-            if out.shape != shape or out.dtype != c_clean.dtype:
-                raise ShapeError(
-                    f"batch scratch must be {shape} {c_clean.dtype}, "
-                    f"got {out.shape} {out.dtype}"
-                )
-            c_batch = out
-        c_batch[:] = c_clean
-        originals = [
-            [s for s in faults if s.path is FaultPath.ORIGINAL]
-            for faults in faults_batch
-        ]
-        for step in range(max((len(fs) for fs in originals), default=0)):
-            trials = [i for i, fs in enumerate(originals) if len(fs) > step]
-            apply_fault_batch(
-                c_batch,
-                np.asarray(trials, dtype=np.intp),
-                [originals[i][step] for i in trials],
-            )
-        return c_batch
-
-    @staticmethod
-    def _checksum_faults(faults: Iterable[FaultSpec]) -> list[FaultSpec]:
-        return [f for f in faults if f.path is FaultPath.CHECKSUM]
-
-    @staticmethod
     def _to_fp16(values: np.ndarray) -> np.ndarray:
         """Quantize the epilogue output to FP16 storage.
 
@@ -1211,11 +1054,10 @@ class Scheme(abc.ABC):
 def _accumulator_factory(
     c_clean: np.ndarray, faults: tuple[FaultSpec, ...]
 ) -> Callable[[], np.ndarray]:
-    """Deferred materialization of one sparse trial's faulted accumulator.
+    """Deferred materialization of one trial's faulted accumulator.
 
     Clean copy plus the trial's original-path faults in spec order —
-    bit-identical to the dense batch's slice, pinned by the injector
-    equivalence properties.
+    the accumulator whose struck checks the verdict re-reduced.
     """
 
     def materialize() -> np.ndarray:

@@ -37,12 +37,14 @@ They are additionally *slice-decomposable*: every dense reducer is
 structured so each output check value is produced by an independent
 core reduction over one contiguous slice of the accumulator (a row, a
 thread tile, or a row partial), composed in a fixed sequential-slice
--add order.  The ``splice_*`` variants exploit this for sparse
-re-reduction (DESIGN.md §1.3): given the fault sites of a batch they
-fully recompute *only the struck slices* — with the identical core
-reduction on identically laid-out data — and splice the results into
-broadcast copies of the clean check arrays, which is why the sparse
-path is bit-identical to the dense one rather than merely close.
+-add order.  The ``*struck_*`` reducers exploit this (DESIGN.md §1.3):
+given the fault sites of a batch they fully recompute *only the struck
+slices* — with the identical core reduction on identically laid-out
+data — which is why a struck check is bit-identical to the dense
+reducer's element for it rather than merely close.  The engine only
+ever runs the struck reducers and the clean (``N == 1``) reductions;
+the test suite's dense oracle runs the ``_batch`` reducers over
+materialized accumulators and pins the two against each other.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _as_working(x: np.ndarray) -> np.ndarray:
     rounding-noise tolerance budgets for.  Integer operands (the INT8
     pipeline's INT8 inputs and INT32 accumulators) reduce in float64,
     where every reachable value is an exact integer (< 2**53) — so every
-    reduction is exact, order-independent, and the sparse/dense
+    reduction is exact, order-independent, and the struck/dense
     bit-identity contract holds with no tolerance at all.
     """
     x = np.asarray(x)
@@ -190,7 +192,7 @@ def output_row_sums(c_pad: np.ndarray) -> np.ndarray:
 
     The slice stage of the global output summation — each row reduced
     independently over its contiguous extent.  Kept as its own function
-    because the sparse path recomputes exactly these slices.
+    because the struck path recomputes exactly these slices.
     """
     if c_pad.ndim != 2:
         raise ShapeError(f"C must be a 2-D accumulator, got {c_pad.ndim}-D")
@@ -205,7 +207,7 @@ def output_summation_batch(c_batch: np.ndarray) -> np.ndarray:
     (each row an independent reduction over its contiguous extent,
     matching :func:`output_row_sums`), then one reduction over the row
     partials.  A single-element fault therefore perturbs exactly one
-    row partial, which is what lets :func:`splice_output_summation`
+    row partial, which is what lets :func:`struck_output_summations`
     recompute one row instead of the whole output.
     """
     if c_batch.ndim != 3:
@@ -243,27 +245,6 @@ def struck_output_summations(
     with _hardware_values():
         row_sums[compact, u_rows] = struck.sum(axis=1, dtype=np.float64)
         return touched, row_sums.sum(axis=1)
-
-
-def splice_output_summation(
-    clean_row_sums: np.ndarray,
-    c_clean: np.ndarray,
-    sites: FaultSites,
-) -> np.ndarray:
-    """Sparse per-trial output summations: ``(N,)``.
-
-    Trials without fault sites take the clean summation (the dense
-    per-trial combine reduces the identical row-partial vector, so the
-    value is bit-equal); struck trials get
-    :func:`struck_output_summations`.  Bit-identical to
-    :func:`output_summation_batch` on the materialized batch.
-    """
-    with _hardware_values():
-        clean_total = clean_row_sums.sum()
-    out = np.full(sites.n_trials, clean_total, dtype=np.float64)
-    touched, values = struck_output_summations(clean_row_sums, c_clean, sites)
-    out[touched] = values
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +344,7 @@ def one_sided_struck_rowsums(
     flattened ``(m_full, n_tiles)`` check array, and ``values`` is the
     slice rebuilt from the clean accumulator plus the sites' final
     values, re-reduced with the same left-to-right slice adds as
-    :func:`_slice_sum_f32` — bit-identical to the dense reducer's
+    :func:`_slice_sum` — bit-identical to the dense reducer's
     element for that slice.
     """
     nt = executor.tile.nt
@@ -382,27 +363,6 @@ def one_sided_struck_rowsums(
     ]  # (S, nt) — fresh contiguous copies of the struck slices
     struck[inverse, sites.cols % nt] = sites.values
     return u_trials, u_checks, _slice_sum(struck, 1)
-
-
-def splice_one_sided_rowsums(
-    executor: TiledGemm,
-    clean_rowsums: np.ndarray,
-    c_clean: np.ndarray,
-    sites: FaultSites,
-) -> np.ndarray:
-    """Sparse per-trial thread-tile row-sums: ``(N, m_full, n_tiles)``.
-
-    Broadcast copies of the clean row-sums with the struck slices of
-    :func:`one_sided_struck_rowsums` spliced in.  Bit-identical to
-    :func:`one_sided_output_rowsums_batch` on the materialized batch.
-    """
-    m_full, n_tiles = executor.m_full, executor.n_tiles
-    out = np.broadcast_to(
-        clean_rowsums, (sites.n_trials, m_full, n_tiles)
-    ).copy()
-    trials, checks, values = one_sided_struck_rowsums(executor, c_clean, sites)
-    out[trials, checks // n_tiles, checks % n_tiles] = values
-    return out
 
 
 @dataclass(frozen=True)
@@ -486,25 +446,23 @@ def thread_tile_struck_sums(
     return u_trials, u_checks, _slice_sum(rows, 1)
 
 
-def splice_thread_tile_sums(
-    executor: TiledGemm,
-    clean_tile_sums: np.ndarray,
-    c_clean: np.ndarray,
-    sites: FaultSites,
-) -> np.ndarray:
-    """Sparse per-trial thread-fragment sums: ``(N, m_tiles, n_tiles)``.
+# ----------------------------------------------------------------------
+# Traditional replication
+# ----------------------------------------------------------------------
+def replication_struck_elements(
+    c_clean: np.ndarray, sites: FaultSites
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Struck checks of the elementwise replica compare.
 
-    Broadcast copies of the clean tile sums with the struck tiles of
-    :func:`thread_tile_struck_sums` spliced in.  Bit-identical to
-    :func:`thread_tile_sums_batch` on the materialized batch.
+    Traditional replication compares every accumulator element with
+    its replica, so a fault site *is* its struck check: check ``row *
+    n_full + col``, output-side value the site's final value — no
+    reduction to recompute.  Returns ``(trials, checks, values)``, one
+    entry per unique site in trial-major, ascending-check order.
     """
-    m_tiles, n_tiles = executor.m_tiles, executor.n_tiles
-    out = np.broadcast_to(
-        clean_tile_sums, (sites.n_trials, m_tiles, n_tiles)
-    ).copy()
-    trials, checks, values = thread_tile_struck_sums(executor, c_clean, sites)
-    out[trials, checks // n_tiles, checks % n_tiles] = values
-    return out
+    checks = sites.rows * c_clean.shape[1] + sites.cols
+    order = np.lexsort((checks, sites.trials))
+    return sites.trials[order], checks[order], sites.values[order]
 
 
 # ----------------------------------------------------------------------
@@ -597,7 +555,7 @@ def multi_weight_checksums(
 def _weights_n_t(weights_n: np.ndarray) -> np.ndarray:
     """Contiguous ``(n_full, count)`` float64 column-weight operand.
 
-    Built identically by the dense, clean, and sparse row-partial
+    Built identically by the dense, clean, and struck row-partial
     stages so every ``(1, n) @ (n, count)`` core call sees the same
     operand layout.
     """
@@ -628,7 +586,7 @@ def _multi_combine_row_partials(
 
     ``out[i, s] = w_m[s] @ row_partials[i, :, s]`` via stacked
     ``(1, m) @ (m, 1)`` matmuls, the same final combine for the dense
-    and sparse paths.
+    and struck paths.
     """
     w_m = np.asarray(weights_m, dtype=np.float64)  # (count, m_full)
     stacked = row_partials.transpose(0, 2, 1)[:, :, :, None]  # (N, count, m, 1)
@@ -649,7 +607,7 @@ def multi_weighted_output_sums(
     call per row), then the row-weight combine.  Each (trial, check)
     scalar comes from the same core loops regardless of the batch size,
     and a single-element fault perturbs exactly one row partial, which
-    is what :func:`splice_multi_weighted_output_sums` exploits.
+    is what :func:`struck_multi_weighted_sums` exploits.
     """
     if c_batch.ndim != 3:
         raise ShapeError(f"stacked C must be 3-D, got {c_batch.ndim}-D")
@@ -696,31 +654,3 @@ def struck_multi_weighted_sums(
     ).copy()
     partials[compact, u_rows] = new_partials[:, 0, :]
     return touched, _multi_combine_row_partials(partials, weights_m)
-
-
-def splice_multi_weighted_output_sums(
-    clean_row_partials: np.ndarray,
-    c_clean: np.ndarray,
-    sites: FaultSites,
-    weights_m: np.ndarray,
-    weights_n: np.ndarray,
-) -> np.ndarray:
-    """Sparse weighted output summations: ``(N, count)``.
-
-    Trials without fault sites take the clean summations (the dense
-    combine contracts the identical row-partial array through the same
-    core calls, so the values are bit-equal); struck trials get
-    :func:`struck_multi_weighted_sums`.  Bit-identical to
-    :func:`multi_weighted_output_sums` on the materialized batch.
-    """
-    clean_sums = _multi_combine_row_partials(
-        clean_row_partials[None], weights_m
-    )[0]
-    out = np.broadcast_to(
-        clean_sums, (sites.n_trials, len(clean_sums))
-    ).copy()
-    touched, values = struck_multi_weighted_sums(
-        clean_row_partials, c_clean, sites, weights_m, weights_n
-    )
-    out[touched] = values
-    return out

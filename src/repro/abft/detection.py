@@ -101,36 +101,25 @@ class VerdictColumns(Sequence):
             checks=self.checks,
         )
 
-    def splice(self, trials: np.ndarray, other: "VerdictColumns") -> "VerdictColumns":
-        """These columns with trial ``trials[j]`` replaced by ``other[j]``."""
-        detected = self.detected.copy()
-        max_residual = self.max_residual.copy()
-        tolerance = self.tolerance.copy()
-        detected[trials] = other.detected
-        max_residual[trials] = other.max_residual
-        tolerance[trials] = other.tolerance
-        counts = np.diff(self.ptr)
-        starts = self.ptr[:-1].copy()
-        counts[trials] = np.diff(other.ptr)
-        starts[trials] = other.ptr[:-1] + len(self.idx)
-        pool = np.concatenate((self.idx, other.idx))
-        ptr, idx = _ragged_take(pool, starts, counts)
-        return VerdictColumns(detected, max_residual, tolerance, self.checks, ptr, idx)
+
+def _tolerances(
+    magnitudes: np.ndarray | float, n_terms: int, constants: DetectionConstants
+) -> np.ndarray:
+    """Per-check float64 tolerances: the rounding-noise bound of §7.
+
+    One expression for every comparison variant, so a struck check's
+    tolerance is bit-equal to the one the full comparison computes.
+    """
+    terms = max(int(n_terms), 2)
+    gamma = (np.log2(terms) + 1.0) * constants.fp32_unit_roundoff
+    mags = np.asarray(magnitudes, dtype=np.float64)
+    return np.maximum(constants.atol_floor, constants.rtol_slack * gamma * np.abs(mags))
 
 
 def _csr_ptr(counts: np.ndarray) -> np.ndarray:
     ptr = np.zeros(len(counts) + 1, dtype=np.intp)
     np.cumsum(counts, out=ptr[1:])
     return ptr
-
-
-def _ragged_take(
-    pool: np.ndarray, starts: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(ptr, idx)`` of the runs ``pool[starts[i]:starts[i] + counts[i]]``."""
-    ptr = _csr_ptr(counts)
-    offsets = np.arange(ptr[-1], dtype=np.intp) - np.repeat(ptr[:-1], counts)
-    return ptr, pool[np.repeat(starts, counts) + offsets]
 
 
 def compare_checksums(
@@ -209,13 +198,14 @@ def compare_checksums_batch(
     shape.
 
     Every operation is elementwise, so trial ``i`` of the result is
-    independent of the batch size — the batched schemes rely on this to
-    make ``inject_batch`` bit-identical to sequential ``inject`` calls
-    (which route through this same function with ``N == 1``).  Note the
-    working dtype follows the inputs (see below), so results can differ
-    in the last bit from :func:`compare_checksums`, which always
-    compares in float64; that scalar function remains the standalone
-    reference API, not the engine's code path.
+    independent of the batch size.  This is the full comparison that
+    :func:`compare_checksums_sparse` reproduces from struck checks
+    alone — the engine never materializes the stacked check arrays it
+    takes, but the test suite's dense oracle does, and the two must
+    agree field for field.  Note the working dtype follows the inputs
+    (see below), so results can differ in the last bit from
+    :func:`compare_checksums`, which always compares in float64; that
+    scalar function remains the standalone reference API.
     """
     lhs = np.asarray(checksum_side)
     rhs = np.asarray(output_side)
@@ -245,10 +235,7 @@ def compare_checksums_batch(
     np.abs(residual, out=residual)
     residual = np.broadcast_to(residual, (n, *tail)).reshape(n, -1)
 
-    terms = max(int(n_terms), 2)
-    gamma = (np.log2(terms) + 1.0) * constants.fp32_unit_roundoff
-    mags = np.asarray(magnitudes, dtype=np.float64)
-    tol = np.maximum(constants.atol_floor, constants.rtol_slack * gamma * np.abs(mags))
+    tol = _tolerances(magnitudes, n_terms, constants)
     if tol.ndim > len(tail):  # per-trial magnitudes (e.g. replication)
         tol_flat = np.broadcast_to(tol, (n, *tail)).reshape(n, -1)
         tolerance = (
@@ -289,25 +276,25 @@ def compare_checksums_batch(
 
 
 # ----------------------------------------------------------------------
-# Sparse (slice-wise) comparison
+# Struck-check comparison
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CleanComparison:
     """Fault-invariant half of a checksum comparison, prepared once.
 
-    Holds the clean check arrays' full comparison — per-check residuals,
-    violation mask, tolerances — so :func:`compare_checksums_sparse`
-    can render a trial's verdict from *only its struck checks*:
-    untouched checks keep their clean residuals, and the trial's
-    ``max_residual`` is the larger of its fresh struck keys and the
-    largest clean key it left untouched.  Valid only while the checksum
-    side stays clean (checksum-path faults corrupt it; those trials
-    take the dense comparison).
+    Holds the clean check arrays' full comparison — both sides, per
+    -check residuals, violation mask, tolerances — so
+    :func:`compare_checksums_sparse` can render a trial's verdict from
+    *only its struck checks*: untouched checks keep their clean
+    residuals and tolerances, and the trial's ``max_residual`` is the
+    larger of its fresh struck keys and the largest clean key it left
+    untouched.
 
     Attributes
     ----------
-    checksum_side:
-        Flat clean checksum-side values (the comparison's lhs).
+    checksum_side, output_side:
+        Flat clean check values of each side (the comparison's lhs and
+        rhs), in their own dtypes.
     residual:
         Flat clean ``|lhs - rhs|`` in the comparison working dtype.
     key:
@@ -315,17 +302,21 @@ class CleanComparison:
         max-reduction key (``max`` must report inf whenever any
         residual is non-finite).
     tol_flat:
-        Per-check tolerances (fault-invariant magnitudes only).
+        Per-check clean tolerances.
     bad:
         Clean violation mask; ``violations``/``n_violations`` cache its
         nonzero indices and count.
     max_residual, tolerance, checks:
         The clean verdict's scalar fields.
     dtype:
-        Working dtype of the dense comparison these checks would use.
+        Working dtype of the full comparison these checks would use.
+    n_terms, constants:
+        The tolerance model's inputs, for struck checks whose magnitude
+        bound differs from the clean one.
     """
 
     checksum_side: np.ndarray
+    output_side: np.ndarray
     residual: np.ndarray
     key: np.ndarray
     tol_flat: np.ndarray
@@ -336,6 +327,8 @@ class CleanComparison:
     tolerance: float
     checks: int
     dtype: np.dtype
+    n_terms: int
+    constants: DetectionConstants
 
 
 def prepare_clean_comparison(
@@ -350,10 +343,10 @@ def prepare_clean_comparison(
 
     Runs the same elementwise operations as
     :func:`compare_checksums_batch` on the (flattened) clean arrays and
-    keeps every intermediate the sparse path needs.  ``magnitudes``
-    must be fault-invariant (it is for every sparse-capable scheme);
-    per-trial magnitudes would make the tolerance trial-dependent and
-    have no clean half to prepare.
+    keeps every intermediate the struck-check path needs.
+    ``magnitudes`` are the clean bounds — a scalar or one per check;
+    a struck check whose bound a fault moves carries its own to
+    :func:`compare_checksums_sparse`.
     """
     lhs = np.asarray(checksum_side).reshape(-1)
     rhs = np.asarray(output_side).reshape(-1)
@@ -366,14 +359,11 @@ def prepare_clean_comparison(
         residual = np.subtract(lhs, rhs, dtype=dtype)
     np.abs(residual, out=residual)
 
-    terms = max(int(n_terms), 2)
-    gamma = (np.log2(terms) + 1.0) * constants.fp32_unit_roundoff
-    mags = np.asarray(magnitudes, dtype=np.float64)
-    if mags.ndim > np.asarray(checksum_side).ndim:
+    if np.ndim(magnitudes) > np.asarray(checksum_side).ndim:
         raise DetectionError(
             "prepare_clean_comparison needs fault-invariant magnitudes"
         )
-    tol = np.maximum(constants.atol_floor, constants.rtol_slack * gamma * np.abs(mags))
+    tol = _tolerances(magnitudes, n_terms, constants)
     tol_flat = np.ascontiguousarray(
         np.broadcast_to(tol, np.asarray(output_side).shape).reshape(-1),
         dtype=np.float64,
@@ -392,6 +382,7 @@ def prepare_clean_comparison(
         max_residual = float("inf")
     return CleanComparison(
         checksum_side=lhs,
+        output_side=rhs,
         residual=residual,
         key=key,
         tol_flat=tol_flat,
@@ -402,7 +393,32 @@ def prepare_clean_comparison(
         tolerance=float(tol.max()) if tol.size else 0.0,
         checks=checks,
         dtype=dtype,
+        n_terms=int(n_terms),
+        constants=constants,
     )
+
+
+def _largest_untouched(
+    values: np.ndarray, checks: np.ndarray, spans: np.ndarray, k: int
+) -> np.ndarray:
+    """Per struck span, the largest of ``values`` outside its checks.
+
+    With ``k`` the longest span, that entry lies among the ``k + 1``
+    largest of ``values`` whatever order ties take, so one
+    ``np.argpartition`` serves every span.  A span that struck every
+    check gets ``-inf``; NaN propagates as in ``max``.
+    """
+    n = len(values)
+    if k + 1 < n:
+        top = np.sort(np.argpartition(values, n - k - 1)[-(k + 1):])
+    else:
+        top = np.arange(n)
+    pos = np.minimum(np.searchsorted(top, checks), len(top) - 1)
+    hit = top[pos] == checks
+    candidates = np.broadcast_to(values[top], (len(spans), len(top))).copy()
+    row = np.repeat(np.arange(len(spans)), spans)
+    candidates[row[hit], pos[hit]] = -np.inf
+    return candidates.max(axis=1)
 
 
 def compare_checksums_sparse(
@@ -412,17 +428,23 @@ def compare_checksums_sparse(
     values: np.ndarray,
     *,
     n_trials: int,
+    references: np.ndarray | None = None,
+    magnitudes: np.ndarray | None = None,
 ) -> VerdictColumns:
     """Verdicts from struck checks alone, against a clean comparison.
 
     ``(trials, checks, values)`` hold one entry per unique struck
-    (trial, check) pair in trial-major order — a re-reduced output-side
-    check value per struck slice.  Each listed trial's verdict combines
-    its struck checks' fresh residuals with the clean comparison's
+    (trial, check) pair, trial-major with ascending checks per trial:
+    the check's output-side value.  ``references``, when given, is each
+    entry's checksum-side value (a checksum-path fault corrupted it;
+    default: the clean one), and ``magnitudes`` each entry's magnitude
+    bound (default: the clean bound — schemes whose bound a fault moves
+    pass their own).  Each listed trial's verdict combines its struck
+    checks' fresh residuals and tolerances with the clean comparison's
     untouched remainder; unlisted trials get the clean verdict
     outright.  Bit-identical, field for field, to
     :func:`compare_checksums_batch` on the materialized check arrays —
-    pinned by the sparse-equivalence hypothesis suite.
+    pinned against the test suite's dense oracle.
 
     The whole batch is array work over the struck spans:
 
@@ -430,14 +452,9 @@ def compare_checksums_sparse(
       a trial struck, plus its fresh ones (``np.add.reduceat`` over the
       spans); the CSR index array lists them ascending per trial;
     * ``max_residual`` is the larger of a trial's fresh struck keys and
-      the largest clean key it left untouched.  With ``K`` the most
-      checks any trial of the call struck, that key lies among the
-      ``K + 1`` largest clean keys, whatever order ties take — so one
-      ``np.argpartition`` per call replaces a per-trial walk.
-
-    Callers splice dense verdicts over trials whose checksum side was
-    corrupted (:meth:`VerdictColumns.splice`); the clean half does not
-    apply to them.
+      the largest clean key it left untouched, and with ``magnitudes``
+      the trial's ``tolerance`` likewise combines its struck and
+      untouched tolerances (:func:`_largest_untouched`).
     """
     n_viol = clean.n_violations
     counts = np.full(n_trials, n_viol, dtype=np.intp)
@@ -448,12 +465,16 @@ def compare_checksums_sparse(
         idx = np.tile(clean.violations, n_trials)
         return VerdictColumns(counts > 0, max_residual, tolerance, clean.checks, ptr, idx)
 
+    if references is None:
+        references = clean.checksum_side[checks]
     with np.errstate(invalid="ignore"):
-        residual = np.abs(
-            np.subtract(clean.checksum_side[checks], values, dtype=clean.dtype)
-        )
+        residual = np.abs(np.subtract(references, values, dtype=clean.dtype))
+    if magnitudes is None:
+        tol = clean.tol_flat[checks]
+    else:
+        tol = _tolerances(magnitudes, clean.n_terms, clean.constants)
     finite = np.isfinite(residual)
-    new_bad = residual > clean.tol_flat[checks]
+    new_bad = residual > tol
     new_bad |= ~finite
     new_key = np.where(finite, residual.astype(np.float64), np.inf)
 
@@ -462,26 +483,20 @@ def compare_checksums_sparse(
     starts = np.concatenate(([0], starts))
     spans = np.diff(np.append(starts, len(trials)))
     touched = trials[starts]
+    k = int(spans.max())
 
     counts[touched] += np.add.reduceat(new_bad.astype(np.intp), starts)
     if n_viol:
         counts[touched] -= np.add.reduceat(clean.bad[checks].astype(np.intp), starts)
-
-    # Largest untouched clean key: among the K + 1 largest clean keys,
-    # mask the ones each trial struck, take the row max.
-    k = int(spans.max())
-    if k + 1 < clean.checks:
-        top = np.sort(np.argpartition(clean.key, clean.checks - k - 1)[-(k + 1):])
-    else:
-        top = np.arange(clean.checks)
-    pos = np.minimum(np.searchsorted(top, checks), len(top) - 1)
-    hit = top[pos] == checks
-    candidates = np.broadcast_to(clean.key[top], (len(touched), len(top))).copy()
-    row = np.repeat(np.arange(len(touched)), spans)
-    candidates[row[hit], pos[hit]] = -np.inf
     max_residual[touched] = np.maximum(
-        candidates.max(axis=1), np.maximum.reduceat(new_key, starts)
+        _largest_untouched(clean.key, checks, spans, k),
+        np.maximum.reduceat(new_key, starts),
     )
+    if magnitudes is not None:
+        tolerance[touched] = np.maximum(
+            _largest_untouched(clean.tol_flat, checks, spans, k),
+            np.maximum.reduceat(tol, starts),
+        )
 
     ptr = _csr_ptr(counts)
     if not n_viol:

@@ -24,12 +24,10 @@ cycles, which is what thread-level ABFT exploits.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..config import DEFAULT_CONSTANTS, DetectionConstants, ModelConstants
-from ..faults.injector import corrupted_value
+from ..config import DEFAULT_CONSTANTS, ModelConstants
+from ..faults.injector import FaultSites
 from ..faults.model import FaultSpec
 from ..gemm.counters import (
     BYTES_PER_MEM_INSTR,
@@ -42,31 +40,25 @@ from ..gemm.problem import GemmProblem
 from ..gemm.tiles import TileConfig
 from ..gpu.timing import KernelWork
 from .base import (
-    OutcomeBatch,
     PlannedKernel,
     PreparedExecution,
     Scheme,
     SchemePlan,
 )
-from ..faults.injector import FaultSites
 from .checksums import (
     GlobalChecksums,
     GlobalWeightChecksums,
     global_checksums,
     global_weight_checksums,
     output_row_sums,
-    output_summation_batch,
-    splice_output_summation,
     struck_output_summations,
 )
-from .detection import compare_checksums_batch
 
 
 class GlobalABFT(Scheme):
     """Kernel-level ABFT with fused checksums and an async check kernel."""
 
     name = "global"
-    supports_sparse = True
 
     #: Threads used by the reduction/check kernel.
     CHECK_KERNEL_THREADS = 128
@@ -153,48 +145,7 @@ class GlobalABFT(Scheme):
     ) -> GlobalChecksums:
         return global_checksums(a_pad, b_pad, weights=weight_state)
 
-    def _references_batch(
-        self,
-        prepared: PreparedExecution,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-    ) -> np.ndarray:
-        """Per-trial checksum references with checksum-path faults applied."""
-        chks: GlobalChecksums = prepared.state
-        references = np.full(len(faults_batch), chks.reference, dtype=np.float64)
-        for i, faults in enumerate(faults_batch):
-            for spec in self._checksum_faults(faults):
-                references[i] = corrupted_value(float(references[i]), spec)
-        return references
-
-    def _verdicts(
-        self,
-        prepared: PreparedExecution,
-        references: np.ndarray,
-        out_sums: np.ndarray,
-        detection: DetectionConstants,
-    ):
-        chks: GlobalChecksums = prepared.state
-        executor = prepared.executor
-        return compare_checksums_batch(
-            references[:, None],
-            out_sums[:, None],
-            n_terms=executor.m_full * executor.n_full + executor.k_full,
-            magnitudes=chks.magnitude,
-            constants=detection,
-        )
-
-    def _finish_batch(
-        self,
-        prepared: PreparedExecution,
-        c_batch: np.ndarray,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-        detection: DetectionConstants,
-    ) -> OutcomeBatch:
-        out_sums = output_summation_batch(c_batch)
-        verdicts = self._walk_verdicts(prepared, out_sums, faults_batch, detection)
-        return OutcomeBatch(prepared, faults_batch, verdicts, c_batch)
-
-    # -- sparse re-reduction hooks -------------------------------------
+    # -- struck-check hooks -------------------------------------------
     def _clean_output_reductions(self, prepared: PreparedExecution) -> np.ndarray:
         return output_row_sums(prepared.c_clean)
 
@@ -215,9 +166,6 @@ class GlobalABFT(Scheme):
         # The output summation is the scheme's single check: index 0.
         return touched, np.zeros(len(touched), dtype=np.intp), values
 
-    def _sparse_output_reduction(
-        self, prepared: PreparedExecution, sites: FaultSites
-    ) -> np.ndarray:
-        return splice_output_summation(
-            prepared.clean_reductions, prepared.c_clean, sites
-        )
+    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
+        # One checksum: every checksum-path fault corrupts it.
+        return 0

@@ -12,13 +12,12 @@ that jointly detect up to ``r`` faulty output values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ..config import DEFAULT_CONSTANTS, DetectionConstants, ModelConstants
+from ..config import DEFAULT_CONSTANTS, ModelConstants
 from ..errors import ConfigurationError
-from ..faults.injector import FaultSites, corrupted_value
+from ..faults.injector import FaultSites
 from ..faults.model import FaultSpec
 from ..gemm.counters import (
     BYTES_PER_MEM_INSTR,
@@ -31,7 +30,6 @@ from ..gemm.problem import GemmProblem
 from ..gemm.tiles import TileConfig
 from ..gpu.timing import KernelWork
 from .base import (
-    OutcomeBatch,
     PlannedKernel,
     PreparedExecution,
     Scheme,
@@ -43,12 +41,9 @@ from .checksums import (
     integer_checksum_weights,
     multi_row_partials,
     multi_weight_checksums,
-    multi_weighted_output_sums,
-    splice_multi_weighted_output_sums,
     struck_multi_weighted_sums,
     vandermonde_weights,
 )
-from .detection import compare_checksums_batch
 
 
 @dataclass(frozen=True)
@@ -65,7 +60,6 @@ class MultiChecksumGlobalABFT(Scheme):
     """Global ABFT with ``r`` independent weighted checksums."""
 
     name = "global_multi"
-    supports_sparse = True
 
     def __init__(self, num_checksums: int = 2, *, dtype: str = "fp16") -> None:
         super().__init__(dtype=dtype)
@@ -197,56 +191,7 @@ class MultiChecksumGlobalABFT(Scheme):
             references=references, magnitudes=magnitudes,
         )
 
-    def _references_batch(
-        self,
-        prepared: PreparedExecution,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-    ) -> np.ndarray:
-        """Per-trial weighted references with checksum-path faults applied."""
-        state: _MultiState = prepared.state
-        references = np.broadcast_to(
-            state.references, (len(faults_batch), self.num_checksums)
-        ).copy()
-        for i, faults in enumerate(faults_batch):
-            for spec in self._checksum_faults(faults):
-                idx = spec.row % self.num_checksums
-                references[i, idx] = corrupted_value(
-                    float(references[i, idx]), spec
-                )
-        return references
-
-    def _verdicts(
-        self,
-        prepared: PreparedExecution,
-        references: np.ndarray,
-        out_sums: np.ndarray,
-        detection: DetectionConstants,
-    ):
-        state: _MultiState = prepared.state
-        executor = prepared.executor
-        return compare_checksums_batch(
-            references,
-            out_sums,
-            n_terms=executor.m_full * executor.n_full + executor.k_full,
-            magnitudes=state.magnitudes,
-            constants=detection,
-        )
-
-    def _finish_batch(
-        self,
-        prepared: PreparedExecution,
-        c_batch: np.ndarray,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-        detection: DetectionConstants,
-    ) -> OutcomeBatch:
-        state: _MultiState = prepared.state
-        out_sums = multi_weighted_output_sums(
-            c_batch, state.weights_m, state.weights_n
-        )  # (N, r)
-        verdicts = self._walk_verdicts(prepared, out_sums, faults_batch, detection)
-        return OutcomeBatch(prepared, faults_batch, verdicts, c_batch)
-
-    # -- sparse re-reduction hooks -------------------------------------
+    # -- struck-check hooks -------------------------------------------
     def _clean_output_reductions(self, prepared: PreparedExecution) -> np.ndarray:
         state: _MultiState = prepared.state
         return multi_row_partials(prepared.c_clean, state.weights_n)
@@ -277,11 +222,6 @@ class MultiChecksumGlobalABFT(Scheme):
         checks = np.tile(np.arange(r, dtype=np.intp), len(touched))
         return trials, checks, values.reshape(-1)
 
-    def _sparse_output_reduction(
-        self, prepared: PreparedExecution, sites: FaultSites
-    ) -> np.ndarray:
-        state: _MultiState = prepared.state
-        return splice_multi_weighted_output_sums(
-            prepared.clean_reductions, prepared.c_clean, sites,
-            state.weights_m, state.weights_n,
-        )
+    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
+        # The spec's row picks one of the r weighted checksums.
+        return spec.row % self.num_checksums

@@ -6,26 +6,15 @@ execution time (``T_o`` in §6.2).
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
-from ..config import DEFAULT_CONSTANTS, DetectionConstants, ModelConstants
-from ..faults.model import FaultSpec
+from ..config import DEFAULT_CONSTANTS, ModelConstants
 from ..gemm.counters import MainloopCost, mainloop_cost
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import TileConfig
-from .base import (
-    OutcomeBatch,
-    PlannedKernel,
-    PreparedExecution,
-    Scheme,
-    SchemePlan,
-)
+from .base import PlannedKernel, Scheme, SchemePlan
 
 
 class NoProtection(Scheme):
-    """Plain GEMM with no fault detection."""
+    """Plain GEMM with no fault detection: every verdict is ``None``."""
 
     name = "none"
     protects = False
@@ -45,12 +34,3 @@ class NoProtection(Scheme):
             work=cost.to_kernel_work(constants=constants),
         )
         return SchemePlan(self.name, problem, tile, (kernel,))
-
-    def _finish_batch(
-        self,
-        prepared: PreparedExecution,
-        c_batch: np.ndarray,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-        detection: DetectionConstants,
-    ) -> OutcomeBatch:
-        return OutcomeBatch(prepared, faults_batch, [None] * len(faults_batch), c_batch)

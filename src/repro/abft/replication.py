@@ -15,43 +15,36 @@ Two variants the paper explored before settling on ABFT:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..config import DEFAULT_CONSTANTS, DetectionConstants, ModelConstants
-from ..faults.injector import (
-    FaultSites,
-    apply_fault_to_accumulator,
-    corrupted_value,
-)
+from ..config import DEFAULT_CONSTANTS, ModelConstants
+from ..faults.injector import FaultSites
 from ..faults.model import FaultSpec
 from ..gemm.counters import MainloopCost, mainloop_cost
 from ..gemm.executor import TiledGemm
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import TileConfig
 from .base import (
-    OutcomeBatch,
     PlannedKernel,
     PreparedExecution,
     Scheme,
     SchemePlan,
 )
 from .checksums import (
-    splice_thread_tile_sums,
+    replication_struck_elements,
     thread_tile_struck_sums,
     thread_tile_sums,
-    thread_tile_sums_batch,
 )
-from .detection import compare_checksums_batch
 
 
 class ReplicationTraditional(Scheme):
     """Duplicate MMAs into a second full accumulator set; compare all.
 
-    No sparse re-reduction path: the check *is* an elementwise compare
-    of the full output against the replica — there is no output-side
-    reduction whose slices a fault could localize to.
+    The check *is* an elementwise compare of the output against the
+    replica, so a fault's struck check is its own element: no reduction
+    to recompute, and checksum-path faults corrupt the replica element.
+    The replica runs the identical MMA sequence on the identical
+    fragments, so absent faults it reproduces the accumulator exactly.
     """
 
     name = "replication_traditional"
@@ -83,49 +76,40 @@ class ReplicationTraditional(Scheme):
         )
         return SchemePlan(self.name, problem, tile, (kernel,))
 
-    def _finish_batch(
-        self,
-        prepared: PreparedExecution,
-        c_batch: np.ndarray,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-        detection: DetectionConstants,
-    ) -> OutcomeBatch:
-        # The replica runs the identical MMA sequence on the identical
-        # fragments, so absent faults it reproduces the accumulator
-        # exactly; checksum-path faults corrupt the replica instead.
-        struck = [
-            (i, specs)
-            for i, faults in enumerate(faults_batch)
-            if (specs := self._checksum_faults(faults))
-        ]
-        replicas = prepared.c_clean[None]
-        if struck:
-            replicas = np.broadcast_to(
-                prepared.c_clean, c_batch.shape
-            ).copy()
-            for i, specs in struck:
-                for spec in specs:
-                    apply_fault_to_accumulator(replicas[i], spec)
+    # -- struck-check hooks -------------------------------------------
+    def _clean_output_reductions(self, prepared: PreparedExecution) -> np.ndarray:
+        # The compared output side is the accumulator itself.
+        return prepared.c_clean
 
-        # Identical operation orders on both sides: tolerance only needs
-        # to cover non-associativity-free comparison, i.e. none — but we
-        # keep the standard machinery with a magnitude bound from |C|.
-        magnitudes = np.maximum(np.abs(replicas), np.abs(c_batch))
-        verdicts = compare_checksums_batch(
-            replicas,
-            c_batch,
-            n_terms=1,
-            magnitudes=magnitudes,
-            constants=detection,
+    def _clean_comparison_inputs(self, prepared: PreparedExecution):
+        # Identical operation orders on both sides: the tolerance only
+        # needs to cover a comparison without reassociation, i.e. none,
+        # but the standard machinery runs with a magnitude bound from |C|.
+        return (
+            prepared.c_clean,
+            prepared.clean_reductions,
+            1,
+            np.abs(prepared.c_clean),
         )
-        return OutcomeBatch(prepared, faults_batch, verdicts, c_batch)
+
+    def _struck_checks(self, prepared: PreparedExecution, sites: FaultSites):
+        return replication_struck_elements(prepared.c_clean, sites)
+
+    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
+        return spec.row * prepared.executor.n_full + spec.col
+
+    def _struck_magnitudes(
+        self, references: np.ndarray, values: np.ndarray
+    ) -> np.ndarray:
+        # max(|replica|, |C|) in the accumulator dtype: a fault moves the
+        # bound of exactly the elements it struck.
+        return np.maximum(np.abs(references), np.abs(values))
 
 
 class ReplicationSingleAccumulator(Scheme):
     """Duplicate MMAs into one 4-register accumulator; compare sums."""
 
     name = "replication_single"
-    supports_sparse = True
 
     def plan(
         self,
@@ -168,65 +152,7 @@ class ReplicationSingleAccumulator(Scheme):
         magnitudes = view.sum(axis=(1, 3), dtype=np.float64)
         return replica_sums, magnitudes
 
-    def _references_batch(
-        self,
-        prepared: PreparedExecution,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-    ) -> np.ndarray:
-        """Per-trial replica sums; checksum-path faults corrupt the replica."""
-        executor = prepared.executor
-        chosen = prepared.tile
-        clean_sums, _ = prepared.state
-        struck = [
-            (i, specs)
-            for i, faults in enumerate(faults_batch)
-            if (specs := self._checksum_faults(faults))
-        ]
-        replica_sums = clean_sums[None]
-        if struck:
-            replica_sums = np.broadcast_to(
-                clean_sums, (len(faults_batch), *clean_sums.shape)
-            ).copy()
-            for i, specs in struck:
-                for spec in specs:
-                    tile_row = min(spec.row // chosen.mt, executor.m_tiles - 1)
-                    tile_col = min(spec.col // chosen.nt, executor.n_tiles - 1)
-                    replica_sums[i, tile_row, tile_col] = corrupted_value(
-                        float(replica_sums[i, tile_row, tile_col]), spec
-                    )
-        return replica_sums
-
-    def _verdicts(
-        self,
-        prepared: PreparedExecution,
-        replica_sums: np.ndarray,
-        original_sums: np.ndarray,
-        detection: DetectionConstants,
-    ):
-        chosen = prepared.tile
-        _, magnitudes = prepared.state
-        return compare_checksums_batch(
-            replica_sums,
-            original_sums,
-            n_terms=chosen.mt * chosen.nt,
-            magnitudes=magnitudes,
-            constants=detection,
-        )
-
-    def _finish_batch(
-        self,
-        prepared: PreparedExecution,
-        c_batch: np.ndarray,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-        detection: DetectionConstants,
-    ) -> OutcomeBatch:
-        original_sums = thread_tile_sums_batch(prepared.executor, c_batch)
-        verdicts = self._walk_verdicts(
-            prepared, original_sums, faults_batch, detection
-        )
-        return OutcomeBatch(prepared, faults_batch, verdicts, c_batch)
-
-    # -- sparse re-reduction hooks -------------------------------------
+    # -- struck-check hooks -------------------------------------------
     def _clean_output_reductions(self, prepared: PreparedExecution) -> np.ndarray:
         return thread_tile_sums(prepared.executor, prepared.c_clean)
 
@@ -245,9 +171,7 @@ class ReplicationSingleAccumulator(Scheme):
             prepared.executor, prepared.c_clean, sites
         )
 
-    def _sparse_output_reduction(
-        self, prepared: PreparedExecution, sites: FaultSites
-    ) -> np.ndarray:
-        return splice_thread_tile_sums(
-            prepared.executor, prepared.clean_reductions, prepared.c_clean, sites
-        )
+    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
+        # The replica sum of the thread owning the spec's tile.
+        tile = prepared.tile
+        return (spec.row // tile.mt) * prepared.executor.n_tiles + spec.col // tile.nt

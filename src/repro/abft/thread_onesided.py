@@ -19,19 +19,16 @@ checksum is *recomputed online* (not loaded), again to avoid loads
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..config import DEFAULT_CONSTANTS, DetectionConstants, ModelConstants
-from ..faults.injector import FaultSites, apply_fault_to_accumulator
+from ..config import DEFAULT_CONSTANTS, ModelConstants
+from ..faults.injector import FaultSites
 from ..faults.model import FaultSpec
 from ..gemm.counters import MainloopCost, mainloop_cost
 from ..gemm.executor import TiledGemm
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import KSTEP, TileConfig
 from .base import (
-    OutcomeBatch,
     PlannedKernel,
     PreparedExecution,
     Scheme,
@@ -42,19 +39,15 @@ from .checksums import (
     TileWeightChecksums,
     one_sided_checksums,
     one_sided_output_rowsums,
-    one_sided_output_rowsums_batch,
     one_sided_struck_rowsums,
-    splice_one_sided_rowsums,
     tile_weight_checksums,
 )
-from .detection import compare_checksums_batch
 
 
 class ThreadLevelOneSided(Scheme):
     """Per-thread one-sided ABFT fused into the GEMM mainloop."""
 
     name = "thread_onesided"
-    supports_sparse = True
 
     def plan(
         self,
@@ -107,77 +100,7 @@ class ThreadLevelOneSided(Scheme):
     ) -> OneSidedChecksums:
         return one_sided_checksums(executor, a_pad, b_pad, weights=weight_state)
 
-    def _references_batch(
-        self,
-        prepared: PreparedExecution,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-    ) -> np.ndarray:
-        """Per-trial ABFT references with checksum-path faults applied.
-
-        The checksum side is fault-invariant for most trials: broadcast
-        it, materializing per-trial copies only when checksum-path
-        faults actually strike.
-        """
-        chks: OneSidedChecksums = prepared.state
-        executor = prepared.executor
-        chosen = prepared.tile
-        struck = [
-            (i, specs)
-            for i, faults in enumerate(faults_batch)
-            if (specs := self._checksum_faults(faults))
-        ]
-        references = chks.reference[None]
-        if struck:
-            references = np.broadcast_to(
-                chks.reference, (len(faults_batch), *chks.reference.shape)
-            ).copy()
-            for i, specs in struck:
-                for spec in specs:
-                    # A checksum-path fault corrupts the thread's ABFT
-                    # accumulator for the row/tile addressed by the spec.
-                    tile_col = min(spec.col // chosen.nt, executor.n_tiles - 1)
-                    row = min(spec.row, executor.m_full - 1)
-                    apply_fault_to_accumulator(
-                        references[i],
-                        type(spec)(
-                            row=row,
-                            col=tile_col,
-                            kind=spec.kind,
-                            bit=spec.bit,
-                            value=spec.value,
-                            path=spec.path,
-                        ),
-                    )
-        return references
-
-    def _verdicts(
-        self,
-        prepared: PreparedExecution,
-        references: np.ndarray,
-        rowsums: np.ndarray,
-        detection: DetectionConstants,
-    ):
-        chks: OneSidedChecksums = prepared.state
-        return compare_checksums_batch(
-            references,
-            rowsums,
-            n_terms=prepared.executor.k_full + prepared.tile.nt,
-            magnitudes=chks.magnitude,
-            constants=detection,
-        )
-
-    def _finish_batch(
-        self,
-        prepared: PreparedExecution,
-        c_batch: np.ndarray,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-        detection: DetectionConstants,
-    ) -> OutcomeBatch:
-        rowsums = one_sided_output_rowsums_batch(prepared.executor, c_batch)
-        verdicts = self._walk_verdicts(prepared, rowsums, faults_batch, detection)
-        return OutcomeBatch(prepared, faults_batch, verdicts, c_batch)
-
-    # -- sparse re-reduction hooks -------------------------------------
+    # -- struck-check hooks -------------------------------------------
     def _clean_output_reductions(self, prepared: PreparedExecution) -> np.ndarray:
         return one_sided_output_rowsums(prepared.executor, prepared.c_clean)
 
@@ -195,9 +118,6 @@ class ThreadLevelOneSided(Scheme):
             prepared.executor, prepared.c_clean, sites
         )
 
-    def _sparse_output_reduction(
-        self, prepared: PreparedExecution, sites: FaultSites
-    ) -> np.ndarray:
-        return splice_one_sided_rowsums(
-            prepared.executor, prepared.clean_reductions, prepared.c_clean, sites
-        )
+    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
+        # The thread's ABFT accumulator for the spec's row and column tile.
+        return spec.row * prepared.executor.n_tiles + spec.col // prepared.tile.nt

@@ -16,19 +16,16 @@ that comparison is the point of implementing this scheme.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..config import DEFAULT_CONSTANTS, DetectionConstants, ModelConstants
-from ..faults.injector import FaultSites, apply_fault_to_accumulator
+from ..config import DEFAULT_CONSTANTS, ModelConstants
+from ..faults.injector import FaultSites
 from ..faults.model import FaultSpec
 from ..gemm.counters import MainloopCost, mainloop_cost
 from ..gemm.executor import TiledGemm
 from ..gemm.problem import GemmProblem
 from ..gemm.tiles import KSTEP, TileConfig
 from .base import (
-    OutcomeBatch,
     PlannedKernel,
     PreparedExecution,
     Scheme,
@@ -37,21 +34,17 @@ from .base import (
 from .checksums import (
     TileWeightChecksums,
     TwoSidedChecksums,
-    splice_thread_tile_sums,
     thread_tile_struck_sums,
     thread_tile_sums,
-    thread_tile_sums_batch,
     tile_weight_checksums,
     two_sided_checksums,
 )
-from .detection import compare_checksums_batch
 
 
 class ThreadLevelTwoSided(Scheme):
     """Per-thread two-sided ABFT fused into the GEMM mainloop."""
 
     name = "thread_twosided"
-    supports_sparse = True
 
     def plan(
         self,
@@ -103,71 +96,7 @@ class ThreadLevelTwoSided(Scheme):
     ) -> TwoSidedChecksums:
         return two_sided_checksums(executor, a_pad, b_pad, weights=weight_state)
 
-    def _references_batch(
-        self,
-        prepared: PreparedExecution,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-    ) -> np.ndarray:
-        """Per-trial ABFT references with checksum-path faults applied."""
-        chks: TwoSidedChecksums = prepared.state
-        executor = prepared.executor
-        chosen = prepared.tile
-        struck = [
-            (i, specs)
-            for i, faults in enumerate(faults_batch)
-            if (specs := self._checksum_faults(faults))
-        ]
-        references = chks.reference[None]
-        if struck:
-            references = np.broadcast_to(
-                chks.reference, (len(faults_batch), *chks.reference.shape)
-            ).copy()
-            for i, specs in struck:
-                for spec in specs:
-                    tile_row = min(spec.row // chosen.mt, executor.m_tiles - 1)
-                    tile_col = min(spec.col // chosen.nt, executor.n_tiles - 1)
-                    apply_fault_to_accumulator(
-                        references[i],
-                        type(spec)(
-                            row=tile_row,
-                            col=tile_col,
-                            kind=spec.kind,
-                            bit=spec.bit,
-                            value=spec.value,
-                            path=spec.path,
-                        ),
-                    )
-        return references
-
-    def _verdicts(
-        self,
-        prepared: PreparedExecution,
-        references: np.ndarray,
-        tile_sums: np.ndarray,
-        detection: DetectionConstants,
-    ):
-        chks: TwoSidedChecksums = prepared.state
-        chosen = prepared.tile
-        return compare_checksums_batch(
-            references,
-            tile_sums,
-            n_terms=prepared.executor.k_full * chosen.mt + chosen.mt * chosen.nt,
-            magnitudes=chks.magnitude,
-            constants=detection,
-        )
-
-    def _finish_batch(
-        self,
-        prepared: PreparedExecution,
-        c_batch: np.ndarray,
-        faults_batch: Sequence[tuple[FaultSpec, ...]],
-        detection: DetectionConstants,
-    ) -> OutcomeBatch:
-        tile_sums = thread_tile_sums_batch(prepared.executor, c_batch)
-        verdicts = self._walk_verdicts(prepared, tile_sums, faults_batch, detection)
-        return OutcomeBatch(prepared, faults_batch, verdicts, c_batch)
-
-    # -- sparse re-reduction hooks -------------------------------------
+    # -- struck-check hooks -------------------------------------------
     def _clean_output_reductions(self, prepared: PreparedExecution) -> np.ndarray:
         return thread_tile_sums(prepared.executor, prepared.c_clean)
 
@@ -186,9 +115,7 @@ class ThreadLevelTwoSided(Scheme):
             prepared.executor, prepared.c_clean, sites
         )
 
-    def _sparse_output_reduction(
-        self, prepared: PreparedExecution, sites: FaultSites
-    ) -> np.ndarray:
-        return splice_thread_tile_sums(
-            prepared.executor, prepared.clean_reductions, prepared.c_clean, sites
-        )
+    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
+        # The ABFT scalar of the thread owning the spec's tile.
+        tile = prepared.tile
+        return (spec.row // tile.mt) * prepared.executor.n_tiles + spec.col // tile.nt

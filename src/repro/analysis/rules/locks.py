@@ -3,7 +3,7 @@
 Contract guarded (DESIGN.md §1/§5): classes that create a lock
 (``self._lock = threading.Lock()`` and friends) do so because their
 mutable state is shared across threads — ``PreparedCache`` entries and
-hit counters, ``PreparedExecution``'s lazily built sparse-path caches,
+hit counters, ``PreparedExecution``'s lazily built clean-comparison caches,
 ``ProtectedSession``'s synthesized-operand memo, the serving layer's
 latency stats.  Every access to that state must happen inside a
 ``with self.<lock>`` block, or a racing reader can observe a

@@ -272,7 +272,6 @@ class ProtectedSession:
         seed: int | None = None,
         significance_factor: float | None = None,
         batch_size: int | None = None,
-        sparse: bool | None = None,
         options: CampaignOptions | None = None,
     ) -> FaultCampaign:
         """A prepared :class:`~repro.faults.FaultCampaign` on one layer.
@@ -310,7 +309,6 @@ class ProtectedSession:
             options, owner, "significance_factor", significance_factor
         )
         batch_size = resolve_option(options, owner, "batch_size", batch_size)
-        sparse = resolve_option(options, owner, "sparse", sparse)
         if options is not None and options.cache is not None:
             if options.cache is not self.cache:
                 raise ConfigurationError(
@@ -340,7 +338,6 @@ class ProtectedSession:
                 seed=seed,
                 significance_factor=significance_factor,
                 batch_size=batch_size,
-                sparse=sparse,
                 cache=self.cache,
                 workers=workers,
             ),
@@ -421,7 +418,6 @@ class ProtectedSession:
                 significance_factor=(
                     options.significance_factor if options else None
                 ),
-                sparse=options.sparse if options else None,
             ),
             **extra,
         )

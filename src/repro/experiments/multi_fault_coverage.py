@@ -2,7 +2,7 @@
 
 The paper notes that ABFT extends to detecting up to ``r`` simultaneous
 faults via ``r`` independent weighted checksums.  This experiment
-exercises that claim end to end on the sparse batched engine: for
+exercises that claim end to end on the batched struck-check engine: for
 ``global_multi`` at several checksum counts ``r`` (with plain ``global``
 as the 1-check baseline), it runs multi-fault campaigns sweeping the
 per-trial simultaneous-fault count and reports detection coverage as a

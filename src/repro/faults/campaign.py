@@ -23,24 +23,21 @@ and verdicts all happen in batch-wide NumPy calls.  Passing a shared
 parameter sweeps (several campaigns over one problem, varying
 significance factors, detection constants, or per-trial fault counts)
 reuse a single prepared state, so the whole sweep runs the clean GEMM
-exactly once.  Schemes with a sparse re-reduction path (DESIGN.md
-§1.3) additionally skip the stacked accumulator entirely: only the
-reduction slices each fault struck are recomputed, and trial records
-are classified from the fault sites' final values rather than from
-materialized accumulators, so the whole record pipeline — delta
-gather, significance classification, verdict extraction — is
-vectorized end to end and scales with the *faults per trial*, not the
-output.  A drawn batch stays columnar from the RNG draw to the
-:class:`CampaignResult`: sites are valued from the drawn
-:class:`SpecArrays`, verdicts come back as columns, and no per-trial
-object is built until a caller reads ``result.trials``.  The chunk
-size (:attr:`FaultCampaign.batch_size`) is auto-tuned from the
-scheme's check-array footprint unless overridden.
+exactly once.  Injection never materializes an accumulator (DESIGN.md
+§1.3): only the checks each fault struck are recomputed, and trial
+records are classified from the fault sites' final values, so the
+whole record pipeline — delta gather, significance classification,
+verdict extraction — is vectorized end to end and scales with the
+*faults per trial*, not the output.  A drawn batch stays columnar from
+the RNG draw to the :class:`CampaignResult`: sites are valued from the
+drawn :class:`SpecArrays`, verdicts come back as columns, and no
+per-trial object is built until a caller reads ``result.trials``.
+Trials run in chunks of :attr:`FaultCampaign.batch_size` (default
+:attr:`FaultCampaign.BATCH_SIZE`).
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -66,7 +63,7 @@ def assemble_specs(arrays: SpecArrays) -> list[FaultSpec]:
     """Materialize drawn spec arrays into :class:`FaultSpec` objects.
 
     The bulk form of :meth:`SpecArrays.spec`, shared by every consumer
-    that needs spec objects for a whole drawn batch — the dense path,
+    that needs spec objects for a whole drawn batch — ``draw_faults``
     and a result's ``trials`` list — so all of them build identical
     specs from identical draws.
     """
@@ -342,8 +339,8 @@ class FaultCampaign:
     Each trial injects one fault set: a single fault by default (the
     paper's §2.3 model), or several simultaneous faults via the
     ``faults_per_trial`` arguments of :meth:`run`/:meth:`run_batch`/
-    :meth:`draw_faults` (the §2.4 extension — the sparse engine handles
-    arbitrary per-trial fault sets).
+    :meth:`draw_faults` (the §2.4 extension — the struck-check engine
+    handles arbitrary per-trial fault sets).
 
     Parameters
     ----------
@@ -360,18 +357,10 @@ class FaultCampaign:
         (e.g. LSB mantissa flips) are below the rounding-noise floor by
         construction and no checksum scheme can — or needs to — see them.
     batch_size:
-        Trials per chunked ``inject_batch`` call.  ``None`` (default)
-        auto-tunes it from the scheme's per-trial memory footprint —
-        the check arrays alone on the sparse path, the stacked
-        ``(batch, m_full, n_full)`` accumulator plus check arrays on
-        the dense one — so every scheme's chunk fills roughly the same
-        transient-memory budget while keeping the per-trial Python
-        overhead amortized.
-    sparse:
-        Re-reduction path selector, forwarded to ``inject_batch``:
-        ``None`` (default) uses sparse re-reduction whenever the scheme
-        supports it, ``False`` forces the dense stacked batch, ``True``
-        demands sparse and rejects schemes without it.
+        Trials per chunked ``inject_batch`` call (default
+        :attr:`BATCH_SIZE`).  A chunk's transient memory scales with
+        its faults, not with the output, so one default serves every
+        scheme; records are identical at any chunk size.
     cache:
         Optional shared :class:`~repro.abft.base.PreparedCache`.  When
         given, the campaign fetches its prepared state from the cache
@@ -389,16 +378,13 @@ class FaultCampaign:
     options:
         A :class:`~repro.faults.CampaignOptions` carrying any of the
         knobs above; ``seed`` / ``significance_factor`` / ``batch_size``
-        / ``sparse`` may be given either here or as their keyword, not
-        both.  ``detection`` / ``cache`` / ``workers`` are options-only
+        may be given either here or as their keyword, not both.  ``detection`` / ``cache`` / ``workers`` are options-only
         (their keyword aliases were removed after one deprecated
         release).
     """
 
-    #: Transient-memory budget the auto-tuned batch size fills.
-    BATCH_MEMORY_BUDGET = 32 * 1024 * 1024
-    #: Auto-tuned batch size clamp (amortization floor / memory ceiling).
-    BATCH_SIZE_BOUNDS = (32, 2048)
+    #: Default trials per ``inject_batch`` chunk.
+    BATCH_SIZE = 2048
 
     def __init__(
         self,
@@ -410,7 +396,6 @@ class FaultCampaign:
         significance_factor: float | None = None,
         seed: int | None = None,
         batch_size: int | None = None,
-        sparse: bool | None = None,
         options: CampaignOptions | None = None,
     ) -> None:
         # detection / cache / workers travel only on the options object.
@@ -425,7 +410,6 @@ class FaultCampaign:
         batch_size = resolve_option(
             options, "FaultCampaign", "batch_size", batch_size
         )
-        sparse = resolve_option(options, "FaultCampaign", "sparse", sparse)
         if detection is None:
             # Scheme-matched default: the INT8 pipeline's exact-integer
             # checks need the half-ULP tolerance, not FP32 roundoff.
@@ -443,11 +427,6 @@ class FaultCampaign:
             raise FaultInjectionError(
                 f"batch_size must be positive, got {batch_size}"
             )
-        if sparse and not scheme.supports_sparse:
-            raise FaultInjectionError(
-                f"scheme {scheme.name!r} has no sparse re-reduction path; "
-                f"pass sparse=False or None"
-            )
         if workers is not None and workers < 1:
             raise FaultInjectionError(
                 f"workers must be >= 1, got {workers}"
@@ -459,12 +438,7 @@ class FaultCampaign:
         self.tile = tile
         self.detection = detection
         self.significance_factor = significance_factor
-        self.sparse = sparse
         self.rng = np.random.default_rng(seed)
-        # Dense-path scratch is reused across runs but never across
-        # threads: concurrent runs of one campaign (session fan-out)
-        # each fill a private buffer.
-        self._tls = threading.local()
 
         # All fault-invariant work happens exactly once — here, or once
         # per sweep inside a shared cache; trials only inject into
@@ -473,10 +447,7 @@ class FaultCampaign:
             self._prepared = cache.get(scheme, self.a, self.b, tile=tile)
         else:
             self._prepared = scheme.prepare(self.a, self.b, tile=tile)
-        self._use_sparse = scheme.supports_sparse if sparse is None else sparse
-        self.batch_size = (
-            batch_size if batch_size is not None else self._auto_batch_size()
-        )
+        self.batch_size = batch_size if batch_size is not None else self.BATCH_SIZE
 
         # Baseline (fault-free) run: establishes the tolerance scale and
         # sanity-checks that the clean execution raises no alarm.
@@ -527,7 +498,6 @@ class FaultCampaign:
         significance_factor: float,
         tolerance_scale: float,
         batch_size: int,
-        use_sparse: bool,
     ) -> "FaultCampaign":
         """Rehydrate a campaign around an existing prepared state.
 
@@ -548,12 +518,9 @@ class FaultCampaign:
         self.tile = prepared.tile
         self.detection = detection
         self.significance_factor = significance_factor
-        self.sparse = use_sparse
         self.workers = None
         self.rng = None
-        self._tls = threading.local()
         self._prepared = prepared
-        self._use_sparse = use_sparse
         self.batch_size = batch_size
         self._baseline = None
         self._tolerance_scale = tolerance_scale
@@ -574,40 +541,6 @@ class FaultCampaign:
         if workers < 1:
             raise FaultInjectionError(f"workers must be >= 1, got {workers}")
         return max(1, min(int(workers), n_trials))
-
-    # ------------------------------------------------------------------
-    def _auto_batch_size(self) -> int:
-        """Chunk size filling :attr:`BATCH_MEMORY_BUDGET` per batch.
-
-        The per-trial transient footprint depends on the execution
-        path: sparse re-reduction materializes only per-trial copies of
-        the scheme's check arrays (plus comparison intermediates of the
-        same shape), while the dense batch adds the stacked
-        ``(batch, m_full, n_full)`` float32 accumulator.  Schemes with
-        small check arrays (scalar global checks, per-tile sums) thus
-        get much larger chunks than schemes whose checks are
-        output-sized (elementwise replication), instead of everyone
-        sharing one fixed guess.
-        """
-        executor = self._prepared.executor
-        outputs = executor.m_full * executor.n_full
-        if self.scheme.supports_sparse:
-            reductions = self._prepared.clean_reductions
-            if not isinstance(reductions, tuple):
-                reductions = (reductions,)
-            check_bytes = sum(np.asarray(r).nbytes for r in reductions)
-        else:
-            # No slice-decomposable reduction: the check compares
-            # output-sized arrays elementwise (replication).
-            check_bytes = 8 * outputs
-        if self._use_sparse:
-            # Broadcast check-array copy + residual/tolerance/verdict
-            # intermediates, all check-shaped; no stacked accumulator.
-            per_trial = 6 * check_bytes + 256
-        else:
-            per_trial = 4 * outputs + 4 * check_bytes
-        low, high = self.BATCH_SIZE_BOUNDS
-        return max(low, min(high, self.BATCH_MEMORY_BUDGET // per_trial))
 
     @property
     def fault_domain(self) -> tuple[int, int]:
@@ -735,8 +668,7 @@ class FaultCampaign:
         (:func:`~repro.faults.injector.faulted_site_values` — the same
         corruption core injection uses), not from reading materialized
         accumulators, so the gather is a handful of fancy-indexed NumPy
-        calls on either execution path and sparse outcomes never
-        materialize their grids.  A trial is *significant* when any of
+        calls and outcomes never materialize their grids.  A trial is *significant* when any of
         its struck sites moved past the significance threshold (or into
         non-finite territory); its reported ``delta`` is the
         largest-magnitude site delta (first site wins ties).  Trials
@@ -799,43 +731,22 @@ class FaultCampaign:
         """Execute all trials through chunked ``inject_batch`` calls.
 
         Returns the ``(deltas, detected, significant, benign)`` columns
-        of :meth:`_classify_batch`, concatenated across chunks.  On the
-        dense path one scratch buffer of ``batch_size`` stacked
-        accumulators is allocated lazily and reused across chunks (and
-        campaign runs): each chunk is classified before the next one
-        overwrites the buffer.  The sparse path materializes no
-        accumulators, so it needs no scratch at all.  ``sites_fn`` —
-        ``(start, chunk) -> FaultSites`` — supplies each chunk's site
-        valuation when the caller already fused it with drawing
-        (:meth:`run_batch`); otherwise the sparse path derives it per
-        chunk from the specs.
+        of :meth:`_classify_batch`, concatenated across chunks.  One
+        fault→site valuation per chunk serves both the injection and
+        the record classification; ``sites_fn`` — ``(start, chunk) ->
+        FaultSites`` — supplies it when the caller already fused it
+        with drawing (:meth:`run_batch`), otherwise it is derived from
+        the chunk's specs.
         """
         columns: list[tuple[np.ndarray, ...]] = []
-        scratch = None
-        if not self._use_sparse:
-            size = min(self.batch_size, len(trials))
-            scratch = getattr(self._tls, "scratch", None)
-            if size and (scratch is None or len(scratch) < size):
-                scratch = np.empty(
-                    (size, *self._prepared.c_clean.shape),
-                    dtype=self._prepared.c_clean.dtype,
-                )
-                self._tls.scratch = scratch
         for start in range(0, len(trials), self.batch_size):
             chunk = trials[start:start + self.batch_size]
-            sites = None
             if sites_fn is not None:
                 sites = sites_fn(start, chunk)
-            elif self._use_sparse:
-                # One fault→site valuation serves both the sparse
-                # injection and the record classification.
+            else:
                 sites = faulted_site_values(self._prepared.c_clean, chunk)
             outcomes = self._prepared.inject_batch(
-                chunk,
-                detection=self.detection,
-                out=scratch[: len(chunk)] if scratch is not None else None,
-                sparse=self._use_sparse,
-                sites=sites,
+                chunk, detection=self.detection, sites=sites
             )
             columns.append(self._classify_batch(chunk, outcomes, sites))
         if not columns:
@@ -926,21 +837,14 @@ class FaultCampaign:
             self.scheme.name, trials, *self._run_specs_columns(trials)
         )
 
-    def _run_drawn(
-        self, trials: _DrawnTrials
-    ) -> tuple[Sequence[tuple[FaultSpec, ...]], tuple[np.ndarray, ...]]:
-        """Execute a drawn batch: ``(per-trial faults, verdict columns)``.
+    def _run_drawn(self, trials: _DrawnTrials) -> tuple[np.ndarray, ...]:
+        """Verdict columns of a drawn batch, run straight from its columns.
 
-        The sparse path runs straight from the drawn columns — sites
-        valued by :meth:`_fused_sites_fn`, injection and classification
-        reading no spec tuple — so no :class:`FaultSpec` is built.  The
-        dense path stacks accumulators from spec tuples, so it
-        assembles them once for the whole batch.
+        Sites are valued by :meth:`_fused_sites_fn`, and injection and
+        classification read no spec tuple, so no :class:`FaultSpec` is
+        built.
         """
-        sites_fn = self._fused_sites_fn(trials)
-        if not self._use_sparse:
-            trials = trials.materialize()
-        return trials, self._run_specs_columns(trials, sites_fn)
+        return self._run_specs_columns(trials, self._fused_sites_fn(trials))
 
     def _fused_sites_fn(self, trials: _DrawnTrials):
         """Per-chunk :class:`FaultSites` builder over a drawn batch.
@@ -981,7 +885,7 @@ class FaultCampaign:
         fault-set injection against the shared prepared state), but the
         randomness is drawn in vectorized batch RNG calls before any
         trial executes, and the batch then runs from the drawn columns:
-        the fault→site valuation feeding the sparse engine and record
+        the fault→site valuation feeding injection and record
         classification reads them directly (:meth:`_fused_sites_fn`),
         and the result holds them with the verdict columns, building
         :class:`FaultSpec` and :class:`TrialRecord` objects only when
@@ -1027,8 +931,10 @@ class FaultCampaign:
                 faults_per_trial=faults_per_trial,
                 workers=n_workers,
             )
-        trials, columns = self._run_drawn(_DrawnTrials(arrays, faults_per_trial))
-        return CampaignResult._from_columns(self.scheme.name, trials, *columns)
+        trials = _DrawnTrials(arrays, faults_per_trial)
+        return CampaignResult._from_columns(
+            self.scheme.name, trials, *self._run_drawn(trials)
+        )
 
 
 def _check_draw(n: int, faults_per_trial: int) -> None:

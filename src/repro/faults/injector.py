@@ -1,16 +1,15 @@
 """Application of fault specs to numeric accumulators.
 
-Three granularities: :func:`apply_fault_to_accumulator` corrupts one
-element of one accumulator (the scalar path reference semantics),
-:func:`apply_fault_batch` applies one fault per *trial slice* of a
-stacked ``(N, rows, cols)`` accumulator with fancy indexing, and
+Two granularities: :func:`apply_fault_to_accumulator` corrupts one
+element of one accumulator (the scalar reference semantics, shared
+with checksum-side elements through :func:`corrupted_element`), and
 :func:`faulted_site_values` computes the final post-fault value of
 every struck output element *without* materializing any per-trial
 accumulator at all — the fault→coordinate mapping that feeds the
-sparse re-reduction path of
+struck-check re-reduction of
 :meth:`repro.abft.base.PreparedExecution.inject_batch`.
 
-All paths share one corruption core (:func:`corrupted_values_batch`,
+The batch paths share one corruption core (:func:`corrupted_values_batch`,
 or :func:`corrupted_values_columns` for drawn spec columns, which
 applies the same operations without spec objects) and are
 bit-identical to the scalar reference per element: additive faults
@@ -74,12 +73,28 @@ def corrupted_int32_value(original: int, spec: FaultSpec) -> int:
     raise FaultInjectionError(f"unhandled fault kind {spec.kind!r}")
 
 
+def corrupted_element(value: np.generic, spec: FaultSpec) -> np.generic:
+    """The value one element holds after ``spec`` strikes it, in its dtype.
+
+    Integer (INT32 accumulator) elements take
+    :func:`corrupted_int32_value`; float elements take
+    :func:`corrupted_value` rounded back to their own precision.  The
+    element semantics every scalar fault application shares, on the
+    output and on the checksum side alike.
+    """
+    if isinstance(value, np.integer):
+        return np.int32(corrupted_int32_value(int(value), spec))
+    return value.dtype.type(corrupted_value(float(value), spec))
+
+
 def apply_fault_to_accumulator(c_pad: np.ndarray, spec: FaultSpec) -> float:
     """Corrupt one element of the padded FP32 accumulator in place.
 
     Returns the additive delta the fault introduced (``new - old``),
     which is what a corrupted MMA partial product contributes to the
-    final accumulator under linear accumulation.
+    final accumulator under linear accumulation.  A flip of the
+    exponent MSB can produce inf/NaN; it is kept — ABFT comparisons
+    flag non-finite mismatches.
     """
     rows, cols = c_pad.shape
     if not (0 <= spec.row < rows and 0 <= spec.col < cols):
@@ -87,20 +102,10 @@ def apply_fault_to_accumulator(c_pad: np.ndarray, spec: FaultSpec) -> float:
             f"fault site ({spec.row}, {spec.col}) outside accumulator "
             f"{rows}x{cols}"
         )
-    if np.issubdtype(c_pad.dtype, np.integer):
-        old_int = int(c_pad[spec.row, spec.col])
-        new_int = corrupted_int32_value(old_int, spec)
-        c_pad[spec.row, spec.col] = np.int32(new_int)
-        return float(new_int - old_int)
-    old = float(c_pad[spec.row, spec.col])
-    new = corrupted_value(old, spec)
-    if not np.isfinite(new):
-        # A flip of the exponent MSB can produce inf/NaN; keep it — ABFT
-        # comparisons naturally flag non-finite mismatches.
-        pass
-    stored = c_pad.dtype.type(new)
-    c_pad[spec.row, spec.col] = stored
-    return float(stored) - old
+    old = c_pad[spec.row, spec.col]
+    new = corrupted_element(old, spec)
+    c_pad[spec.row, spec.col] = new
+    return float(new) - float(old)
 
 
 def corrupted_values_batch(
@@ -221,51 +226,6 @@ def _int32_words(values: np.ndarray) -> np.ndarray:
     )
 
 
-def _validated_coords(
-    specs: Sequence[FaultSpec], rows_total: int, cols_total: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row/col index arrays of ``specs``, bounds-checked."""
-    count = len(specs)
-    rows = np.fromiter((s.row for s in specs), dtype=np.intp, count=count)
-    cols = np.fromiter((s.col for s in specs), dtype=np.intp, count=count)
-    out_of_bounds = (rows >= rows_total) | (cols >= cols_total)
-    if out_of_bounds.any():
-        bad = specs[int(np.flatnonzero(out_of_bounds)[0])]
-        raise FaultInjectionError(
-            f"fault site ({bad.row}, {bad.col}) outside accumulator "
-            f"{rows_total}x{cols_total}"
-        )
-    return rows, cols
-
-
-def apply_fault_batch(
-    c_batch: np.ndarray,
-    trials: np.ndarray,
-    specs: Sequence[FaultSpec],
-) -> None:
-    """Corrupt one element per listed trial of a stacked accumulator.
-
-    ``specs[i]`` strikes ``c_batch[trials[i], specs[i].row, specs[i].col]``.
-    The struck elements are gathered with one fancy-indexed read, run
-    through :func:`corrupted_values_batch`, and scattered back, so the
-    whole call is a handful of NumPy operations regardless of how many
-    trials it covers.  A trial may appear at most once per call; callers
-    sequencing multiple faults into the same trial make one call per
-    ordering step.
-    """
-    if len(trials) != len(specs):
-        raise FaultInjectionError(
-            f"{len(trials)} trial indices for {len(specs)} fault specs"
-        )
-    if not len(specs):
-        return
-    _, rows_total, cols_total = c_batch.shape
-    rows, cols = _validated_coords(specs, rows_total, cols_total)
-    c_batch[trials, rows, cols] = corrupted_values_batch(
-        c_batch[trials, rows, cols], specs
-    )
-
-
 @dataclass(frozen=True)
 class FaultSites:
     """Every original-path fault site of a trial batch, with final values.
@@ -273,9 +233,9 @@ class FaultSites:
     One entry per **unique** ``(trial, row, col)`` site: ``values[i]``
     is the value the accumulator element would hold after *all* of that
     trial's faults on that site were applied in spec order.  This is
-    the sparse re-reduction engine's whole view of a batch — which
-    output elements changed and what they became — derived without
-    touching an ``(N, m, n)`` accumulator.
+    the struck-check engine's whole view of a batch's output side —
+    which output elements changed and what they became — derived
+    without touching an ``(N, m, n)`` accumulator.
     """
 
     trials: np.ndarray  # (S,) intp — trial index per site
@@ -313,12 +273,17 @@ def faulted_site_values(
 ) -> FaultSites:
     """Map a trial batch's original-path faults to final site values.
 
-    Walks the same per-trial ordering steps as the dense stacked path
-    (step ``j`` applies every trial's ``j``-th original-path fault), but
-    applies each step's corruption only to the handful of struck clean
-    values — so deriving the sparse engine's inputs costs O(faults),
-    not O(trials x outputs).  Bit-identical per element to reading the
-    struck sites out of :func:`apply_fault_batch`'s accumulator.
+    Step ``j`` applies every trial's ``j``-th original-path fault, and
+    each step's corruption touches only the handful of struck clean
+    values — so deriving the engine's inputs costs O(faults), not
+    O(trials x outputs).  Bit-identical per element to applying each
+    trial's faults in spec order to a copy of the accumulator with
+    :func:`apply_fault_to_accumulator`.
+
+    Every spec is bounds-checked here, once, against the padded grid —
+    checksum-path ones too, since their coordinates select the check
+    they corrupt — and an out-of-range site raises
+    :class:`~repro.errors.FaultInjectionError`.
     """
     rows_total, cols_total = c_clean.shape
     site_index: dict[tuple[int, int, int], int] = {}
@@ -330,6 +295,11 @@ def faulted_site_values(
     for t, faults in enumerate(faults_batch):
         step = 0
         for spec in faults:
+            if spec.row >= rows_total or spec.col >= cols_total:
+                raise FaultInjectionError(
+                    f"fault site ({spec.row}, {spec.col}) outside "
+                    f"accumulator {rows_total}x{cols_total}"
+                )
             if spec.path is not FaultPath.ORIGINAL:
                 if not checksum_trials or checksum_trials[-1] != t:
                     checksum_trials.append(t)
@@ -350,9 +320,6 @@ def faulted_site_values(
     trials = np.asarray(site_trials, dtype=np.intp)
     rows = np.asarray(site_rows, dtype=np.intp)
     cols = np.asarray(site_cols, dtype=np.intp)
-    if len(trials):
-        all_specs = [spec for entries in steps for _, spec in entries]
-        _validated_coords(all_specs, rows_total, cols_total)
     site_dtype = (
         np.int32 if np.issubdtype(c_clean.dtype, np.integer) else np.float32
     )
@@ -411,31 +378,4 @@ def sites_from_flat_specs(
         cols=cols,
         values=corrupted_values_columns(c_clean[rows, cols], specs),
         n_trials=n_trials,
-    )
-
-
-def subset_sites(sites: FaultSites, trial_indices: Sequence[int]) -> FaultSites:
-    """Sites of the listed trials, renumbered to the subset's order.
-
-    ``trial_indices[j]`` becomes trial ``j`` of the returned map — the
-    shape the sparse engine's dense-fallback takes when a few trials of
-    a batch (those with corrupted checksum sides) need fully
-    materialized check arrays.
-    """
-    renumber = {int(t): j for j, t in enumerate(trial_indices)}
-    if len(renumber) != len(trial_indices):
-        raise FaultInjectionError("trial_indices must be unique")
-    wanted = np.asarray(trial_indices, dtype=np.intp)
-    mask = np.isin(sites.trials, wanted)
-    kept = sites.trials[mask]
-    checksum = sites.checksum_trials[np.isin(sites.checksum_trials, wanted)]
-    return FaultSites(
-        trials=np.asarray([renumber[int(t)] for t in kept], dtype=np.intp),
-        rows=sites.rows[mask],
-        cols=sites.cols[mask],
-        values=sites.values[mask],
-        n_trials=len(trial_indices),
-        checksum_trials=np.asarray(
-            sorted(renumber[int(t)] for t in checksum), dtype=np.intp
-        ),
     )

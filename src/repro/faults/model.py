@@ -55,8 +55,10 @@ class FaultSpec:
     ----------
     row, col:
         Output-element coordinates in the *padded* accumulator grid.
-        For checksum-path faults the coordinates select the thread tile
-        (or are ignored by global schemes, which have one checksum).
+        For checksum-path faults the coordinates select the check whose
+        checksum side is corrupted (the element, row/tile, or thread
+        tile; any site for global ABFT, which has one checksum).  On
+        either path they must lie inside the grid.
     kind:
         Corruption mechanism.
     bit:

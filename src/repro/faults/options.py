@@ -9,9 +9,9 @@ frozen dataclass accepted everywhere as ``options=``.
 Every field defaults to ``None``, meaning "the consumer's own default",
 so a partially filled options object composes with per-consumer
 defaults exactly like the individual kwargs did.  The trial-shaping
-knobs (``seed`` / ``significance_factor`` / ``batch_size`` /
-``sparse``) may be given either through ``options=`` or through the
-corresponding keyword, never both; ``detection`` / ``cache`` /
+knobs (``seed`` / ``significance_factor`` / ``batch_size``) may be
+given either through ``options=`` or through the corresponding
+keyword, never both; ``detection`` / ``cache`` /
 ``workers`` travel only on the options object (their keyword aliases
 were removed after one deprecated release).
 """
@@ -45,9 +45,8 @@ class CampaignOptions:
     significance_factor:
         Significance threshold multiplier (effective default ``4.0``).
     batch_size:
-        Trials per chunked ``inject_batch`` call (default: auto-tuned).
-    sparse:
-        Re-reduction path selector (default: sparse when supported).
+        Trials per chunked ``inject_batch`` call (default:
+        :attr:`~repro.faults.FaultCampaign.BATCH_SIZE`).
     cache:
         Shared :class:`~repro.abft.base.PreparedCache`.  A propagation
         campaign inherits its engine's cache and rejects a conflicting
@@ -61,14 +60,13 @@ class CampaignOptions:
     >>> opts = CampaignOptions(seed=7, workers=2)
     >>> opts.with_defaults(seed=0, batch_size=64)
     CampaignOptions(seed=7, detection=None, significance_factor=None, \
-batch_size=64, sparse=None, cache=None, workers=2)
+batch_size=64, cache=None, workers=2)
     """
 
     seed: int | None = None
     detection: "DetectionConstants | None" = None
     significance_factor: float | None = None
     batch_size: int | None = None
-    sparse: bool | None = None
     cache: "PreparedCache | None" = None
     workers: int | None = None
 

@@ -1,7 +1,7 @@
 """Multiprocess sharded campaign execution.
 
-The prepared sparse engine sustains tens of thousands of trials per
-second — on one core.  This module scales campaigns across cores by
+The prepared struck-check engine sustains tens of thousands of trials
+per second — on one core.  This module scales campaigns across cores by
 sharding the *trials* of one run over a
 :class:`concurrent.futures.ProcessPoolExecutor` while sharing the
 *fault-invariant* state: the parent exports the read-only
@@ -9,7 +9,7 @@ sharding the *trials* of one run over a
 FP32 accumulator, cached check arrays) into one
 :mod:`multiprocessing.shared_memory` segment, and every worker maps
 zero-copy views of it — no per-worker clean GEMM, no pickling of
-operand or check arrays.  Workers run ordinary chunked sparse
+operand or check arrays.  Workers run ordinary chunked
 ``inject_batch`` shards locally and return columnar verdicts; the
 parent concatenates them in shard order.
 
@@ -274,7 +274,6 @@ class _ShardConfig:
     significance_factor: float
     tolerance_scale: float
     batch_size: int
-    use_sparse: bool
 
 
 def _run_campaign_shard(
@@ -302,10 +301,9 @@ def _run_campaign_shard(
         significance_factor=cfg.significance_factor,
         tolerance_scale=cfg.tolerance_scale,
         batch_size=cfg.batch_size,
-        use_sparse=cfg.use_sparse,
     )
     if trials is None:
-        return campaign._run_drawn(_DrawnTrials(arrays, faults_per_trial))[1]
+        return campaign._run_drawn(_DrawnTrials(arrays, faults_per_trial))
     return campaign._run_specs_columns(trials)
 
 
@@ -417,18 +415,16 @@ def run_campaign_sharded(
             )
 
     prepared = campaign._prepared
-    if campaign._use_sparse:
-        # Force the lazy clean check arrays into the prepared state now
-        # so they ride the shared segment instead of being rebuilt once
-        # per worker.
-        prepared.clean_reductions
-        prepared.clean_comparison(campaign.detection)
+    # Force the lazy clean check arrays into the prepared state now so
+    # they ride the shared segment instead of being rebuilt once per
+    # worker.
+    prepared.clean_reductions
+    prepared.clean_comparison(campaign.detection)
     cfg = _ShardConfig(
         detection=campaign.detection,
         significance_factor=campaign.significance_factor,
         tolerance_scale=campaign._tolerance_scale,
         batch_size=campaign.batch_size,
-        use_sparse=campaign._use_sparse,
     )
     payload, shm = export_payload(prepared)
     bounds = shard_bounds(n, workers)
@@ -465,9 +461,8 @@ def run_propagation_sharded(
     concatenation reproduces the sequential record stream exactly.
     """
     trials = list(trials)
-    if campaign._prepared.scheme.supports_sparse:
-        campaign._prepared.clean_reductions
-        campaign._prepared.clean_comparison(campaign._detection)
+    campaign._prepared.clean_reductions
+    campaign._prepared.clean_comparison(campaign._detection)
     payload, shm = export_payload(campaign._shard_state())
     bounds = shard_bounds(len(trials), workers)
     pool = ProcessPoolExecutor(max_workers=len(bounds), mp_context=_mp_context())

@@ -5,7 +5,7 @@ detection *at the struck layer* and stop.  The paper's premise is one
 level up: what matters is whether an undetected fault silently corrupts
 the **model output** — a top-1 flip, or output divergence beyond
 tolerance.  :class:`PropagationCampaign` closes that gap: each trial
-injects a fault set into one layer's GEMM via the prepared sparse
+injects a fault set into one layer's GEMM via the prepared struck-check
 engine, carries the corrupted activations through the remaining layers
 of the numeric model, and classifies the end-to-end outcome against
 the ABFT verdict:
@@ -212,7 +212,7 @@ class PropagationCampaign:
         float64; non-finite divergence always corrupts).
     batch_size:
         Trials per chunked injection call (default: the underlying
-        GEMM campaign's auto-tuned size).
+        GEMM campaign's, :attr:`FaultCampaign.BATCH_SIZE`).
     verify_recovery:
         Assert that a recovered trial's *end-to-end* output bit-equals
         the clean pass.  Every recovered trial's struck output is
@@ -233,8 +233,8 @@ class PropagationCampaign:
     options:
         A :class:`~repro.faults.CampaignOptions`; ``seed`` /
         ``batch_size`` / ``workers`` apply here (each settable either
-        way, not both), ``significance_factor`` / ``sparse`` forward to
-        the struck layer's GEMM campaign, and ``detection`` / ``cache``
+        way, not both), ``significance_factor`` forwards to the struck
+        layer's GEMM campaign, and ``detection`` / ``cache``
         must agree with the engine's own (they are engine-derived).
         ``workers`` is options-only (its keyword alias was removed
         after one deprecated release).
@@ -346,7 +346,6 @@ class PropagationCampaign:
                 significance_factor=(
                     options.significance_factor if options else None
                 ),
-                sparse=options.sparse if options else None,
             ),
         )
         self._prepared = self._gemm.prepared

@@ -183,12 +183,51 @@ class TestSparseVerdictColumns:
         ]
         _assert_same_verdicts(*_sparse_vs_dense(clean, struck, magnitudes))
 
-    def test_splice_replaces_whole_trials(self):
-        sparse, _ = _sparse_vs_dense(self.CLEAN, [{1: 0.0}, {2: 9.0}, {}], 0.0)
-        other, _ = _sparse_vs_dense(self.CLEAN[:8], [{5: 0.0}], 1e9)
-        spliced = sparse.splice(np.array([1]), other)
-        assert [v.violations for v in spliced] == [
-            sparse[0].violations, other[0].violations, sparse[2].violations,
+    @given(data=st.data(), n_checks=st.integers(1, 12), n_trials=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_struck_sides_and_magnitudes_match_dense(self, data, n_checks, n_trials):
+        """Entries carrying their own checksum side and magnitude bound
+        (elementwise replication: ``max(|lhs|, |rhs|)``) render the
+        dense verdict, including bounds below the clean maximum and NaN
+        bounds."""
+        levels = st.sampled_from([0.0, 1e3, 2e3, 2e3, 4e3, -3e3])
+        clean = np.asarray(
+            data.draw(st.lists(levels, min_size=n_checks, max_size=n_checks)),
+            dtype=np.float32,
+        )
+        fresh = st.sampled_from(
+            [0.0, 1e3, 2e3, 2000.001, -4e3, 9e3, math.inf, -math.inf, math.nan]
+        )
+        struck = [
+            data.draw(
+                st.dictionaries(
+                    st.integers(0, n_checks - 1), st.tuples(fresh, fresh),
+                    max_size=n_checks,
+                )
+            )
+            for _ in range(n_trials)
         ]
-        assert spliced[1].max_residual == other[0].max_residual
-        assert spliced[1].tolerance == other[0].tolerance
+        prepared = prepare_clean_comparison(
+            clean, clean, n_terms=1, magnitudes=np.abs(clean)
+        )
+        lhs = np.tile(clean, (n_trials, 1))
+        rhs = lhs.copy()
+        trials, checks = [], []
+        for t, hits in enumerate(struck):
+            for c in sorted(hits):
+                trials.append(t)
+                checks.append(c)
+                lhs[t, c], rhs[t, c] = hits[c]
+        trials = np.asarray(trials, dtype=np.intp)
+        checks = np.asarray(checks, dtype=np.intp)
+        references, values = lhs[trials, checks], rhs[trials, checks]
+        sparse = compare_checksums_sparse(
+            prepared, trials, checks, values,
+            n_trials=n_trials,
+            references=references,
+            magnitudes=np.maximum(np.abs(references), np.abs(values)),
+        )
+        dense = compare_checksums_batch(
+            lhs, rhs, n_terms=1, magnitudes=np.maximum(np.abs(lhs), np.abs(rhs))
+        )
+        _assert_same_verdicts(sparse, dense)

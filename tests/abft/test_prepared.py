@@ -16,6 +16,7 @@ from repro.abft import (
     PreparedCache,
     get_scheme,
     list_schemes,
+    scheme_from_token,
 )
 from repro.errors import ConfigurationError, FaultInjectionError, ShapeError
 from repro.faults import (
@@ -159,6 +160,46 @@ class TestInjectBatch:
             prepared.inject_batch(
                 [(FaultSpec(row=rows + 5, col=0, kind=FaultKind.ADD, value=1.0),)]
             )
+
+
+class TestChecksumPathBounds:
+    """A checksum-path site selects the check it corrupts, so it is
+    bounds-checked against the padded grid like an original-path one —
+    never clamped onto the last check."""
+
+    @pytest.mark.parametrize("dtype", ["fp16", "int8"])
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "global",
+            "thread_onesided",
+            "thread_twosided",
+            "replication_single",
+            "replication_traditional",
+            "global_multi:2",
+        ],
+    )
+    @pytest.mark.parametrize("edge", ["row", "col"])
+    def test_out_of_range_checksum_site_rejected(self, token, dtype, edge):
+        rng = np.random.default_rng(0)
+        a = (rng.standard_normal((30, 36)) * 0.5).astype(np.float16)
+        b = (rng.standard_normal((36, 22)) * 0.5).astype(np.float16)
+        suffix = "" if dtype == "fp16" else "@int8"
+        prepared = scheme_from_token(token + suffix).prepare(a, b)
+        m_full, n_full = prepared.c_clean.shape
+        row, col = (m_full, 0) if edge == "row" else (0, n_full)
+        spec = FaultSpec(
+            row=row, col=col, kind=FaultKind.ADD, value=1.0,
+            path=FaultPath.CHECKSUM,
+        )
+        with pytest.raises(FaultInjectionError, match="outside accumulator"):
+            prepared.inject_batch([(spec,)])
+        # The last in-range site still corrupts the last check.
+        last = FaultSpec(
+            row=m_full - 1, col=n_full - 1, kind=FaultKind.ADD, value=1e4,
+            path=FaultPath.CHECKSUM,
+        )
+        assert prepared.inject((last,)).detected
 
 
 class TestPreparedWeights:

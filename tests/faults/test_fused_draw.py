@@ -84,16 +84,6 @@ class TestFusedDrawEquivalence:
         stepped = stepped_campaign.run(0, specs=drawn)
         assert_records_identical(fused, stepped)
 
-    def test_dense_path_ignores_fused_sites(self, operands):
-        fused = make_campaign(operands=operands, name="global", seed=5,
-                              sparse=False).run_batch(24, faults_per_trial=2)
-        stepped_campaign = make_campaign(operands=operands, name="global",
-                                         seed=5, sparse=False)
-        stepped = stepped_campaign.run(
-            0, specs=stepped_campaign.draw_faults(24, faults_per_trial=2)
-        )
-        assert_records_identical(fused, stepped)
-
     def test_chunked_batches_stay_identical(self, operands):
         fused = make_campaign(operands=operands, name="global", seed=9,
                               batch_size=7).run_batch(30, faults_per_trial=2)

@@ -1,6 +1,7 @@
 """CampaignOptions: the only spelling of campaign execution knobs."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,13 +25,12 @@ def operands():
 class TestOptionsDataclass:
     def test_defaults_are_all_unset(self):
         options = CampaignOptions()
-        assert all(
-            getattr(options, f) is None
-            for f in (
-                "seed", "detection", "significance_factor", "batch_size",
-                "sparse", "cache", "workers",
-            )
+        names = (
+            "seed", "detection", "significance_factor", "batch_size",
+            "cache", "workers",
         )
+        assert tuple(f.name for f in fields(options)) == names
+        assert all(getattr(options, f) is None for f in names)
 
     def test_with_defaults_fills_only_none_fields(self):
         options = CampaignOptions(seed=7).with_defaults(

@@ -15,7 +15,7 @@ import glob
 import numpy as np
 import pytest
 
-from repro.abft import GlobalABFT, MultiChecksumGlobalABFT
+from repro.abft import GlobalABFT, MultiChecksumGlobalABFT, ReplicationTraditional
 from repro.errors import CampaignError, FaultInjectionError
 from repro.faults import (
     CampaignOptions,
@@ -220,9 +220,14 @@ class TestMerge:
         assert shard.n_significant == base.n_significant
         assert shard.n_benign_alarms == base.n_benign_alarms
 
-    def test_dense_path_shards_too(self):
-        baseline = _campaign(sparse=False).run_batch(16)
-        sharded = _campaign(sparse=False).run_batch(16, workers=2)
+    def test_replication_traditional_shards_too(self):
+        a, b = _operands()
+
+        def campaign():
+            return FaultCampaign(ReplicationTraditional(), a, b, seed=7)
+
+        baseline = campaign().run_batch(16, faults_per_trial=2)
+        sharded = campaign().run_batch(16, faults_per_trial=2, workers=2)
         assert _same_records(baseline.trials, sharded.trials)
 
 

@@ -13,7 +13,8 @@ shape that is not a tile multiple:
   -inf and NaN;
 * ``run_batch(workers=2)`` for one FP16 row and one INT8 row, which
   must reproduce the in-process pins;
-* ``inject_batch`` verdicts with ``sparse=None`` and ``sparse=False``.
+* ``inject_batch`` verdicts, which the dense oracle
+  (``tests/dense_oracle.py``) must reproduce against the same pin.
 
 Floats are digested as their IEEE-754 bytes, so a change of one ULP or
 of the sign of a zero fails here.  NaN digests as one token: its
@@ -28,6 +29,7 @@ import struct
 
 import numpy as np
 import pytest
+from dense_oracle import oracle_inject_batch
 
 from repro.abft import scheme_from_token
 from repro.faults import (
@@ -161,8 +163,8 @@ def run_digests(token):
     ]
     prepared = campaign.prepared
     verdicts = verdicts_digest(prepared.inject_batch(batch))
-    dense = verdicts_digest(prepared.inject_batch(batch, sparse=False))
-    assert dense == verdicts, "sparse=False verdicts differ from sparse=None"
+    dense = verdicts_digest(oracle_inject_batch(prepared, batch))
+    assert dense == verdicts, "dense oracle verdicts differ from the engine's"
     return {
         "batch1": records_digest(single),
         "batch4": records_digest(multi),

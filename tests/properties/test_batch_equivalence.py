@@ -4,8 +4,7 @@ The contract pinned here is the batched engine's whole reason to be
 trusted: for every scheme, every fault kind, both fault paths, and any
 mix of trials, ``PreparedExecution.inject_batch`` must be bit-identical
 — element for element — to running the same trials through sequential
-``inject`` calls.  A second family of properties pins the vectorized
-fault application against the scalar injector it replaces.
+``inject`` calls.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.abft import MultiChecksumGlobalABFT, get_scheme, list_schemes
 from repro.faults import FaultKind, FaultPath, FaultSpec
-from repro.faults.injector import apply_fault_batch, apply_fault_to_accumulator
 from repro.gemm import TileConfig
 
 TILE = TileConfig(mb=32, nb=32, kb=32, mw=16, nw=16, mt=4, nt=2)
@@ -121,36 +119,3 @@ class TestInjectBatchEquivalence:
         for faults, outcome in zip(trials, batched):
             direct = make_scheme(name).execute(a, b, tile=TILE, faults=faults)
             assert_outcomes_identical(direct, outcome)
-
-
-class TestApplyFaultBatchEquivalence:
-    @given(
-        seed=seeds,
-        kind=kinds,
-        bit=st.integers(0, 15),
-        value=st.floats(width=32, allow_nan=True, allow_infinity=True),
-        scale=st.sampled_from([1e-3, 1.0, 1e4, 1e30]),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_vectorized_application_matches_scalar(
-        self, seed, kind, bit, value, scale
-    ):
-        """One fancy-indexed application == the scalar injector, for
-        every kind, including flips into the inf/NaN space."""
-        rng = np.random.default_rng(seed)
-        clean = (rng.standard_normal((6, 8)) * scale).astype(np.float32)
-        spec = FaultSpec(row=2, col=3, kind=kind, bit=bit, value=value)
-
-        scalar = clean.copy()
-        apply_fault_to_accumulator(scalar, spec)
-
-        batch = np.broadcast_to(clean, (3, 6, 8)).copy()
-        apply_fault_batch(batch, np.array([1]), [spec])
-
-        assert np.array_equal(batch[0], clean, equal_nan=True)
-        assert np.array_equal(batch[2], clean, equal_nan=True)
-        # Bit-level equality, not just value equality: the stored word
-        # must match the scalar path's exactly (NaN quieting included).
-        assert np.array_equal(
-            batch[1].view(np.uint32), scalar.view(np.uint32)
-        )

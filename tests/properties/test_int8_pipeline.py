@@ -1,19 +1,19 @@
-"""Property tests: the INT8 pipeline's sparse==dense bit-identity.
+"""Property tests: the INT8 pipeline's struck==dense bit-identity.
 
 The quantized executor accumulates INT8 products exactly in INT32 and
 reduces checksums in a working dtype where every reachable value is an
-exact integer, so the sparse re-reduction contract of DESIGN.md §1.3
-holds with *no* tolerance at all: for every sparse-capable scheme,
-every fault kind, both fault paths, and any trial mix,
-``inject_batch(..., sparse=True)`` on an ``@int8`` scheme must be
-bit-identical to the dense batched path — verdicts, residuals,
-accumulators, and dequantized FP16 outputs alike.  A second family
-pins worker-count invariance: sharding an INT8 campaign across
-processes may change *when* a trial runs, never what it reports.
+exact integer, so the struck-check contract of DESIGN.md §1.3 holds
+with *no* tolerance at all: for every scheme, every fault kind, both
+fault paths, and any trial mix, ``inject_batch`` on an ``@int8``
+scheme must be bit-identical to the dense stacked oracle
+(``tests/dense_oracle.py``) — verdicts, residuals, accumulators, and
+dequantized FP16 outputs alike.  A second family pins worker-count
+invariance: sharding an INT8 campaign across processes may change
+*when* a trial runs, never what it reports.
 """
 
-import numpy as np
 import pytest
+from dense_oracle import oracle_inject_batch
 from hypothesis import given, settings, strategies as st
 
 from repro.abft import list_schemes, scheme_from_token
@@ -24,12 +24,9 @@ from test_batch_equivalence import (
     _draw_spec,
     _operands,
     assert_outcomes_identical,
-    make_scheme,
 )
 
-INT8_SPARSE_SCHEMES = [
-    name for name in list_schemes() if make_scheme(name).supports_sparse
-] + ["global_multi"]
+INT8_SPARSE_SCHEMES = list_schemes() + ["global_multi"]
 
 seeds = st.integers(min_value=0, max_value=2 ** 31 - 1)
 
@@ -57,15 +54,15 @@ class TestInt8SparseMatchesDense:
             )
             for _ in range(data.draw(st.integers(1, 5)))
         ]
-        dense = prepared.inject_batch(trials, sparse=False)
-        sparse = prepared.inject_batch(trials, sparse=True)
+        dense = oracle_inject_batch(prepared, trials)
+        sparse = prepared.inject_batch(trials)
         for d, s in zip(dense, sparse):
             assert_outcomes_identical(d, s)
 
     @given(name=st.sampled_from(INT8_SPARSE_SCHEMES), seed=seeds, data=st.data())
     @settings(max_examples=20, deadline=None)
     def test_sparse_matches_sequential_inject(self, name, seed, data):
-        """Transitively: INT8 sparse trials match one-at-a-time injects."""
+        """Transitively: INT8 batched trials match one-at-a-time oracle runs."""
         a, b = _operands(seed)
         prepared = _int8_scheme(name).prepare(a, b, tile=TILE)
         rows, cols = prepared.c_clean.shape
@@ -73,10 +70,10 @@ class TestInt8SparseMatchesDense:
             (_draw_spec(data, rows, cols),)
             for _ in range(data.draw(st.integers(1, 3)))
         ]
-        sparse = prepared.inject_batch(trials, sparse=True)
+        sparse = prepared.inject_batch(trials)
         for faults, outcome in zip(trials, sparse):
             assert_outcomes_identical(
-                prepared.inject_batch([faults], sparse=False)[0], outcome
+                oracle_inject_batch(prepared, [faults])[0], outcome
             )
 
 
