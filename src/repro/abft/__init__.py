@@ -30,7 +30,6 @@ from .base import (
 from .detection import (
     CheckVerdict,
     VerdictColumns,
-    compare_checksums,
     compare_checksums_batch,
 )
 from .none import NoProtection
@@ -175,7 +174,6 @@ __all__ = [
     "PreparedWeights",
     "CheckVerdict",
     "VerdictColumns",
-    "compare_checksums",
     "compare_checksums_batch",
     "NoProtection",
     "GlobalABFT",

@@ -66,10 +66,10 @@ from ..errors import ConfigurationError, ShapeError
 from ..faults.injector import (
     FaultSites,
     apply_fault_to_accumulator,
-    corrupted_element,
     faulted_site_values,
+    keyed_corruption,
 )
-from ..faults.model import FaultPath, FaultSpec
+from ..faults.model import FaultPath, FaultSpec, SpecArrays
 from ..gemm.counters import MainloopCost
 from ..gemm.executor import TiledGemm, executor_for
 from ..gemm.problem import GemmProblem
@@ -503,23 +503,24 @@ class PreparedExecution:
         """N independent fault trials against the prepared state at once.
 
         ``specs_batch[i]`` holds trial ``i``'s fault specs (empty for a
-        clean trial).  Faults map to their struck checks, only those are
-        re-reduced, and every verdict renders from them against the
-        cached clean comparison (:meth:`Scheme._render_verdicts`) — bit
-        -identical, field for field, to reducing each trial's
-        materialized accumulator in full, which the test suite's dense
-        oracle pins, and so to N sequential :meth:`inject` calls.  The
-        result is an :class:`OutcomeBatch`: its ``verdicts`` columns
-        are computed, each outcome object is built only when indexed,
-        and its accumulator only when read.
+        clean trial); a :class:`~repro.faults.model.SpecArrays` batch
+        is such a sequence, and any other is converted to one.  Faults
+        map to their struck checks, only those are re-reduced, and
+        every verdict renders from them against the cached clean
+        comparison (:meth:`Scheme._render_verdicts`) — bit-identical,
+        field for field, to reducing each trial's materialized
+        accumulator in full, which the test suite's dense oracle pins,
+        and so to N sequential :meth:`inject` calls.  The result is an
+        :class:`OutcomeBatch`: its ``verdicts`` columns are computed,
+        each outcome object is built only when indexed (carrying
+        ``specs_batch[i]``), and its accumulator only when read.
 
         ``sites``, if given, must be the
         :func:`~repro.faults.injector.faulted_site_values` map of
         exactly ``specs_batch`` — callers that already derived it (the
         campaign runner shares one map between injection and record
-        classification) pass it to skip the recomputation; no spec
-        tuple is then read except those of the trials
-        ``sites.checksum_trials`` lists.  Deriving the map bounds-checks
+        classification) pass it to skip the recomputation, and no spec
+        of ``specs_batch`` is then read.  Deriving the map bounds-checks
         every spec, so an out-of-range site raises
         :class:`~repro.errors.FaultInjectionError`.
         """
@@ -529,8 +530,12 @@ class PreparedExecution:
         if detection is None:
             detection = self.scheme.default_detection
         if sites is None:
-            specs_batch = [tuple(faults) for faults in specs_batch]
-            sites = faulted_site_values(self.c_clean, specs_batch)
+            if isinstance(specs_batch, SpecArrays):
+                batch = specs_batch
+            else:
+                specs_batch = [tuple(faults) for faults in specs_batch]
+                batch = SpecArrays.from_trials(specs_batch)
+            sites = faulted_site_values(self.c_clean, batch)
         elif sites.n_trials != n:
             raise ConfigurationError(
                 f"precomputed sites cover {sites.n_trials} trials, "
@@ -538,7 +543,7 @@ class PreparedExecution:
             )
         if not self.scheme.protects:
             return OutcomeBatch(self, specs_batch, [None] * n)
-        verdicts = self.scheme._render_verdicts(self, sites, specs_batch, detection)
+        verdicts = self.scheme._render_verdicts(self, sites, detection)
         return OutcomeBatch(self, specs_batch, verdicts)
 
 
@@ -899,9 +904,11 @@ class Scheme(abc.ABC):
         in :mod:`repro.abft.checksums`)."""
         raise NotImplementedError(f"scheme {self.name!r} performs no checks")
 
-    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
-        """Flat index of the check whose checksum side ``spec`` corrupts
-        (a checksum-path spec, already bounds-checked)."""
+    def _checksum_check(
+        self, prepared: PreparedExecution, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        """Flat indices of the checks whose checksum sides checksum-path
+        faults at ``(rows, cols)`` corrupt (already bounds-checked)."""
         raise NotImplementedError(f"scheme {self.name!r} performs no checks")
 
     def _struck_magnitudes(
@@ -918,7 +925,6 @@ class Scheme(abc.ABC):
         self,
         prepared: PreparedExecution,
         sites: FaultSites,
-        faults_batch: Sequence[Sequence[FaultSpec]],
         detection: DetectionConstants,
     ) -> VerdictColumns:
         """Every trial's verdict from its struck checks (engine template).
@@ -928,15 +934,14 @@ class Scheme(abc.ABC):
         the dense composition order), checks corrupted on the checksum
         side join them (:meth:`_with_checksum_faults`), and one
         :func:`~repro.abft.detection.compare_checksums_sparse` call
-        renders the batch against the cached clean comparison.  Only
-        the spec tuples of ``sites.checksum_trials`` are read.
+        renders the batch against the cached clean comparison.  Reads
+        the fault sites only, never a spec.
         """
         clean = prepared.clean_comparison(detection)
         trials, checks, values = self._struck_checks(prepared, sites)
-        if len(sites.checksum_trials):
+        if len(sites.checksum.rows):
             trials, checks, values, references = self._with_checksum_faults(
-                prepared, clean, trials, checks, values,
-                faults_batch, sites.checksum_trials,
+                prepared, clean, trials, checks, values, sites.checksum
             )
         else:
             references = clean.checksum_side[checks]
@@ -954,37 +959,42 @@ class Scheme(abc.ABC):
         trials: np.ndarray,
         checks: np.ndarray,
         values: np.ndarray,
-        faults_batch: Sequence[Sequence[FaultSpec]],
-        checksum_trials: np.ndarray,
+        faults: SpecArrays,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Struck entries joined by the checks checksum-path faults hit.
 
-        A corrupted check's checksum side starts clean and takes its
-        trial's checksum-path faults in spec order
-        (:func:`~repro.faults.injector.corrupted_element` in the
+        ``faults`` holds the batch's checksum-path entries in spec
+        order.  A corrupted check's checksum side starts clean and
+        takes its trial's entries on that check in spec order
+        (:func:`~repro.faults.injector.keyed_corruption` in the
         checksum side's own dtype).  Returns ``(trials, checks, values,
-        references)`` over the union of both entry sets, in trial-major,
-        ascending-check order: ``values`` is the re-reduced output side
-        where a fault site struck the check and the clean one
-        elsewhere, ``references`` the checksum side.
+        references)`` over the union of both entry sets, in
+        trial-major, ascending-check order: ``values`` is the
+        re-reduced output side where a fault site struck the check and
+        the clean one elsewhere, ``references`` the checksum side.
         """
         n_checks = clean.checks
-        corrupted: dict[int, np.generic] = {}
-        for t in checksum_trials.tolist():
-            for spec in faults_batch[t]:
-                if spec.path is FaultPath.CHECKSUM:
-                    check = self._checksum_check(prepared, spec)
-                    key = t * n_checks + check
-                    current = corrupted.get(key, clean.checksum_side[check])
-                    corrupted[key] = corrupted_element(current, spec)
+        hit_checks = self._checksum_check(
+            prepared,
+            np.asarray(faults.rows, dtype=np.intp),
+            np.asarray(faults.cols, dtype=np.intp),
+        )
+        keys = faults.entry_trials() * n_checks + hit_checks
+        first, corrupted = keyed_corruption(
+            keys,
+            clean.checksum_side[hit_checks],
+            faults.kind_codes,
+            faults.bits,
+            faults.values,
+        )
+        hit = keys[first]
         struck = trials * n_checks + checks
-        hit = np.fromiter(corrupted, dtype=np.intp, count=len(corrupted))
         keys = np.union1d(struck, hit)
         trials, checks = np.divmod(keys, n_checks)
         merged = clean.output_side[checks]
         merged[np.searchsorted(keys, struck)] = values
         references = clean.checksum_side[checks]
-        references[np.searchsorted(keys, hit)] = list(corrupted.values())
+        references[np.searchsorted(keys, hit)] = corrupted
         return trials, checks, merged, references
 
     # ------------------------------------------------------------------

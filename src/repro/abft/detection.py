@@ -122,65 +122,6 @@ def _csr_ptr(counts: np.ndarray) -> np.ndarray:
     return ptr
 
 
-def compare_checksums(
-    checksum_side: np.ndarray,
-    output_side: np.ndarray,
-    *,
-    n_terms: int,
-    magnitudes: np.ndarray | float,
-    constants: DetectionConstants = DEFAULT_DETECTION,
-) -> CheckVerdict:
-    """Compare the redundant-path values against the output-path values.
-
-    Parameters
-    ----------
-    checksum_side:
-        Values produced by the redundant (checksum) computation.
-    output_side:
-        Values produced by summing the actual output.
-    n_terms:
-        Length of the longest accumulation feeding either side; scales
-        the rounding-noise tolerance.
-    magnitudes:
-        Per-check accumulated-magnitude proxy (same shape as the check
-        arrays, or a scalar bound).
-
-    Notes
-    -----
-    Non-finite residuals (a fault flipped an exponent bit into inf/NaN)
-    always count as detections.
-    """
-    lhs = np.asarray(checksum_side, dtype=np.float64)
-    rhs = np.asarray(output_side, dtype=np.float64)
-    if lhs.shape != rhs.shape:
-        raise DetectionError(
-            f"checksum comparison shape mismatch: {lhs.shape} vs {rhs.shape}"
-        )
-    mags = np.broadcast_to(np.asarray(magnitudes, dtype=np.float64), lhs.shape)
-
-    # inf - inf (both sides blown up by faults) is a legitimate NaN
-    # residual — non-finite always counts as detected below.
-    with np.errstate(invalid="ignore"):
-        residual = np.abs(lhs - rhs)
-    n = max(int(n_terms), 2)
-    gamma = (np.log2(n) + 1.0) * constants.fp32_unit_roundoff
-    tol = np.maximum(constants.atol_floor, constants.rtol_slack * gamma * np.abs(mags))
-
-    bad = ~np.isfinite(residual) | (residual > tol)
-    violations = tuple(int(i) for i in np.flatnonzero(bad.ravel()))
-    finite = residual[np.isfinite(residual)]
-    max_residual = float(finite.max()) if finite.size else float("inf")
-    if not np.all(np.isfinite(residual)):
-        max_residual = float("inf")
-    return CheckVerdict(
-        detected=bool(bad.any()),
-        violations=violations,
-        max_residual=max_residual,
-        tolerance=float(tol.max()) if tol.size else 0.0,
-        checks=int(lhs.size),
-    )
-
-
 def compare_checksums_batch(
     checksum_side: np.ndarray,
     output_side: np.ndarray,
@@ -202,10 +143,8 @@ def compare_checksums_batch(
     :func:`compare_checksums_sparse` reproduces from struck checks
     alone — the engine never materializes the stacked check arrays it
     takes, but the test suite's dense oracle does, and the two must
-    agree field for field.  Note the working dtype follows the inputs
-    (see below), so results can differ in the last bit from
-    :func:`compare_checksums`, which always compares in float64; that
-    scalar function remains the standalone reference API.
+    agree field for field.  A single comparison is a batch of one:
+    ``compare_checksums_batch(lhs[None], rhs[None], ...)[0]``.
     """
     lhs = np.asarray(checksum_side)
     rhs = np.asarray(output_side)

@@ -28,7 +28,6 @@ import numpy as np
 
 from ..config import DEFAULT_CONSTANTS, ModelConstants
 from ..faults.injector import FaultSites
-from ..faults.model import FaultSpec
 from ..gemm.counters import (
     BYTES_PER_MEM_INSTR,
     LANES_PER_ALU_INSTR,
@@ -166,6 +165,8 @@ class GlobalABFT(Scheme):
         # The output summation is the scheme's single check: index 0.
         return touched, np.zeros(len(touched), dtype=np.intp), values
 
-    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
+    def _checksum_check(
+        self, prepared: PreparedExecution, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
         # One checksum: every checksum-path fault corrupts it.
-        return 0
+        return np.zeros(len(rows), dtype=np.intp)

@@ -18,7 +18,6 @@ import numpy as np
 from ..config import DEFAULT_CONSTANTS, ModelConstants
 from ..errors import ConfigurationError
 from ..faults.injector import FaultSites
-from ..faults.model import FaultSpec
 from ..gemm.counters import (
     BYTES_PER_MEM_INSTR,
     LANES_PER_ALU_INSTR,
@@ -222,6 +221,8 @@ class MultiChecksumGlobalABFT(Scheme):
         checks = np.tile(np.arange(r, dtype=np.intp), len(touched))
         return trials, checks, values.reshape(-1)
 
-    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
-        # The spec's row picks one of the r weighted checksums.
-        return spec.row % self.num_checksums
+    def _checksum_check(
+        self, prepared: PreparedExecution, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        # The fault's row picks one of the r weighted checksums.
+        return rows % self.num_checksums

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..config import DEFAULT_CONSTANTS, ModelConstants
 from ..faults.injector import FaultSites
-from ..faults.model import FaultSpec
 from ..gemm.counters import MainloopCost, mainloop_cost
 from ..gemm.executor import TiledGemm
 from ..gemm.problem import GemmProblem
@@ -95,8 +94,10 @@ class ReplicationTraditional(Scheme):
     def _struck_checks(self, prepared: PreparedExecution, sites: FaultSites):
         return replication_struck_elements(prepared.c_clean, sites)
 
-    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
-        return spec.row * prepared.executor.n_full + spec.col
+    def _checksum_check(
+        self, prepared: PreparedExecution, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        return rows * prepared.executor.n_full + cols
 
     def _struck_magnitudes(
         self, references: np.ndarray, values: np.ndarray
@@ -171,7 +172,9 @@ class ReplicationSingleAccumulator(Scheme):
             prepared.executor, prepared.c_clean, sites
         )
 
-    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
-        # The replica sum of the thread owning the spec's tile.
+    def _checksum_check(
+        self, prepared: PreparedExecution, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        # The replica sum of the thread owning the fault's tile.
         tile = prepared.tile
-        return (spec.row // tile.mt) * prepared.executor.n_tiles + spec.col // tile.nt
+        return (rows // tile.mt) * prepared.executor.n_tiles + cols // tile.nt

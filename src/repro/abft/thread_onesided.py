@@ -23,7 +23,6 @@ import numpy as np
 
 from ..config import DEFAULT_CONSTANTS, ModelConstants
 from ..faults.injector import FaultSites
-from ..faults.model import FaultSpec
 from ..gemm.counters import MainloopCost, mainloop_cost
 from ..gemm.executor import TiledGemm
 from ..gemm.problem import GemmProblem
@@ -118,6 +117,8 @@ class ThreadLevelOneSided(Scheme):
             prepared.executor, prepared.c_clean, sites
         )
 
-    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
-        # The thread's ABFT accumulator for the spec's row and column tile.
-        return spec.row * prepared.executor.n_tiles + spec.col // prepared.tile.nt
+    def _checksum_check(
+        self, prepared: PreparedExecution, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        # The thread's ABFT accumulator for the fault's row and column tile.
+        return rows * prepared.executor.n_tiles + cols // prepared.tile.nt

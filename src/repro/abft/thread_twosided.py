@@ -20,7 +20,6 @@ import numpy as np
 
 from ..config import DEFAULT_CONSTANTS, ModelConstants
 from ..faults.injector import FaultSites
-from ..faults.model import FaultSpec
 from ..gemm.counters import MainloopCost, mainloop_cost
 from ..gemm.executor import TiledGemm
 from ..gemm.problem import GemmProblem
@@ -115,7 +114,9 @@ class ThreadLevelTwoSided(Scheme):
             prepared.executor, prepared.c_clean, sites
         )
 
-    def _checksum_check(self, prepared: PreparedExecution, spec: FaultSpec) -> int:
-        # The ABFT scalar of the thread owning the spec's tile.
+    def _checksum_check(
+        self, prepared: PreparedExecution, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        # The ABFT scalar of the thread owning the fault's tile.
         tile = prepared.tile
-        return (spec.row // tile.mt) * prepared.executor.n_tiles + spec.col // tile.nt
+        return (rows // tile.mt) * prepared.executor.n_tiles + cols // tile.nt

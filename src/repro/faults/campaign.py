@@ -28,11 +28,13 @@ exactly once.  Injection never materializes an accumulator (DESIGN.md
 records are classified from the fault sites' final values, so the
 whole record pipeline — delta gather, significance classification,
 verdict extraction — is vectorized end to end and scales with the
-*faults per trial*, not the output.  A drawn batch stays columnar from
-the RNG draw to the :class:`CampaignResult`: sites are valued from the
-drawn :class:`SpecArrays`, verdicts come back as columns, and no
-per-trial object is built until a caller reads ``result.trials``.
-Trials run in chunks of :attr:`FaultCampaign.batch_size` (default
+*faults per trial*, not the output.  A campaign's trials take one
+form below the public API, a :class:`SpecArrays` batch: drawn straight
+into columns, or converted once from a caller's spec tuples, then
+chunked, sharded and valued from the columns, with verdicts coming
+back as columns too — no per-trial object is built until a caller
+reads ``result.trials``.  Trials run in chunks of
+:attr:`FaultCampaign.batch_size` (default
 :attr:`FaultCampaign.BATCH_SIZE`).
 """
 
@@ -50,95 +52,13 @@ if TYPE_CHECKING:  # avoid the faults <-> abft import cycle at runtime
     from ..abft.base import PreparedCache, PreparedExecution, Scheme
 from ..errors import FaultInjectionError
 from ..gemm.tiles import TileConfig
-from .injector import FaultSites, faulted_site_values, sites_from_flat_specs
-from .model import SPEC_KINDS, FaultKind, FaultSpec, SpecArrays, drawn_spec
+from .injector import FaultSites, faulted_site_values
+from .model import KINDS, FaultKind, FaultSpec, SpecArrays
 from .options import CampaignOptions, resolve_option
 
 #: One campaign trial's fault set, or a bare spec (normalized to a
 #: 1-tuple) — what ``run``/``run_batch`` accept per trial.
 TrialFaults = "FaultSpec | Sequence[FaultSpec]"
-
-
-def assemble_specs(arrays: SpecArrays) -> list[FaultSpec]:
-    """Materialize drawn spec arrays into :class:`FaultSpec` objects.
-
-    The bulk form of :meth:`SpecArrays.spec`, shared by every consumer
-    that needs spec objects for a whole drawn batch — ``draw_faults``
-    and a result's ``trials`` list — so all of them build identical
-    specs from identical draws.
-    """
-    return list(
-        map(
-            drawn_spec,
-            arrays.kind_codes.tolist(),
-            arrays.rows.tolist(),
-            arrays.cols.tolist(),
-            arrays.values.tolist(),
-            arrays.bits.tolist(),
-        )
-    )
-
-
-def group_spec_trials(
-    specs: Sequence[FaultSpec], faults_per_trial: int
-) -> list[tuple[FaultSpec, ...]]:
-    """Flat drawn specs -> per-trial fault tuples, in draw order.
-
-    Matches ``_normalize_trials(draw_faults(...))`` exactly: trial
-    ``i`` takes specs ``[i*r, (i+1)*r)`` for ``r = faults_per_trial``.
-    """
-    r = faults_per_trial
-    if r == 1:
-        return [(spec,) for spec in specs]
-    return [tuple(specs[i * r:(i + 1) * r]) for i in range(len(specs) // r)]
-
-
-class _DrawnTrials(Sequence):
-    """Per-trial fault tuples of a drawn batch, built on access.
-
-    Trial ``i`` holds entries ``[i*r, (i+1)*r)`` of the drawn
-    :class:`SpecArrays` (``r = faults_per_trial``).  Slicing returns
-    another view, so chunking a campaign costs nothing; only indexing a
-    trial builds its :class:`FaultSpec` tuple.
-    """
-
-    __slots__ = ("arrays", "faults_per_trial", "_start", "_len")
-
-    def __init__(
-        self, arrays: SpecArrays, faults_per_trial: int, start: int = 0,
-        length: int | None = None,
-    ) -> None:
-        self.arrays = arrays
-        self.faults_per_trial = faults_per_trial
-        self._start = start
-        self._len = len(arrays) // faults_per_trial if length is None else length
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            lo, hi, step = i.indices(self._len)
-            if step != 1:
-                return [self[j] for j in range(lo, hi, step)]
-            return _DrawnTrials(
-                self.arrays, self.faults_per_trial, self._start + lo, max(0, hi - lo)
-            )
-        if not -self._len <= i < self._len:
-            raise IndexError(f"trial {i} out of range for {self._len} trials")
-        r = self.faults_per_trial
-        base = (self._start + i % self._len) * r
-        return tuple(self.arrays.spec(base + j) for j in range(r))
-
-    @property
-    def specs(self) -> SpecArrays:
-        """The drawn columns of exactly these trials (views)."""
-        r = self.faults_per_trial
-        return self.arrays.slice(self._start * r, (self._start + self._len) * r)
-
-    def materialize(self) -> list[tuple[FaultSpec, ...]]:
-        """Every trial's fault tuple, assembled in one pass."""
-        return group_spec_trials(assemble_specs(self.specs), self.faults_per_trial)
 
 
 @dataclass(frozen=True)
@@ -196,11 +116,10 @@ class CampaignResult:
     """Aggregated campaign statistics, held as columns.
 
     A result keeps every trial's faults — the drawn :class:`SpecArrays`
-    behind a per-trial view for :meth:`FaultCampaign.run_batch`, the
-    explicit fault tuples for :meth:`FaultCampaign.run` — and four
-    per-trial columns: ``deltas`` (float64), ``detected``,
-    ``significant`` and ``benign`` (bool), the fields of
-    :class:`TrialRecord`.  Every aggregate reads the columns;
+    batch of a random run, the caller's fault tuples of an explicit
+    :meth:`FaultCampaign.run` — and four per-trial columns: ``deltas``
+    (float64), ``detected``, ``significant`` and ``benign`` (bool), the
+    fields of :class:`TrialRecord`.  Every aggregate reads the columns;
     :attr:`trials` builds the record list once, on first access.
 
     ``CampaignResult(scheme, records)`` wraps already-built records.
@@ -245,8 +164,8 @@ class CampaignResult:
         """One :class:`TrialRecord` per trial, built once on first access."""
         if self._trials is None:
             faults = self._faults
-            if isinstance(faults, _DrawnTrials):
-                faults = faults.materialize()
+            if isinstance(faults, SpecArrays):
+                faults = faults.tolist()
             self._trials = [
                 TrialRecord(
                     faults=tuple(f), delta=d, detected=det,
@@ -317,8 +236,8 @@ class CampaignResult:
         multi-fault detection claim.
         """
         faults = self._faults
-        if isinstance(faults, _DrawnTrials):
-            counts = np.full(self.n_trials, faults.faults_per_trial)
+        if isinstance(faults, SpecArrays):
+            counts = np.diff(faults.ptr)
         else:
             counts = np.fromiter(
                 (len(f) for f in faults), dtype=np.intp, count=self.n_trials
@@ -546,40 +465,21 @@ class FaultCampaign:
     def fault_domain(self) -> tuple[int, int]:
         """Padded accumulator shape every random fault site is drawn from.
 
-        The single source of truth for both :meth:`random_fault` and
-        :meth:`draw_faults` — the prepared clean accumulator, whose grid
-        is what injection indexes into.
+        The prepared clean accumulator, whose grid is what injection
+        indexes into.
         """
         rows, cols = self._prepared.c_clean.shape
         return int(rows), int(cols)
-
-    def random_fault(self) -> FaultSpec:
-        """Draw one original-path fault at a random output element."""
-        rows, cols = self.fault_domain
-        row = int(self.rng.integers(rows))
-        col = int(self.rng.integers(cols))
-        kind = self.rng.choice(
-            [FaultKind.BITFLIP_FP32, FaultKind.BITFLIP_FP16, FaultKind.ADD]
-        )
-        if kind is FaultKind.ADD:
-            # A corrupted MMA partial product: magnitude comparable to a
-            # legitimate partial sum, random sign.
-            scale = float(np.abs(self._prepared.c_clean).mean() + 1.0)
-            value = float(self.rng.normal(0.0, scale))
-            return FaultSpec(row=row, col=col, kind=kind, value=value)
-        bits = 32 if kind is FaultKind.BITFLIP_FP32 else 16
-        bit = int(self.rng.integers(bits))
-        return FaultSpec(row=row, col=col, kind=kind, bit=bit)
 
     def draw_faults(
         self, n: int, *, faults_per_trial: int = 1
     ) -> list[FaultSpec] | list[tuple[FaultSpec, ...]]:
         """Vectorized batch of ``n`` random original-path fault trials.
 
-        All random draws happen up front in whole-batch RNG calls; only
-        the cheap per-spec assembly is a Python loop.  The stream
-        differs from successive :meth:`random_fault` calls but is
-        equally deterministic for a given campaign seed.
+        All random draws happen up front in whole-batch RNG calls
+        (:meth:`_draw_spec_arrays`, the stream :meth:`run` and
+        :meth:`run_batch` draw from); only the spec assembly is a
+        Python pass.  Deterministic for a given campaign seed.
 
         With the default ``faults_per_trial=1`` the return value is a
         flat spec list (one fault per trial — the historical API).
@@ -590,32 +490,46 @@ class FaultCampaign:
         values, still within the §2.4 ``<= r`` guarantee).
         """
         _check_draw(n, faults_per_trial)
-        specs = assemble_specs(self._draw_spec_arrays(n * faults_per_trial))
+        trials = self._draw_spec_arrays(n, faults_per_trial).tolist()
         if faults_per_trial == 1:
-            return specs
-        return group_spec_trials(specs, faults_per_trial)
+            return [spec for (spec,) in trials]
+        return trials
 
-    def _draw_spec_arrays(self, total: int) -> SpecArrays:
-        """``total`` random original-path draws as columnar arrays.
+    def _draw_spec_arrays(self, n_trials: int, faults_per_trial: int = 1) -> SpecArrays:
+        """``n_trials`` random trials of ``faults_per_trial`` original-path faults.
 
         All randomness for a batch happens here, in whole-batch RNG
-        calls on the campaign's single seeded stream.  Everything after
-        the draw is a pure function of these columns, so
-        :meth:`run_batch` runs them without building spec objects, and
-        sharded runs draw once in the parent and ship column slices,
-        consuming the RNG stream identically to an in-process run.
+        calls on the campaign's single seeded stream, and the fields a
+        kind ignores are normalized (FP16 bits modulo 16, ``bit=20`` on
+        ``ADD`` entries, ``value=0.0`` on flips), so entry ``i`` is
+        exactly the :class:`FaultSpec` it stands for.  Everything after
+        the draw is a pure function of these columns; sharded runs draw
+        once in the parent and ship column slices, consuming the RNG
+        stream identically to an in-process run.
         """
+        total = n_trials * faults_per_trial
         rows_total, cols_total = self.fault_domain
         rows = self.rng.integers(rows_total, size=total)
         cols = self.rng.integers(cols_total, size=total)
-        # Uniform over the kind table: the same RNG draw as a choice
-        # over the kinds themselves, returned as wire codes directly.
-        codes = self.rng.choice(len(SPEC_KINDS), size=total).astype(np.uint8)
+        # Uniform over the first three kinds (FP32 flip, FP16 flip,
+        # ADD): the same RNG draw as a choice over the kinds themselves.
+        codes = self.rng.choice(3, size=total).astype(np.uint8)
+        # ADD models a corrupted MMA partial product: magnitude
+        # comparable to a legitimate partial sum, random sign.
         scale = float(np.abs(self._prepared.c_clean).mean() + 1.0)
         values = self.rng.normal(0.0, scale, size=total)
         bits = self.rng.integers(32, size=total)
+        fp16 = codes == KINDS.index(FaultKind.BITFLIP_FP16)
+        add = codes == KINDS.index(FaultKind.ADD)
         return SpecArrays(
-            rows=rows, cols=cols, kind_codes=codes, values=values, bits=bits
+            ptr=np.arange(n_trials + 1, dtype=np.intp) * faults_per_trial,
+            rows=rows,
+            cols=cols,
+            kind_codes=codes,
+            # Drawn bits are below 32, so masking is the modulo.
+            bits=np.where(add, 20, bits & np.where(fp16, 15, 31)),
+            values=np.where(add, values, 0.0),
+            paths=np.zeros(total, dtype=np.uint8),
         )
 
     @staticmethod
@@ -631,25 +545,46 @@ class FaultCampaign:
                 trials.append(tuple(entry))
         return trials
 
+    def _trial_batch(
+        self,
+        n_trials: int,
+        specs: Sequence["TrialFaults"] | None,
+        faults_per_trial: int | None,
+    ) -> tuple[Sequence[tuple[FaultSpec, ...]], SpecArrays]:
+        """``(faults, batch)`` of one run under :meth:`run`'s contract.
+
+        ``batch`` is what the engine runs; ``faults`` is what records
+        carry — the caller's own fault tuples for explicit ``specs``
+        (converted to the batch once), the drawn batch itself otherwise.
+        """
+        if n_trials < 0:
+            raise FaultInjectionError(f"n_trials must be >= 0, got {n_trials}")
+        if specs is None:
+            per_trial = 1 if faults_per_trial is None else faults_per_trial
+            _check_draw(n_trials, per_trial)
+            batch = self._draw_spec_arrays(n_trials, per_trial)
+            return batch, batch
+        if faults_per_trial is not None:
+            raise FaultInjectionError(
+                "faults_per_trial only applies to randomly drawn "
+                "trials; explicit specs already fix each trial's faults"
+            )
+        if n_trials not in (0, len(specs)):
+            raise FaultInjectionError(
+                f"n_trials={n_trials} disagrees with {len(specs)} explicit "
+                f"specs; pass 0 or len(specs)"
+            )
+        trials = self._normalize_trials(specs)
+        return trials, SpecArrays.from_trials(trials)
+
     def run_trial(self, faults: "TrialFaults") -> TrialRecord:
         """Execute one trial with the given fault (or fault set) injected."""
         (trial,) = self._normalize_trials([faults])
-        outcome = self._prepared.inject(trial, detection=self.detection)
-        return self._record(trial, outcome)
-
-    def _record(
-        self, faults: tuple[FaultSpec, ...], outcome
-    ) -> TrialRecord:
-        """Classify one trial outcome against the clean accumulator.
-
-        A batch of one through :meth:`_classify_batch`, so the
-        single-trial and batched records are identical by construction.
-        """
-        deltas, detected, significant, benign = self._classify_batch(
-            (faults,), (outcome,)
+        deltas, detected, significant, benign = self._run_columns(
+            SpecArrays.from_trials([trial])
         )
         return TrialRecord(
-            faults=tuple(faults),
+            faults=trial,
             delta=float(deltas[0]),
             detected=bool(detected[0]),
             significant=bool(significant[0]),
@@ -657,32 +592,25 @@ class FaultCampaign:
         )
 
     def _classify_batch(
-        self,
-        trials: Sequence[Sequence[FaultSpec]],
-        outcomes: Sequence,
-        sites=None,
+        self, sites: FaultSites, detected: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Verdict columns ``(deltas, detected, significant, benign)``.
 
         Deltas come from the fault sites' final values
         (:func:`~repro.faults.injector.faulted_site_values` — the same
-        corruption core injection uses), not from reading materialized
-        accumulators, so the gather is a handful of fancy-indexed NumPy
-        calls and outcomes never materialize their grids.  A trial is *significant* when any of
-        its struck sites moved past the significance threshold (or into
-        non-finite territory); its reported ``delta`` is the
-        largest-magnitude site delta (first site wins ties).  Trials
-        with no original-path site — checksum-path-only fault sets —
-        are never significant: they corrupt the redundant computation,
-        so a detection there is a *benign alarm*, not coverage of a
-        significant fault.  ``detected`` is read from the outcome
-        batch's verdict columns, so no outcome object is built; with
-        ``sites`` given, no spec tuple is read either.
+        valuation injection uses), so the gather is a handful of
+        fancy-indexed NumPy calls and no accumulator is materialized.
+        A trial is *significant* when any of its struck sites moved
+        past the significance threshold (or into non-finite territory);
+        its reported ``delta`` is the largest-magnitude site delta
+        (first site wins ties).  Trials with no original-path site —
+        checksum-path-only fault sets — are never significant: they
+        corrupt the redundant computation, so a detection there is a
+        *benign alarm*, not coverage of a significant fault.
+        ``detected`` is the outcome batch's verdict column.
         """
-        n = len(trials)
+        n = sites.n_trials
         clean = self._prepared.c_clean
-        if sites is None:
-            sites = faulted_site_values(clean, trials)
         deltas = np.full(n, np.nan)
         significant = np.zeros(n, dtype=bool)
         if len(sites):
@@ -703,52 +631,35 @@ class FaultCampaign:
             deltas[touched] = site_deltas[rep]
             threshold = self.significance_factor * self._tolerance_scale
             significant[touched] = keys[rep] > threshold
-        # An OutcomeBatch carries VerdictColumns: read the column.
-        columns = getattr(getattr(outcomes, "verdicts", None), "detected", None)
-        if isinstance(columns, np.ndarray):
-            detected = columns.astype(bool)
-        else:
-            detected = np.fromiter(
-                (bool(o.detected) for o in outcomes), dtype=bool, count=n
-            )
+        detected = np.asarray(detected, dtype=bool)
         # Attribution must be unambiguous: only trials whose every
         # fault hit the checksum path can blame the alarm on it — those
         # carrying a checksum-path fault but no original-path site
         # (such trials have no output corruption, hence are never
         # significant either).
-        benign = np.zeros(n, dtype=bool)
-        checksum_only = sites.checksum_trials[
-            ~np.isin(sites.checksum_trials, sites.trials)
-        ]
-        benign[checksum_only] = detected[checksum_only]
+        checksum_only = np.diff(sites.checksum.ptr) > 0
+        checksum_only[sites.trials] = False
+        benign = detected & checksum_only
         return deltas, detected, significant, benign
 
-    def _run_specs_columns(
-        self,
-        trials: Sequence[Sequence[FaultSpec]],
-        sites_fn=None,
+    def _run_columns(
+        self, batch: SpecArrays
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Execute all trials through chunked ``inject_batch`` calls.
+        """Execute a batch through chunked ``inject_batch`` calls.
 
         Returns the ``(deltas, detected, significant, benign)`` columns
         of :meth:`_classify_batch`, concatenated across chunks.  One
-        fault→site valuation per chunk serves both the injection and
-        the record classification; ``sites_fn`` — ``(start, chunk) ->
-        FaultSites`` — supplies it when the caller already fused it
-        with drawing (:meth:`run_batch`), otherwise it is derived from
-        the chunk's specs.
+        site valuation per chunk serves both the injection and the
+        record classification, and neither reads a :class:`FaultSpec`.
         """
         columns: list[tuple[np.ndarray, ...]] = []
-        for start in range(0, len(trials), self.batch_size):
-            chunk = trials[start:start + self.batch_size]
-            if sites_fn is not None:
-                sites = sites_fn(start, chunk)
-            else:
-                sites = faulted_site_values(self._prepared.c_clean, chunk)
+        for start in range(0, len(batch), self.batch_size):
+            chunk = batch[start:start + self.batch_size]
+            sites = faulted_site_values(self._prepared.c_clean, chunk)
             outcomes = self._prepared.inject_batch(
                 chunk, detection=self.detection, sites=sites
             )
-            columns.append(self._classify_batch(chunk, outcomes, sites))
+            columns.append(self._classify_batch(sites, outcomes.verdicts.detected))
         if not columns:
             return (
                 np.empty(0),
@@ -779,15 +690,17 @@ class FaultCampaign:
         many specs there are") or exactly ``len(specs)``;
         ``faults_per_trial`` must then be left unset.  Without
         ``specs``, each trial draws ``faults_per_trial`` (default 1)
-        random original-path faults.  Any other combination raises
-        :class:`FaultInjectionError` rather than silently ignoring an
-        argument.
+        random original-path faults, exactly as :meth:`run_batch` does.
+        Any other combination raises :class:`FaultInjectionError`
+        rather than silently ignoring an argument.
 
         All trials execute through the batched injection engine
-        (bit-identical to per-trial :meth:`run_trial` calls).
-        ``workers`` overrides the campaign's default worker count for
-        this run (see the constructor); any sharded execution returns
-        the exact record sequence the in-process path produces.
+        (bit-identical to per-trial :meth:`run_trial` calls); explicit
+        specs are converted to one :class:`SpecArrays` batch, and their
+        records carry the caller's spec objects.  ``workers`` overrides
+        the campaign's default worker count for this run (see the
+        constructor); any sharded execution returns the exact record
+        sequence the in-process path produces.
 
         Example
         -------
@@ -804,73 +717,17 @@ class FaultCampaign:
         >>> 0.0 <= result.coverage <= 1.0
         True
         """
-        if n_trials < 0:
-            raise FaultInjectionError(f"n_trials must be >= 0, got {n_trials}")
-        if specs is not None:
-            if faults_per_trial is not None:
-                raise FaultInjectionError(
-                    "faults_per_trial only applies to randomly drawn "
-                    "trials; explicit specs already fix each trial's faults"
-                )
-            if n_trials not in (0, len(specs)):
-                raise FaultInjectionError(
-                    f"n_trials={n_trials} disagrees with {len(specs)} explicit "
-                    f"specs; pass 0 or len(specs)"
-                )
-            trials = self._normalize_trials(specs)
-        else:
-            per_trial = 1 if faults_per_trial is None else faults_per_trial
-            if per_trial < 1:
-                raise FaultInjectionError(
-                    f"faults_per_trial must be >= 1, got {per_trial}"
-                )
-            trials = [
-                tuple(self.random_fault() for _ in range(per_trial))
-                for _ in range(n_trials)
-            ]
-        n_workers = self._resolve_workers(workers, len(trials))
+        faults, batch = self._trial_batch(n_trials, specs, faults_per_trial)
+        n_workers = self._resolve_workers(workers, len(batch))
         if n_workers > 1:
             from .parallel import run_campaign_sharded
 
-            return run_campaign_sharded(self, trials=trials, workers=n_workers)
+            return run_campaign_sharded(
+                self, arrays=batch, faults=faults, workers=n_workers
+            )
         return CampaignResult._from_columns(
-            self.scheme.name, trials, *self._run_specs_columns(trials)
+            self.scheme.name, faults, *self._run_columns(batch)
         )
-
-    def _run_drawn(self, trials: _DrawnTrials) -> tuple[np.ndarray, ...]:
-        """Verdict columns of a drawn batch, run straight from its columns.
-
-        Sites are valued by :meth:`_fused_sites_fn`, and injection and
-        classification read no spec tuple, so no :class:`FaultSpec` is
-        built.
-        """
-        return self._run_specs_columns(trials, self._fused_sites_fn(trials))
-
-    def _fused_sites_fn(self, trials: _DrawnTrials):
-        """Per-chunk :class:`FaultSites` builder over a drawn batch.
-
-        Each chunk's site valuation is a slice of the drawn columns and
-        one vectorized corruption (:func:`sites_from_flat_specs`),
-        unless a trial of that chunk strikes one site twice (possible
-        for multi-fault trials): single-step application would then
-        diverge from spec-order semantics, so that chunk alone takes
-        the generic :func:`faulted_site_values` walk.
-        """
-        r = trials.faults_per_trial
-        c_clean = self._prepared.c_clean
-        cols_total = self.fault_domain[1]
-
-        def build(start: int, chunk) -> "FaultSites":
-            specs = trials[start:start + len(chunk)].specs
-            if r > 1:
-                keys = (specs.rows * cols_total + specs.cols).reshape(-1, r)
-                keys = np.sort(keys, axis=1)
-                if (keys[:, 1:] == keys[:, :-1]).any():
-                    return faulted_site_values(c_clean, chunk)
-            trial_ids = np.arange(len(specs), dtype=np.intp) // r
-            return sites_from_flat_specs(c_clean, trial_ids, specs, len(chunk))
-
-        return build
 
     def run_batch(
         self,
@@ -881,19 +738,16 @@ class FaultCampaign:
     ) -> CampaignResult:
         """Run ``n_trials`` random trials with all specs drawn up front.
 
-        Equivalent coverage semantics to :meth:`run` (each trial is one
-        fault-set injection against the shared prepared state), but the
-        randomness is drawn in vectorized batch RNG calls before any
-        trial executes, and the batch then runs from the drawn columns:
-        the fault→site valuation feeding injection and record
-        classification reads them directly (:meth:`_fused_sites_fn`),
-        and the result holds them with the verdict columns, building
+        :meth:`run` without explicit specs: the randomness is drawn in
+        vectorized batch RNG calls before any trial executes, and the
+        batch then runs from the drawn columns — site valuation,
+        injection and record classification read them directly, and
+        the result holds them with the verdict columns, building
         :class:`FaultSpec` and :class:`TrialRecord` objects only when
-        ``result.trials`` is read — the fastest path through a
-        campaign, record-for-record identical to
-        ``run(n_trials, specs=draw_faults(...))``.
-        ``faults_per_trial`` sets every trial's simultaneous fault
-        count (see :meth:`draw_faults`).
+        ``result.trials`` is read.  Record-for-record identical to
+        ``run(n_trials, specs=draw_faults(...))`` on a campaign with the
+        same seed.  ``faults_per_trial`` sets every trial's
+        simultaneous fault count (see :meth:`draw_faults`).
 
         With ``workers=N > 1`` (or a campaign-level default) the drawn
         trial stream is sharded across a process pool sharing this
@@ -919,22 +773,7 @@ class FaultCampaign:
         True
         """
         _check_draw(n_trials, faults_per_trial)
-        n_workers = self._resolve_workers(workers, n_trials)
-        arrays = self._draw_spec_arrays(n_trials * faults_per_trial)
-        if n_workers > 1:
-            from .parallel import run_campaign_sharded
-
-            return run_campaign_sharded(
-                self,
-                arrays=arrays,
-                n_trials=n_trials,
-                faults_per_trial=faults_per_trial,
-                workers=n_workers,
-            )
-        trials = _DrawnTrials(arrays, faults_per_trial)
-        return CampaignResult._from_columns(
-            self.scheme.name, trials, *self._run_drawn(trials)
-        )
+        return self.run(n_trials, faults_per_trial=faults_per_trial, workers=workers)
 
 
 def _check_draw(n: int, faults_per_trial: int) -> None:

@@ -4,29 +4,30 @@ Two granularities: :func:`apply_fault_to_accumulator` corrupts one
 element of one accumulator (the scalar reference semantics, shared
 with checksum-side elements through :func:`corrupted_element`), and
 :func:`faulted_site_values` computes the final post-fault value of
-every struck output element *without* materializing any per-trial
-accumulator at all — the fault→coordinate mapping that feeds the
-struck-check re-reduction of
-:meth:`repro.abft.base.PreparedExecution.inject_batch`.
+every struck output element of a :class:`~repro.faults.model.
+SpecArrays` batch *without* materializing any per-trial accumulator —
+the fault→coordinate mapping that feeds the struck-check re-reduction
+of :meth:`repro.abft.base.PreparedExecution.inject_batch`.
 
-The batch paths share one corruption core (:func:`corrupted_values_batch`,
-or :func:`corrupted_values_columns` for drawn spec columns, which
-applies the same operations without spec objects) and are
-bit-identical to the scalar reference per element: additive faults
-accumulate in float64 before rounding back to float32, and bit flips
-operate on the same FP32/FP16 views the scalar helpers use.
+The batch path reads the spec columns only.  :func:`keyed_corruption`
+applies the entries that strike one keyed element (a trial's output
+site, or a trial's checksum) in entry order, one vectorized
+corruption per occurrence rank, and is bit-identical per element to
+:func:`corrupted_element` (NaN payloads aside): additive faults
+accumulate in float64 before rounding back to the element's dtype,
+and bit flips operate on the same FP32/FP16 views the scalar helpers
+use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import FaultInjectionError
 from .bits import flip_fp16_bit, flip_fp32_bit
-from .model import SPEC_KINDS, FaultKind, FaultPath, FaultSpec, SpecArrays
+from .model import KINDS, PATHS, FaultKind, FaultPath, FaultSpec, SpecArrays
 
 
 def corrupted_value(original: float, spec: FaultSpec) -> float:
@@ -108,103 +109,62 @@ def apply_fault_to_accumulator(c_pad: np.ndarray, spec: FaultSpec) -> float:
     return float(new) - float(old)
 
 
-def corrupted_values_batch(
-    values: np.ndarray, specs: Sequence[FaultSpec]
-) -> np.ndarray:
-    """Post-fault values of a flat accumulator vector, one spec per element.
-
-    The vectorized corruption core shared by every batch path: faults
-    are grouped by kind and each group is applied in one NumPy
-    operation, bit-identical per element to :func:`corrupted_value`
-    (additive faults accumulate in float64 before rounding back to
-    float32; bit flips round-trip through float64 exactly like the
-    scalar helpers, so a flip into the NaN space stores the quieted
-    pattern, not the raw signaling bits) on float32 accumulators, and
-    to :func:`corrupted_int32_value` on int32 ones.
-    """
-    count = len(specs)
-    if values.shape != (count,):
-        raise FaultInjectionError(
-            f"{values.shape} corruption values for {count} fault specs"
-        )
-    return _corrupted(
-        values,
-        _ALL_KINDS,
-        np.fromiter((_ALL_KINDS.index(s.kind) for s in specs), np.uint8, count),
-        np.fromiter((s.value for s in specs), np.float64, count),
-        np.fromiter((s.bit for s in specs), np.int64, count),
-    )
-
-
-def corrupted_values_columns(values: np.ndarray, specs: SpecArrays) -> np.ndarray:
-    """:func:`corrupted_values_batch` over spec columns, no spec objects.
-
-    ``specs`` entry ``i`` strikes ``values[i]``: the same per-kind
-    operations :func:`corrupted_values_batch` applies to the specs
-    :func:`~repro.faults.campaign.assemble_specs` would build (pinned
-    by a hypothesis property), on float32 and int32 accumulators alike.
-    """
-    if values.shape != (len(specs),):
-        raise FaultInjectionError(
-            f"{values.shape} corruption values for {len(specs)} fault specs"
-        )
-    return _corrupted(values, SPEC_KINDS, specs.kind_codes, specs.values, specs.bits)
-
-
-#: Kind table of :func:`corrupted_values_batch`'s codes (index == code).
-_ALL_KINDS = tuple(FaultKind)
-
-
 def _corrupted(
     values: np.ndarray,
-    kinds: Sequence[FaultKind],
     codes: np.ndarray,
-    spec_values: np.ndarray,
     bits: np.ndarray,
+    spec_values: np.ndarray,
 ) -> np.ndarray:
-    """Entry ``i`` of ``values`` struck by kind ``kinds[codes[i]]``.
+    """Entry ``i`` of ``values`` struck by kind ``KINDS[codes[i]]``.
 
-    Float32 accumulators take the float semantics of
-    :func:`corrupted_value`; int32 ones those of
+    Float elements keep their dtype (FP32 accumulators, float32 or
+    float64 checksum sides) and take the float semantics of
+    :func:`corrupted_value`; integer ones those of
     :func:`corrupted_int32_value` — bit flips XOR the 32-bit word (an
     FP16 flip strikes the low half-word), ``ADD``/``SET`` round the
     value to the nearest integer and wrap in two's complement.  Bits
-    reduce modulo the kind's width, as drawn bits do.
+    reduce modulo the kind's width.  Values leaving a format's range
+    become the inf/NaN the hardware would hold.
     """
     integer = np.issubdtype(values.dtype, np.integer)
-    out = np.array(values, dtype=np.int32 if integer else np.float32)
-    for code, kind in enumerate(kinds):
-        sel = np.flatnonzero(codes == code)
-        if not len(sel):
-            continue
-        if kind in (FaultKind.ADD, FaultKind.SET):
-            news = np.asarray(spec_values[sel], dtype=np.float64)
-            if integer:
-                ints = _int32_words(news)
-                if kind is FaultKind.ADD:
-                    ints = out[sel].astype(np.int64) + ints
-                out[sel] = (ints & _WORD).astype(np.uint32).view(np.int32)
-            elif kind is FaultKind.ADD:
-                out[sel] = (out[sel].astype(np.float64) + news).astype(np.float32)
-            else:
-                out[sel] = news.astype(np.float32)
-            continue
-        width = 32 if kind is FaultKind.BITFLIP_FP32 else 16
-        shifts = (np.asarray(bits[sel]) % width).astype(np.uint32)
-        if integer or kind is FaultKind.BITFLIP_FP32:
-            words = out[sel].view(np.uint32) ^ np.left_shift(np.uint32(1), shifts)
-            if integer:
-                out[sel] = words.view(np.int32)
-                continue
-            flipped = words.view(np.float32)
-        else:
-            with np.errstate(over="ignore"):
-                halves = out[sel].astype(np.float16)
-            masks = np.left_shift(np.uint16(1), shifts.astype(np.uint16))
-            flipped = (halves.view(np.uint16) ^ masks).view(np.float16)
-        with np.errstate(invalid="ignore"):
-            out[sel] = flipped.astype(np.float64).astype(np.float32)
+    out = np.array(values, dtype=np.int32 if integer else values.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for code, kind in enumerate(KINDS):
+            sel = np.flatnonzero(codes == code)
+            if len(sel):
+                out[sel] = _strike(out[sel], kind, bits[sel], spec_values[sel], integer)
     return out
+
+
+def _strike(
+    out: np.ndarray, kind: FaultKind, bits: np.ndarray, spec_values: np.ndarray,
+    integer: bool,
+) -> np.ndarray:
+    """``out`` struck by ``kind`` entry by entry (see :func:`_corrupted`)."""
+    if kind in (FaultKind.ADD, FaultKind.SET):
+        news = np.asarray(spec_values, dtype=np.float64)
+        if integer:
+            ints = _int32_words(news)
+            if kind is FaultKind.ADD:
+                ints = out.astype(np.int64) + ints
+            return (ints & _WORD).astype(np.uint32).view(np.int32)
+        if kind is FaultKind.ADD:
+            news = out.astype(np.float64) + news
+        return news.astype(out.dtype)
+    width = 32 if kind is FaultKind.BITFLIP_FP32 else 16
+    shifts = (np.asarray(bits) % width).astype(np.uint32)
+    if integer:
+        return (out.view(np.uint32) ^ np.left_shift(np.uint32(1), shifts)).view(np.int32)
+    if kind is FaultKind.BITFLIP_FP32:
+        words = out.astype(np.float32).view(np.uint32)
+        flipped = (words ^ np.left_shift(np.uint32(1), shifts)).view(np.float32)
+    else:
+        halves = out.astype(np.float16).view(np.uint16)
+        masks = np.left_shift(np.uint16(1), shifts.astype(np.uint16))
+        flipped = (halves ^ masks).view(np.float16)
+    # Through float64 like the scalar helpers, so an FP32 element takes
+    # the quieted pattern of a flip into the NaN space, not raw bits.
+    return flipped.astype(np.float64).astype(out.dtype)
 
 
 #: Low 32 bits of an int64: an INT32 word modulo 2**32.
@@ -226,16 +186,65 @@ def _int32_words(values: np.ndarray) -> np.ndarray:
     )
 
 
+def keyed_corruption(
+    keys: np.ndarray,
+    clean: np.ndarray,
+    codes: np.ndarray,
+    bits: np.ndarray,
+    spec_values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply fault entries to keyed elements, repeats in entry order.
+
+    Entry ``i`` strikes the element named ``keys[i]``, whose clean
+    value is ``clean[i]``, with kind ``KINDS[codes[i]]``.  Returns
+    ``(first, final)``: ``first`` holds the entry index of each unique
+    key's first occurrence, in first-occurrence order, and ``final``
+    that element's value after every entry striking it was applied in
+    entry order — what :func:`corrupted_element` applied key by key
+    yields.  One stable sort ranks each entry among its key's
+    occurrences; each rank is one :func:`_corrupted` call, so a batch
+    without repeated keys needs one.
+    """
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    head = np.ones(n, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    if len(starts) == n:  # no repeated key: one rank, entries are sites
+        return np.arange(n), _corrupted(clean, codes, bits, spec_values)
+    group = np.cumsum(head) - 1
+    # Unique keys in first-occurrence order: a stable sort puts each
+    # key's first entry at the head of its group.
+    by_first = np.argsort(order[starts])
+    site = np.empty(len(starts), dtype=np.intp)
+    site[by_first] = np.arange(len(starts))
+    entry_site = np.empty(n, dtype=np.intp)
+    entry_site[order] = site[group]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n) - starts[group]
+    first = order[starts][by_first]
+    final = clean[first]
+    for r in range(int(rank.max()) + 1):
+        sel = np.flatnonzero(rank == r)
+        at = entry_site[sel]
+        final[at] = _corrupted(final[at], codes[sel], bits[sel], spec_values[sel])
+    return first, final
+
+
 @dataclass(frozen=True)
 class FaultSites:
-    """Every original-path fault site of a trial batch, with final values.
+    """Every fault site of a trial batch, with final values.
 
-    One entry per **unique** ``(trial, row, col)`` site: ``values[i]``
-    is the value the accumulator element would hold after *all* of that
-    trial's faults on that site were applied in spec order.  This is
-    the struck-check engine's whole view of a batch's output side —
-    which output elements changed and what they became — derived
-    without touching an ``(N, m, n)`` accumulator.
+    One entry per **unique** original-path ``(trial, row, col)`` site,
+    trial-major and in first-occurrence order within each trial:
+    ``values[i]`` is the value the accumulator element would hold after
+    *all* of that trial's faults on that site were applied in spec
+    order.  This is the struck-check engine's whole view of a batch's
+    output side — which output elements changed and what they became —
+    derived without touching an ``(N, m, n)`` accumulator.
+    ``checksum`` holds the batch's checksum-path entries, in spec
+    order: the faults that corrupt a check's checksum side instead.
     """
 
     trials: np.ndarray  # (S,) intp — trial index per site
@@ -243,11 +252,7 @@ class FaultSites:
     cols: np.ndarray  # (S,) intp — padded accumulator column
     values: np.ndarray  # (S,) accumulator dtype — final post-fault value
     n_trials: int
-    #: Ascending trials carrying at least one checksum-path fault — the
-    #: only ones whose checksum side differs from the clean one.
-    checksum_trials: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.intp)
-    )
+    checksum: SpecArrays
 
     def __len__(self) -> int:
         return len(self.trials)
@@ -259,123 +264,62 @@ class FaultSites:
         what each struck output element moved by after all of its
         trial's faults were applied.  Non-finite entries mark faults
         that flipped an element into inf/NaN.  This is the quantity the
-        campaign layer classifies significance from, shared between the
-        single-trial and batched record paths.
+        campaign layer classifies significance from.
         """
         return self.values.astype(np.float64) - c_clean[
             self.rows, self.cols
         ].astype(np.float64)
 
 
-def faulted_site_values(
-    c_clean: np.ndarray,
-    faults_batch: Sequence[Sequence[FaultSpec]],
-) -> FaultSites:
-    """Map a trial batch's original-path faults to final site values.
+_NO_SITES = np.empty(0, dtype=np.intp)
+_ORIGINAL = PATHS.index(FaultPath.ORIGINAL)
 
-    Step ``j`` applies every trial's ``j``-th original-path fault, and
-    each step's corruption touches only the handful of struck clean
-    values — so deriving the engine's inputs costs O(faults), not
-    O(trials x outputs).  Bit-identical per element to applying each
-    trial's faults in spec order to a copy of the accumulator with
-    :func:`apply_fault_to_accumulator`.
 
-    Every spec is bounds-checked here, once, against the padded grid —
+def faulted_site_values(c_clean: np.ndarray, batch: SpecArrays) -> FaultSites:
+    """Map a trial batch's faults to final site values, from its columns.
+
+    Original-path entries are keyed by ``(trial, row, col)`` and valued
+    by :func:`keyed_corruption` over the clean elements they strike —
+    O(faults), not O(trials x outputs), and bit-identical per element
+    to applying each trial's faults in spec order to a copy of the
+    accumulator with :func:`apply_fault_to_accumulator`.
+    Checksum-path entries pass through as :attr:`FaultSites.checksum`.
+
+    Every entry is bounds-checked here, once, against the padded grid —
     checksum-path ones too, since their coordinates select the check
     they corrupt — and an out-of-range site raises
     :class:`~repro.errors.FaultInjectionError`.
     """
-    rows_total, cols_total = c_clean.shape
-    site_index: dict[tuple[int, int, int], int] = {}
-    site_trials: list[int] = []
-    site_rows: list[int] = []
-    site_cols: list[int] = []
-    checksum_trials: list[int] = []
-    steps: list[list[tuple[int, FaultSpec]]] = []
-    for t, faults in enumerate(faults_batch):
-        step = 0
-        for spec in faults:
-            if spec.row >= rows_total or spec.col >= cols_total:
-                raise FaultInjectionError(
-                    f"fault site ({spec.row}, {spec.col}) outside "
-                    f"accumulator {rows_total}x{cols_total}"
-                )
-            if spec.path is not FaultPath.ORIGINAL:
-                if not checksum_trials or checksum_trials[-1] != t:
-                    checksum_trials.append(t)
-                continue
-            key = (t, spec.row, spec.col)
-            idx = site_index.get(key)
-            if idx is None:
-                idx = len(site_trials)
-                site_index[key] = idx
-                site_trials.append(t)
-                site_rows.append(spec.row)
-                site_cols.append(spec.col)
-            if step == len(steps):
-                steps.append([])
-            steps[step].append((idx, spec))
-            step += 1
-
-    trials = np.asarray(site_trials, dtype=np.intp)
-    rows = np.asarray(site_rows, dtype=np.intp)
-    cols = np.asarray(site_cols, dtype=np.intp)
-    site_dtype = (
-        np.int32 if np.issubdtype(c_clean.dtype, np.integer) else np.float32
-    )
-    values = c_clean[rows, cols].astype(site_dtype, copy=True)
-    for entries in steps:
-        sel = np.asarray([idx for idx, _ in entries], dtype=np.intp)
-        values[sel] = corrupted_values_batch(
-            values[sel], [spec for _, spec in entries]
+    if not len(batch.rows):
+        return FaultSites(
+            _NO_SITES, _NO_SITES, _NO_SITES, np.empty(0, dtype=c_clean.dtype),
+            n_trials=len(batch), checksum=batch,
         )
-    return FaultSites(
-        trials=trials, rows=rows, cols=cols, values=values,
-        n_trials=len(faults_batch),
-        checksum_trials=np.asarray(checksum_trials, dtype=np.intp),
-    )
-
-
-def sites_from_flat_specs(
-    c_clean: np.ndarray,
-    trial_ids: np.ndarray,
-    specs: SpecArrays,
-    n_trials: int,
-) -> FaultSites:
-    """:class:`FaultSites` valued straight from drawn spec columns.
-
-    The fused fast path for freshly *drawn* batches
-    (:meth:`repro.faults.FaultCampaign.run_batch`): ``trial_ids[i]`` is
-    the trial of ``specs`` entry ``i``, entries are in trial-major spec
-    order, every spec targets the original path, and the caller
-    guarantees no trial strikes one site twice — so the dict-based
-    first-occurrence walk of :func:`faulted_site_values` collapses to
-    one gather + one :func:`corrupted_values_columns` call, with no
-    :class:`FaultSpec` object built.  Bit-identical to
-    :func:`faulted_site_values` on the assembled batch: unique sites in
-    trial-major order *are* first-occurrence order, and single-step
-    corruption over disjoint elements matches the stepped application
-    per element.
-    """
-    if len(trial_ids) != len(specs):
-        raise FaultInjectionError(
-            f"mismatched flat site arrays: {len(trial_ids)} trials, "
-            f"{len(specs)} specs"
-        )
-    rows = np.asarray(specs.rows, dtype=np.intp)
-    cols = np.asarray(specs.cols, dtype=np.intp)
-    rows_total, cols_total = c_clean.shape
-    out_of_bounds = (rows >= rows_total) | (cols >= cols_total)
-    if len(rows) and out_of_bounds.any():
-        i = int(np.flatnonzero(out_of_bounds)[0])
+    n_rows, n_cols = c_clean.shape
+    rows, cols = batch.rows, batch.cols
+    if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
+        outside = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
+        i = int(np.flatnonzero(outside)[0])
         raise FaultInjectionError(
             f"fault site ({rows[i]}, {cols[i]}) outside "
-            f"accumulator {rows_total}x{cols_total}"
+            f"accumulator {n_rows}x{n_cols}"
         )
+    original = batch.paths == _ORIGINAL
+    checksum = batch.select(~original)
+    if len(checksum.rows):
+        batch = batch.select(original)
+    trials = batch.entry_trials()
+    rows = np.asarray(batch.rows, dtype=np.intp)
+    cols = np.asarray(batch.cols, dtype=np.intp)
+    first, values = keyed_corruption(
+        (trials * n_rows + rows) * n_cols + cols,
+        c_clean[rows, cols],
+        batch.kind_codes,
+        batch.bits,
+        batch.values,
+    )
+    if len(first) < len(trials):  # a trial repeated a site
+        trials, rows, cols = trials[first], rows[first], cols[first]
     return FaultSites(
-        trials=np.asarray(trial_ids, dtype=np.intp),
-        rows=rows,
-        cols=cols,
-        values=corrupted_values_columns(c_clean[rows, cols], specs),
-        n_trials=n_trials,
+        trials, rows, cols, values, n_trials=len(batch), checksum=checksum
     )

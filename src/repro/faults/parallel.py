@@ -9,8 +9,12 @@ sharding the *trials* of one run over a
 FP32 accumulator, cached check arrays) into one
 :mod:`multiprocessing.shared_memory` segment, and every worker maps
 zero-copy views of it — no per-worker clean GEMM, no pickling of
-operand or check arrays.  Workers run ordinary chunked
-``inject_batch`` shards locally and return columnar verdicts; the
+operand or check arrays.  Trials travel one way: each worker receives
+a contiguous trial slice of the run's
+:class:`~repro.faults.model.SpecArrays` batch (a few small column
+arrays, however the trials were made), runs the ordinary chunk loop
+locally and returns columnar verdicts — or, for propagation
+campaigns, records whose fault tuples it builds itself — and the
 parent concatenates them in shard order.
 
 Determinism contract (DESIGN.md §4): the parent draws the *entire*
@@ -47,8 +51,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..config import DetectionConstants
-from ..errors import CampaignError, FaultInjectionError
-from .campaign import CampaignResult, FaultCampaign, _DrawnTrials
+from ..errors import CampaignError
+from .campaign import CampaignResult, FaultCampaign
 from .model import FaultSpec, SpecArrays
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -277,22 +281,15 @@ class _ShardConfig:
 
 
 def _run_campaign_shard(
-    payload: SharedPayload,
-    cfg: _ShardConfig,
-    trials: list[tuple[FaultSpec, ...]] | None,
-    arrays: SpecArrays | None,
-    faults_per_trial: int,
+    payload: SharedPayload, cfg: _ShardConfig, arrays: SpecArrays
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Execute one contiguous trial shard in a worker process.
 
-    Trials arrive either as explicit fault tuples (the :meth:`~repro.
-    faults.FaultCampaign.run` path) or as a slice of the parent's raw
-    spec-draw arrays (the :meth:`~repro.faults.FaultCampaign.run_batch`
-    path — five small numeric arrays instead of thousands of pickled
-    specs), which the worker runs exactly like the in-process path
-    does.  Returns the classification *columns* ``(deltas, detected,
-    significant, benign)`` — compact numpy arrays; no record object is
-    built on either side of the process boundary.
+    ``arrays`` is the shard's slice of the parent's batch columns,
+    which the worker runs exactly like the in-process path does.
+    Returns the classification *columns* ``(deltas, detected,
+    significant, benign)`` — compact numpy arrays; no spec or record
+    object is built on either side of the process boundary.
     """
     prepared = attach_payload(payload)
     campaign = FaultCampaign._from_prepared(
@@ -302,34 +299,27 @@ def _run_campaign_shard(
         tolerance_scale=cfg.tolerance_scale,
         batch_size=cfg.batch_size,
     )
-    if trials is None:
-        return campaign._run_drawn(_DrawnTrials(arrays, faults_per_trial))
-    return campaign._run_specs_columns(trials)
+    return campaign._run_columns(arrays)
 
 
 def _run_propagation_shard(
-    payload: SharedPayload,
-    trials: list[tuple[FaultSpec, ...]],
+    payload: SharedPayload, arrays: SpecArrays
 ) -> "list[PropagationRecord]":
     """Execute one contiguous propagation-trial shard in a worker.
 
     The payload is the parent campaign's shard state (struck-layer
     prepared execution, clean baselines, downstream replay ops — see
     :meth:`~repro.faults.PropagationCampaign._shard_state`); the worker
-    rebuilds a replay-capable campaign over the shared views and runs
-    the standard chunk loop.  Records are plain frozen dataclasses and
+    rebuilds a replay-capable campaign over the shared views, builds
+    its slice's fault tuples for records and recovery, and runs the
+    standard chunk loop.  Records are plain frozen dataclasses and
     propagation throughput is orders of magnitude below the GEMM
     campaigns', so returning them pickled is free.
     """
     from .propagation import PropagationCampaign
 
-    state = attach_payload(payload)
-    campaign = PropagationCampaign._from_state(state)
-    batch = state["batch_size"]
-    records = []
-    for start in range(0, len(trials), batch):
-        records.extend(campaign._run_chunk(trials[start : start + batch]))
-    return records
+    campaign = PropagationCampaign._from_state(attach_payload(payload))
+    return campaign._run_records(arrays, arrays.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -381,39 +371,19 @@ def run_campaign_sharded(
     campaign: FaultCampaign,
     *,
     workers: int,
-    trials: Sequence[tuple[FaultSpec, ...]] | None = None,
-    arrays: SpecArrays | None = None,
-    n_trials: int | None = None,
-    faults_per_trial: int = 1,
+    arrays: SpecArrays,
+    faults: Sequence[Sequence[FaultSpec]] | None = None,
 ) -> CampaignResult:
-    """Run a campaign's trials across a process pool; merge in order.
+    """Run a campaign's trial batch across a process pool; merge in order.
 
-    Exactly one of ``trials`` (explicit fault tuples) or ``arrays`` (a
-    drawn :class:`SpecArrays` batch of ``n_trials * faults_per_trial``
-    specs) selects the shard transport.  The prepared state ships once
-    via shared memory; each worker classifies its contiguous shard and
-    returns verdict columns, which the parent concatenates in shard
-    order into a columnar :class:`CampaignResult` over the same faults
-    — the exact record sequence the in-process path produces.  The
+    The prepared state ships once via shared memory; each worker
+    classifies a contiguous trial slice of ``arrays`` and returns
+    verdict columns, which the parent concatenates in shard order into
+    a columnar :class:`CampaignResult` over ``faults`` (default: the
+    batch itself; an explicit run passes the caller's fault tuples) —
+    the exact record sequence the in-process path produces.  The
     parent never assembles specs.
     """
-    if (trials is None) == (arrays is None):
-        raise FaultInjectionError(
-            "run_campaign_sharded takes exactly one of trials= or arrays="
-        )
-    if trials is not None:
-        n = len(trials)
-        trials = list(trials)
-    else:
-        if n_trials is None:
-            raise FaultInjectionError("arrays= requires n_trials=")
-        n = int(n_trials)
-        if len(arrays) != n * faults_per_trial:
-            raise FaultInjectionError(
-                f"drew {len(arrays)} specs for {n} trials x "
-                f"{faults_per_trial} faults/trial"
-            )
-
     prepared = campaign._prepared
     # Force the lazy clean check arrays into the prepared state now so
     # they ride the shared segment instead of being rebuilt once per
@@ -427,47 +397,42 @@ def run_campaign_sharded(
         batch_size=campaign.batch_size,
     )
     payload, shm = export_payload(prepared)
-    bounds = shard_bounds(n, workers)
+    bounds = shard_bounds(len(arrays), workers)
     pool = ProcessPoolExecutor(max_workers=len(bounds), mp_context=_mp_context())
-    futures = []
-    for lo, hi in bounds:
-        if trials is not None:
-            shard = (trials[lo:hi], None, 1)
-        else:
-            r = faults_per_trial
-            shard = (None, arrays.slice(lo * r, hi * r), r)
-        futures.append(pool.submit(_run_campaign_shard, payload, cfg, *shard))
-
+    futures = [
+        pool.submit(_run_campaign_shard, payload, cfg, arrays[lo:hi])
+        for lo, hi in bounds
+    ]
     columns = _gather_shards(pool, futures, shm)
     merged = tuple(
         np.concatenate([shard[k] for shard in columns]) for k in range(4)
     )
-    faults = trials if trials is not None else _DrawnTrials(arrays, faults_per_trial)
-    return CampaignResult._from_columns(campaign.scheme.name, faults, *merged)
+    return CampaignResult._from_columns(
+        campaign.scheme.name, arrays if faults is None else faults, *merged
+    )
 
 
 def run_propagation_sharded(
     campaign: "PropagationCampaign",
-    trials: Sequence[tuple[FaultSpec, ...]],
+    arrays: SpecArrays,
     *,
     workers: int,
 ) -> "list[PropagationRecord]":
-    """Run propagation trials across a process pool; merge in order.
+    """Run a propagation trial batch across a process pool; merge in order.
 
     Ships the campaign's shard state (struck-layer prepared execution,
     clean baselines, downstream replay ops) once via shared memory and
-    splits the trial list into contiguous shards.  Per-trial records
+    splits the batch into contiguous trial slices.  Per-trial records
     are independent of chunk and shard boundaries, so ordered
     concatenation reproduces the sequential record stream exactly.
     """
-    trials = list(trials)
     campaign._prepared.clean_reductions
     campaign._prepared.clean_comparison(campaign._detection)
     payload, shm = export_payload(campaign._shard_state())
-    bounds = shard_bounds(len(trials), workers)
+    bounds = shard_bounds(len(arrays), workers)
     pool = ProcessPoolExecutor(max_workers=len(bounds), mp_context=_mp_context())
     futures = [
-        pool.submit(_run_propagation_shard, payload, trials[lo:hi])
+        pool.submit(_run_propagation_shard, payload, arrays[lo:hi])
         for lo, hi in bounds
     ]
     shards = _gather_shards(pool, futures, shm)

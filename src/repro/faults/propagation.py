@@ -55,9 +55,9 @@ import numpy as np
 
 from ..errors import ConfigurationError, FaultInjectionError
 from ..gemm.executor import executor_for
-from .campaign import FaultCampaign
+from .campaign import FaultCampaign, _check_draw
 from .injector import faulted_site_values
-from .model import FaultSpec
+from .model import FaultSpec, SpecArrays
 from .options import CampaignOptions, resolve_option
 from .recovery import RecoveryPolicy, attempt_recovery
 
@@ -349,6 +349,7 @@ class PropagationCampaign:
             ),
         )
         self._prepared = self._gemm.prepared
+        self._batch_size = self._gemm.batch_size
         # The struck layer's accumulator→output lowering (FP16 downcast
         # on the float pipeline, dequantize on INT8) comes from its
         # prepared executor, so replayed site values match the scheme's
@@ -419,7 +420,7 @@ class PropagationCampaign:
             "struck_op": self._struck_op,
             "downstream": self._downstream,
             "step_dims": self._step_dims,
-            "batch_size": self._gemm.batch_size,
+            "batch_size": self._batch_size,
         }
 
     @classmethod
@@ -427,7 +428,7 @@ class PropagationCampaign:
         """Rebuild a replay-capable campaign from :meth:`_shard_state`.
 
         The shard-worker constructor: no engine, no trace, no GEMM
-        campaign — just the attributes :meth:`_run_chunk`,
+        campaign — just the attributes :meth:`_run_records`,
         :meth:`_replay`, and the recovery check touch (the end-to-end
         check already ran at the parent's construction).  Workers never
         draw randomness or aggregate results; the parent owns both.
@@ -451,6 +452,7 @@ class PropagationCampaign:
         self._struck_op = state["struck_op"]
         self._downstream = state["downstream"]
         self._step_dims = state["step_dims"]
+        self._batch_size = state["batch_size"]
         return self
 
     # ------------------------------------------------------------------
@@ -517,10 +519,8 @@ class PropagationCampaign:
         workers: int | None = None,
     ) -> PropagationResult:
         """``n_trials`` random trials, all faults drawn up front."""
-        drawn = self._gemm.draw_faults(
-            n_trials, faults_per_trial=faults_per_trial
-        )
-        return self.run(n_trials, specs=drawn, workers=workers)
+        _check_draw(n_trials, faults_per_trial)
+        return self.run(n_trials, faults_per_trial=faults_per_trial, workers=workers)
 
     def run(
         self,
@@ -532,11 +532,9 @@ class PropagationCampaign:
     ) -> PropagationResult:
         """Run ``n_trials`` random trials, or the provided fault sets.
 
-        Same specs contract as :meth:`repro.faults.FaultCampaign.run`:
-        explicit ``specs`` fully determine the trials (``n_trials``
-        must be 0 or ``len(specs)``, ``faults_per_trial`` unset);
-        otherwise each trial draws ``faults_per_trial`` random
-        original-path faults from the campaign's seeded stream.
+        The arguments follow :meth:`repro.faults.FaultCampaign.run`'s
+        contract, and random trials are drawn from the same stream a
+        :class:`~repro.faults.FaultCampaign` with this seed draws.
 
         ``workers`` overrides the campaign's default worker count for
         this run: with ``N > 1`` the trials shard across a process pool
@@ -546,58 +544,44 @@ class PropagationCampaign:
         record-for-record identical to in-process execution; a worker
         failure raises :class:`~repro.errors.CampaignError`.
         """
-        if n_trials < 0:
-            raise FaultInjectionError(f"n_trials must be >= 0, got {n_trials}")
-        if specs is not None:
-            if faults_per_trial is not None:
-                raise FaultInjectionError(
-                    "faults_per_trial only applies to randomly drawn "
-                    "trials; explicit specs already fix each trial's faults"
-                )
-            if n_trials not in (0, len(specs)):
-                raise FaultInjectionError(
-                    f"n_trials={n_trials} disagrees with {len(specs)} "
-                    f"explicit specs; pass 0 or len(specs)"
-                )
-            trials = FaultCampaign._normalize_trials(specs)
-        else:
-            per_trial = 1 if faults_per_trial is None else faults_per_trial
-            if per_trial < 1:
-                raise FaultInjectionError(
-                    f"faults_per_trial must be >= 1, got {per_trial}"
-                )
-            trials = FaultCampaign._normalize_trials(
-                self._gemm.draw_faults(n_trials, faults_per_trial=per_trial)
-            )
+        trials, batch = self._gemm._trial_batch(n_trials, specs, faults_per_trial)
         result = PropagationResult(
             model=self.engine.model.name,
             layer=self.layer,
             scheme=self._gemm.scheme.name,
         )
         n_workers = self._gemm._resolve_workers(
-            workers if workers is not None else self.workers, len(trials)
+            workers if workers is not None else self.workers, len(batch)
         )
         if n_workers > 1:
             from .parallel import run_propagation_sharded
 
-            result.records.extend(
-                run_propagation_sharded(self, trials, workers=n_workers)
-            )
-            return result
-        batch = self._gemm.batch_size
-        for start in range(0, len(trials), batch):
-            chunk = trials[start:start + batch]
-            result.records.extend(self._run_chunk(chunk))
+            result.records = run_propagation_sharded(self, batch, workers=n_workers)
+        else:
+            if trials is batch:
+                trials = batch.tolist()
+            result.records = self._run_records(batch, trials)
         return result
 
+    def _run_records(
+        self, batch: SpecArrays, trials: Sequence[tuple[FaultSpec, ...]]
+    ) -> list[PropagationRecord]:
+        """Every trial's record, in chunks; ``trials[i]`` is batch trial
+        ``i``'s fault tuple, which its record and recovery carry."""
+        records: list[PropagationRecord] = []
+        for start in range(0, len(batch), self._batch_size):
+            stop = start + self._batch_size
+            records.extend(self._run_chunk(batch[start:stop], trials[start:stop]))
+        return records
+
     def _run_chunk(
-        self, chunk: Sequence[tuple[FaultSpec, ...]]
+        self, chunk: SpecArrays, trials: Sequence[tuple[FaultSpec, ...]]
     ) -> list[PropagationRecord]:
         """Inject one trial chunk, replay unmasked trials, classify."""
         prepared = self._prepared
         sites = faulted_site_values(prepared.c_clean, chunk)
         outcomes = prepared.inject_batch(
-            chunk, detection=self._detection, sites=sites,
+            trials, detection=self._detection, sites=sites,
         )
 
         # Quantization-masked fast path: a site only affects the model
@@ -617,7 +601,7 @@ class PropagationCampaign:
             per_trial[int(t)].append(j)
 
         records: list[PropagationRecord] = []
-        for i, faults in enumerate(chunk):
+        for i, faults in enumerate(trials):
             detected = bool(outcomes[i].detected)
             live = [j for j in per_trial[i] if changed[j]]
             if not live:

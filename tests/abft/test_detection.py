@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.abft.detection import (
     VerdictColumns,
-    compare_checksums,
     compare_checksums_batch,
     compare_checksums_sparse,
     prepare_clean_comparison,
@@ -17,9 +16,14 @@ from repro.config import DetectionConstants
 from repro.errors import DetectionError
 
 
+def compare_one(checksum_side, output_side, **kwargs):
+    """One trial's verdict, through the batched comparison."""
+    return compare_checksums_batch(checksum_side[None], output_side[None], **kwargs)[0]
+
+
 class TestCompare:
     def test_equal_values_pass(self):
-        v = compare_checksums(
+        v = compare_one(
             np.array([1.0, 2.0]), np.array([1.0, 2.0]), n_terms=100, magnitudes=10.0
         )
         assert not v.detected
@@ -28,11 +32,11 @@ class TestCompare:
     def test_rounding_noise_passes(self):
         lhs = np.array([1000.0])
         rhs = np.array([1000.0 * (1 + 2 ** -22)])
-        v = compare_checksums(lhs, rhs, n_terms=4096, magnitudes=2000.0)
+        v = compare_one(lhs, rhs, n_terms=4096, magnitudes=2000.0)
         assert not v.detected
 
     def test_large_mismatch_detected(self):
-        v = compare_checksums(
+        v = compare_one(
             np.array([100.0]), np.array([105.0]), n_terms=64, magnitudes=200.0
         )
         assert v.detected
@@ -41,33 +45,33 @@ class TestCompare:
     def test_violations_indices(self):
         lhs = np.array([[1.0, 2.0], [3.0, 999.0]])
         rhs = np.array([[1.0, 2.0], [3.0, 4.0]])
-        v = compare_checksums(lhs, rhs, n_terms=8, magnitudes=10.0)
+        v = compare_one(lhs, rhs, n_terms=8, magnitudes=10.0)
         assert v.violations == (3,)
 
     def test_nan_always_detected(self):
-        v = compare_checksums(
+        v = compare_one(
             np.array([np.nan]), np.array([1.0]), n_terms=8, magnitudes=1e30
         )
         assert v.detected
         assert v.max_residual == float("inf")
 
     def test_inf_always_detected(self):
-        v = compare_checksums(
+        v = compare_one(
             np.array([np.inf]), np.array([1.0]), n_terms=8, magnitudes=1e30
         )
         assert v.detected
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DetectionError):
-            compare_checksums(np.zeros(3), np.zeros(4), n_terms=8, magnitudes=1.0)
+            compare_one(np.zeros(3), np.zeros(4), n_terms=8, magnitudes=1.0)
 
 
 class TestToleranceScaling:
     def test_tolerance_grows_with_magnitude(self):
-        small = compare_checksums(
+        small = compare_one(
             np.array([0.0]), np.array([0.0]), n_terms=64, magnitudes=1.0
         )
-        big = compare_checksums(
+        big = compare_one(
             np.array([0.0]), np.array([0.0]), n_terms=64, magnitudes=1e6
         )
         assert big.tolerance > small.tolerance
@@ -86,7 +90,7 @@ class TestToleranceScaling:
         lhs = np.array([0.0, 0.0])
         rhs = np.array([0.001, 0.001])
         mags = np.array([1.0, 1e9])
-        v = compare_checksums(lhs, rhs, n_terms=1024, magnitudes=mags)
+        v = compare_one(lhs, rhs, n_terms=1024, magnitudes=mags)
         # Same residual: flagged where magnitude (and thus tolerance) is
         # small, passed where the accumulated magnitude explains it.
         assert v.violations == (0,)

@@ -93,14 +93,14 @@ class TestCampaign:
         assert result.coverage == 1.0
         assert not result.false_negatives
 
-    def test_random_fault_and_draw_faults_share_site_domain(self, operands):
-        """Both random-spec generators must draw fault sites from the
+    def test_run_and_draw_faults_share_site_domain(self, operands):
+        """Random runs and draw_faults must draw fault sites from the
         same source — the prepared clean accumulator's padded grid."""
         a, b = operands
         campaign = FaultCampaign(get_scheme("global"), a, b, seed=3)
         assert campaign.fault_domain == campaign._prepared.c_clean.shape
         rows, cols = campaign.fault_domain
-        singles = [campaign.random_fault() for _ in range(300)]
+        singles = [t.spec for t in campaign.run(300).trials]
         drawn = campaign.draw_faults(300)
         for spec in singles + drawn:
             assert 0 <= spec.row < rows and 0 <= spec.col < cols

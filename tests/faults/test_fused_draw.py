@@ -1,31 +1,29 @@
-"""``run_batch``'s fused draw→sites fast path equals the stepped path.
+"""``run_batch`` on drawn columns equals ``run`` on the drawn tuples.
 
-``run_batch`` values each chunk's fault sites straight from the drawn
-spec columns: when no trial of the chunk strikes one ``(row, col)``
-twice, the chunk's :class:`~repro.faults.injector.FaultSites` come from
-one :func:`corrupted_values_columns` call over the clean elements, with
-no :class:`~repro.faults.FaultSpec` built; a chunk holding such a
-duplicate alone takes the generic :func:`faulted_site_values` walk.
-The records must be identical, record for record, to
-``run(n, specs=draw_faults(n))`` — which itself pins the fused path
-against the generic one, since explicit specs never take it.
+A random run never builds a :class:`~repro.faults.FaultSpec`: the draw
+lands in a :class:`~repro.faults.SpecArrays` batch whose chunks are
+valued from their columns (:func:`faulted_site_values`, repeated sites
+applied in spec order by :func:`keyed_corruption`).  An explicit run
+converts the caller's tuples to the same batch form.  The records must
+be identical, record for record, to ``run(n, specs=draw_faults(n))``,
+and the keyed corruption must equal :func:`corrupted_element` applied
+per key in spec order.
 """
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.abft import MultiChecksumGlobalABFT, get_scheme
+from repro.abft import MultiChecksumGlobalABFT, get_scheme, scheme_from_token
 from repro.errors import FaultInjectionError
-from repro.faults import FaultCampaign, SpecArrays
-from repro.faults import campaign as campaign_module
-from repro.faults.campaign import assemble_specs
+from repro.faults import FaultCampaign, FaultKind, FaultPath, FaultSpec, SpecArrays
 from repro.faults.injector import (
-    corrupted_values_batch,
-    corrupted_values_columns,
-    sites_from_flat_specs,
+    corrupted_element,
+    faulted_site_values,
+    keyed_corruption,
 )
 
 
@@ -94,40 +92,31 @@ class TestFusedDrawEquivalence:
         )
         assert_records_identical(fused, stepped)
 
-    def test_duplicate_sites_fall_back_to_generic_path(self, rng, monkeypatch):
+    def test_duplicate_sites_match_stepped_run(self, rng):
         # A 2x4 fault domain with 4 faults per trial collides almost
-        # surely; the colliding chunk must take the generic walk (the
-        # stepped application order) and run_batch must still match
-        # the stepped reference exactly.  Seed 0 draws a colliding
-        # batch for these operands.
+        # surely; repeated sites must take the stepped application
+        # order and run_batch must match the stepped reference exactly.
         a = (rng.standard_normal((2, 8)) * 0.5).astype(np.float16)
         b = (rng.standard_normal((8, 4)) * 0.5).astype(np.float16)
-        generic = _count_calls(monkeypatch, "faulted_site_values")
         fused = FaultCampaign(get_scheme("global"), a, b, seed=0).run_batch(
             16, faults_per_trial=4
         )
-        assert generic.calls == 1
         stepped_campaign = FaultCampaign(get_scheme("global"), a, b, seed=0)
         stepped = stepped_campaign.run(
             0, specs=stepped_campaign.draw_faults(16, faults_per_trial=4)
         )
         assert_records_identical(fused, stepped)
 
-    def test_only_the_colliding_chunk_takes_the_generic_path(
-        self, operands, monkeypatch
-    ):
-        """One duplicate site must not send the whole batch down the
-        per-spec walk: seed 14 draws 40 four-fault trials whose only
-        repeated site is trial 38's, in the last of four chunks."""
+    def test_colliding_chunk_matches_stepped_run(self, operands):
+        """Seed 14 draws 40 four-fault trials whose only repeated site
+        is trial 38's, in the last of four chunks."""
         def campaign():
             return make_campaign("global", operands, seed=14, batch_size=10)
 
         drawn = campaign().draw_faults(40, faults_per_trial=4)
         repeats = [i for i, t in enumerate(drawn) if len({(f.row, f.col) for f in t}) < 4]
         assert repeats == [38]
-        generic = _count_calls(monkeypatch, "faulted_site_values")
         fused = campaign().run_batch(40, faults_per_trial=4)
-        assert generic.calls == 1
         stepped_campaign = campaign()
         stepped = stepped_campaign.run(
             0, specs=stepped_campaign.draw_faults(40, faults_per_trial=4)
@@ -135,78 +124,113 @@ class TestFusedDrawEquivalence:
         assert_records_identical(fused, stepped)
 
 
-class _Counter:
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.fn(*args, **kwargs)
-
-
-def _count_calls(monkeypatch, name):
-    counter = _Counter(getattr(campaign_module, name))
-    monkeypatch.setattr(campaign_module, name, counter)
-    return counter
-
-
-def _arrays(rows, cols, codes=(2,), values=(1.0,), bits=(0,)):
-    return SpecArrays(
-        rows=np.asarray(rows),
-        cols=np.asarray(cols),
-        kind_codes=np.asarray(codes, dtype=np.uint8),
-        values=np.asarray(values, dtype=np.float64),
-        bits=np.asarray(bits),
-    )
-
-
-class TestSitesFromFlatSpecs:
-    def test_validates_array_lengths(self, operands):
-        campaign = make_campaign("global", operands, seed=1)
-        c_clean = campaign._prepared.c_clean
-        with pytest.raises(FaultInjectionError, match="mismatched"):
-            sites_from_flat_specs(c_clean, np.array([0, 1]), _arrays([0], [0]), 2)
-
+class TestSiteValuation:
     def test_bounds_checks_coordinates(self, operands):
         campaign = make_campaign("global", operands, seed=1)
         c_clean = campaign._prepared.c_clean
-        with pytest.raises(FaultInjectionError, match="outside"):
-            sites_from_flat_specs(
-                c_clean, np.array([0]), _arrays([c_clean.shape[0] + 5], [0]), 1
+        for path in FaultPath:
+            batch = SpecArrays.from_trials(
+                [(FaultSpec(c_clean.shape[0] + 5, 0, path=path),)]
             )
+            with pytest.raises(FaultInjectionError, match="outside"):
+                faulted_site_values(c_clean, batch)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["global", "thread_onesided", "global_multi:2", "replication_traditional",
+         "thread_twosided@int8", "replication_traditional@int8"],
+    )
+    def test_inject_batch_reads_no_spec_given_sites(self, token, operands):
+        """With precomputed sites, inject_batch renders every verdict
+        without indexing the trial sequence once."""
+        prepared = scheme_from_token(token).prepare(*operands)
+        ck = FaultPath.CHECKSUM
+        trials = [
+            (FaultSpec(3, 5, FaultKind.ADD, value=40.0, path=ck),),
+            (FaultSpec(2, 3, FaultKind.ADD, value=25.0),
+             FaultSpec(9, 4, FaultKind.BITFLIP_FP32, bit=27, path=ck),
+             FaultSpec(9, 4, FaultKind.ADD, value=-7.0, path=ck)),
+            (FaultSpec(4, 4, FaultKind.SET, value=7.0),
+             FaultSpec(4, 4, FaultKind.ADD, value=100.0)),
+            (),
+            (FaultSpec(6, 7, FaultKind.BITFLIP_FP16, bit=12),),
+        ]
+        sites = faulted_site_values(prepared.c_clean, SpecArrays.from_trials(trials))
+        rendered = prepared.inject_batch(_Unreadable(len(trials)), sites=sites)
+        assert list(rendered.verdicts) == list(prepared.inject_batch(trials).verdicts)
 
 
-class TestColumnCorruption:
+class _Unreadable(Sequence):
+    """A trial sequence of known length whose trials cannot be read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError(f"trial {i} was read")
+
+
+_ELEMENTS = {
+    np.float64: st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    np.float32: st.floats(width=32, allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    np.int32: st.integers(min_value=-(2**31), max_value=2**31 - 1),
+}
+
+
+@st.composite
+def _spec(draw, integer):
+    kind = draw(st.sampled_from(list(FaultKind)))
+    bit = draw(st.integers(0, 15 if kind is FaultKind.BITFLIP_FP16 else 31))
+    value = draw(st.floats(-1.0, 1.0)) * draw(st.sampled_from([1e-3, 1.0, 1e4, 1e12, 1e30]))
+    if not integer:
+        value = draw(st.sampled_from([value, math.inf, -math.inf, math.nan, -0.0]))
+    return FaultSpec(0, 0, kind, bit, value)
+
+
+def _assert_same_values(got, want):
+    """Bit-equal, except that any NaN matches any NaN (payloads aside)."""
+    assert got.dtype == want.dtype
+    if np.issubdtype(got.dtype, np.floating):
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        got, want = got[~nan], want[~nan]
+    assert got.tobytes() == want.tobytes()
+
+
+class TestKeyedCorruption:
     @given(
         data=st.data(),
-        integer=st.booleans(),
-        n=st.integers(min_value=0, max_value=24),
+        dtype=st.sampled_from([np.float64, np.float32, np.int32]),
+        n_keys=st.integers(1, 4),
+        n=st.integers(0, 24),
     )
-    @settings(max_examples=120, deadline=None)
-    def test_columns_match_assembled_specs(self, data, integer, n):
-        """Column corruption == corrupted_values_batch on the specs
-        assemble_specs builds, for FP32 and INT32 accumulators."""
-        if integer:
-            clean = st.integers(min_value=-(2**31), max_value=2**31 - 1)
-            dtype = np.int32
-        else:
-            clean = st.floats(width=32, allow_nan=True, allow_infinity=True)
-            dtype = np.float32
-        values = np.asarray(data.draw(st.lists(clean, min_size=n, max_size=n)), dtype=dtype)
-        magnitude = st.sampled_from([1e-3, 1.0, 1e4, 1e12, 1e30])
-        deltas = [
-            data.draw(st.floats(-1.0, 1.0, allow_nan=False)) * data.draw(magnitude)
-            for _ in range(n)
-        ]
-        arrays = _arrays(
-            rows=np.zeros(n, dtype=np.int64),
-            cols=np.zeros(n, dtype=np.int64),
-            codes=data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
-            values=deltas,
-            bits=data.draw(st.lists(st.integers(0, 31), min_size=n, max_size=n)),
+    @settings(max_examples=300, deadline=None)
+    def test_matches_corrupted_element_in_spec_order(self, data, dtype, n_keys, n):
+        """Keyed in-order corruption == corrupted_element per key in
+        spec order, keys kept in first-occurrence order, for float64,
+        float32 and int32 elements, repeated keys and all four kinds."""
+        integer = dtype is np.int32
+        elements = np.asarray(
+            data.draw(st.lists(_ELEMENTS[dtype], min_size=n_keys, max_size=n_keys)),
+            dtype=dtype,
         )
-        expected = corrupted_values_batch(values, assemble_specs(arrays))
-        got = corrupted_values_columns(values, arrays)
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
+        keys = np.asarray(
+            data.draw(st.lists(st.integers(0, n_keys - 1), min_size=n, max_size=n)),
+            dtype=np.intp,
+        )
+        specs = [data.draw(_spec(integer)) for _ in range(n)]
+        batch = SpecArrays.from_trials([specs])
+        first, final = keyed_corruption(
+            keys, elements[keys], batch.kind_codes, batch.bits, batch.values
+        )
+        expected = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for key, spec in zip(keys.tolist(), specs):
+                expected[key] = corrupted_element(expected.get(key, elements[key]), spec)
+        assert keys[first].tolist() == list(expected)
+        _assert_same_values(final, np.asarray(list(expected.values()), dtype=dtype))

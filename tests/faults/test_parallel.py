@@ -25,7 +25,7 @@ from repro.faults import (
     shard_bounds,
 )
 from repro.faults import parallel
-from repro.faults.campaign import SpecArrays, assemble_specs, group_spec_trials
+from repro.faults.campaign import SpecArrays
 from repro.faults.parallel import attach_payload, export_payload
 
 
@@ -138,15 +138,17 @@ class TestSpecArrays:
         c1 = _campaign(seed=11)
         c2 = _campaign(seed=11)
         direct = c1.draw_faults(64, faults_per_trial=2)
-        arrays = c2._draw_spec_arrays(128)
-        rebuilt = group_spec_trials(assemble_specs(arrays), 2)
+        arrays = c2._draw_spec_arrays(64, 2)
+        rebuilt = arrays.tolist()
         assert rebuilt == [tuple(t) for t in direct]
+        assert [arrays[i] for i in range(len(arrays))] == rebuilt
+        assert SpecArrays.from_trials(rebuilt).tolist() == rebuilt
 
     def test_slice_views(self):
         arrays = _campaign()._draw_spec_arrays(10)
-        part = arrays.slice(3, 7)
+        part = arrays[3:7]
         assert len(part) == 4
-        assert assemble_specs(part) == assemble_specs(arrays)[3:7]
+        assert part.tolist() == arrays.tolist()[3:7]
 
     def test_spec_arrays_is_columnar(self):
         arrays = _campaign()._draw_spec_arrays(5)
@@ -256,15 +258,6 @@ class TestFailure:
         with pytest.raises(CampaignError) as excinfo:
             _campaign().run_batch(8, workers=2)
         assert isinstance(excinfo.value.__cause__, ValueError)
-
-    def test_orchestrator_rejects_ambiguous_inputs(self):
-        c = _campaign()
-        with pytest.raises(FaultInjectionError, match="exactly one"):
-            parallel.run_campaign_sharded(c, workers=2)
-        with pytest.raises(FaultInjectionError, match="n_trials"):
-            parallel.run_campaign_sharded(
-                c, workers=2, arrays=c._draw_spec_arrays(4)
-            )
 
 
 # ----------------------------------------------------------------------

@@ -204,3 +204,16 @@ class TestSessionSurface:
             campaign.run(3, specs=[BIG])
         with pytest.raises(FaultInjectionError, match="faults_per_trial"):
             campaign.run(1, specs=[BIG], faults_per_trial=2)
+
+    @pytest.mark.parametrize("faults_per_trial", [1, 3])
+    def test_random_runs_draw_one_stream(self, session, x, faults_per_trial):
+        """For one seed, run(n), run_batch(n) and a propagation
+        campaign's run(n) on the same layer draw the same faults."""
+        session.run(x)  # record the operands the campaigns attack
+        fpt = {"faults_per_trial": faults_per_trial}
+        run = session.campaign(LAYER, seed=3).run(6, **fpt)
+        batch = session.campaign(LAYER, seed=3).run_batch(6, **fpt)
+        propagation = session.propagation_campaign(LAYER, x=x, seed=3).run(6, **fpt)
+        faults = [t.faults for t in batch.trials]
+        assert [t.faults for t in run.trials] == faults
+        assert [r.faults for r in propagation.records] == faults

@@ -20,7 +20,7 @@ from dense_oracle import oracle_accumulators, oracle_inject_batch
 from hypothesis import given, settings, strategies as st
 
 from repro.abft import list_schemes, scheme_from_token
-from repro.faults import FaultKind, FaultPath, FaultSpec
+from repro.faults import FaultKind, FaultPath, FaultSpec, SpecArrays
 from repro.faults.injector import faulted_site_values
 from repro.gemm import TileConfig
 
@@ -212,7 +212,7 @@ class TestFaultedSiteValues:
             )
             for _ in range(data.draw(st.integers(1, 6)))
         ]
-        sites = faulted_site_values(clean, trials)
+        sites = faulted_site_values(clean, SpecArrays.from_trials(trials))
         c_batch = oracle_accumulators(clean, trials)
         # Bit-level equality against the dense batch, NaN patterns included.
         gathered = c_batch[sites.trials, sites.rows, sites.cols]
@@ -238,7 +238,7 @@ class TestFaultedSiteValues:
             ),
             (),
         ]
-        sites = faulted_site_values(clean, trials)
+        sites = faulted_site_values(clean, SpecArrays.from_trials(trials))
         assert sites.n_trials == 2
         # One unique site: the checksum-path fault never touches the
         # output, and the repeated element collapses to one entry.
