@@ -205,12 +205,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         plan = _build_plan(args)
     session = ProtectedSession(plan, seed=args.seed)
     layer = args.layer if args.layer is not None else plan.layer_names[0]
-    campaign = session.campaign(
+    with session.campaign(
         layer, options=CampaignOptions(seed=args.seed, workers=args.workers)
-    )
-    result = campaign.run_batch(
-        args.trials, faults_per_trial=args.faults_per_trial
-    )
+    ) as campaign:
+        result = campaign.run_batch(
+            args.trials, faults_per_trial=args.faults_per_trial
+        )
     entry = plan.layer(layer)
     print(f"model {plan.model} on {plan.device} "
           f"(policy {plan.policy or 'from plan'})")
@@ -297,14 +297,14 @@ def _cmd_sdc(args: argparse.Namespace) -> int:
         * 0.5
     ).astype(np.float16)
     layer = args.layer if args.layer is not None else plan.layer_names[0]
-    campaign = session.propagation_campaign(
+    with session.propagation_campaign(
         layer,
         x=x,
         options=CampaignOptions(seed=args.seed, workers=args.workers),
-    )
-    result = campaign.run_batch(
-        args.trials, faults_per_trial=args.faults_per_trial
-    )
+    ) as campaign:
+        result = campaign.run_batch(
+            args.trials, faults_per_trial=args.faults_per_trial
+        )
     entry = plan.layer(layer)
     print(f"model {plan.model} on {plan.device} "
           f"(policy {plan.policy or 'from plan'})")

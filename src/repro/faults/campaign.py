@@ -55,6 +55,7 @@ from ..gemm.tiles import TileConfig
 from .injector import FaultSites, faulted_site_values
 from .model import KINDS, FaultKind, FaultSpec, SpecArrays
 from .options import CampaignOptions, resolve_option
+from .parallel import ShardPoolOwner
 
 #: One campaign trial's fault set, or a bare spec (normalized to a
 #: 1-tuple) — what ``run``/``run_batch`` accept per trial.
@@ -252,7 +253,7 @@ class CampaignResult:
         return {k: r.coverage for k, r in self.by_fault_count().items()}
 
 
-class FaultCampaign:
+class FaultCampaign(ShardPoolOwner):
     """Run repeated fault-injection trials against one scheme.
 
     Each trial injects one fault set: a single fault by default (the
@@ -293,7 +294,12 @@ class FaultCampaign:
         in-process; ``N > 1`` shards each run's trials across a process
         pool sharing this campaign's prepared state via shared memory
         (:mod:`repro.faults.parallel`), record-for-record identical to
-        the in-process result for a fixed seed.
+        the in-process result for a fixed seed.  The pool starts on the
+        first sharded run and serves every later one that needs no
+        more workers; :meth:`close`, a ``with`` block, or the
+        campaign's collection shuts it down.  A warm pool adds a few
+        milliseconds to a run, so two workers pay from a few thousand
+        trials of a mid-size GEMM (measured in DESIGN.md §4).
     options:
         A :class:`~repro.faults.CampaignOptions` carrying any of the
         knobs above; ``seed`` / ``significance_factor`` / ``batch_size``
@@ -381,6 +387,16 @@ class FaultCampaign:
             baseline.verdict.tolerance if baseline.verdict else 0.0,
             detection.atol_floor,
         )
+
+    def _shard_state(self) -> "PreparedExecution":
+        """The prepared state a shard pool exports, clean checks built.
+
+        The lazy clean check arrays are forced first, so they ride the
+        shared segment instead of being rebuilt in every worker.
+        """
+        self._prepared.clean_reductions
+        self._prepared.clean_comparison(self.detection)
+        return self._prepared
 
     @property
     def prepared(self) -> "PreparedExecution":

@@ -2,11 +2,11 @@
 
 The prepared struck-check engine sustains tens of thousands of trials
 per second — on one core.  This module scales campaigns across cores by
-sharding the *trials* of one run over a
-:class:`concurrent.futures.ProcessPoolExecutor` while sharing the
-*fault-invariant* state: the parent exports the read-only
-:class:`~repro.abft.base.PreparedExecution` (padded operands, clean
-FP32 accumulator, cached check arrays) into one
+sharding the *trials* of one run over a :class:`ShardPool`: worker
+processes of a :class:`concurrent.futures.ProcessPoolExecutor` that
+share the campaign's *fault-invariant* state.  The parent exports the
+read-only :class:`~repro.abft.base.PreparedExecution` (padded operands,
+clean FP32 accumulator, cached check arrays) into one
 :mod:`multiprocessing.shared_memory` segment, and every worker maps
 zero-copy views of it — no per-worker clean GEMM, no pickling of
 operand or check arrays.  Trials travel one way: each worker receives
@@ -17,18 +17,28 @@ locally and returns columnar verdicts — or, for propagation
 campaigns, records whose fault tuples it builds itself — and the
 parent concatenates them in shard order.
 
-Determinism contract (DESIGN.md §4): the parent draws the *entire*
-random spec stream exactly as the in-process path would — one seeded
-RNG, whole-batch draws — and splits it into contiguous trial shards,
-so a fixed campaign seed yields record-for-record identical results at
-any worker count (``workers=1`` *is* the in-process path; sharded runs
-merge to the same records, pinned by a hypothesis property).
+Pool lifecycle (DESIGN.md §4): a campaign starts its pool on its first
+sharded run — one export, one fork per worker — and reuses it for every
+later run that asks for no more workers than it has; a larger request
+replaces it.  Workers attach the segment once and keep the attachment,
+so a warm run pays only the submit and the merge.  The pool shuts down
+through the campaign's ``close()`` or ``with`` block, or when the
+campaign is collected or the interpreter exits; shutting down joins the
+workers, then unlinks the segment.
+
+Determinism contract: the parent draws the *entire* random spec stream
+exactly as the in-process path would — one seeded RNG, whole-batch
+draws — and splits it into contiguous trial shards, so a fixed campaign
+seed yields record-for-record identical results at any worker count
+(``workers=1`` *is* the in-process path; sharded runs merge to the same
+records, pinned by a hypothesis property).
 
 Failure contract: a worker that raises — or dies outright
 (:class:`~concurrent.futures.process.BrokenProcessPool`) — surfaces as
 one :class:`~repro.errors.CampaignError` with the underlying exception
-chained; the pool is drained, the shared segment unlinked, and no
-partial merge escapes.
+chained, and no partial merge escapes.  The failed run also shuts its
+pool down and unlinks the segment, so the campaign's next sharded run
+starts a fresh pool.
 
 The pool uses the ``fork`` start method where available (cheap, and
 the workers inherit the loaded NumPy), but nothing here depends on
@@ -43,23 +53,27 @@ import logging
 import multiprocessing
 import os
 import pickle
+import weakref
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
 from ..config import DetectionConstants
 from ..errors import CampaignError
-from .campaign import CampaignResult, FaultCampaign
 from .model import FaultSpec, SpecArrays
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only (campaign imports this module)
+    from .campaign import CampaignResult, FaultCampaign
     from .propagation import PropagationCampaign, PropagationRecord
 
 __all__ = [
     "SharedPayload",
+    "ShardPool",
+    "ShardPoolOwner",
     "attach_payload",
     "export_payload",
     "run_campaign_sharded",
@@ -281,7 +295,7 @@ class _ShardConfig:
 
 
 def _run_campaign_shard(
-    payload: SharedPayload, cfg: _ShardConfig, arrays: SpecArrays
+    payload: SharedPayload, arrays: SpecArrays, cfg: _ShardConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Execute one contiguous trial shard in a worker process.
 
@@ -291,6 +305,8 @@ def _run_campaign_shard(
     significant, benign)`` — compact numpy arrays; no spec or record
     object is built on either side of the process boundary.
     """
+    from .campaign import FaultCampaign
+
     prepared = attach_payload(payload)
     campaign = FaultCampaign._from_prepared(
         prepared,
@@ -303,27 +319,28 @@ def _run_campaign_shard(
 
 
 def _run_propagation_shard(
-    payload: SharedPayload, arrays: SpecArrays
+    payload: SharedPayload, arrays: SpecArrays, settings: dict
 ) -> "list[PropagationRecord]":
     """Execute one contiguous propagation-trial shard in a worker.
 
     The payload is the parent campaign's shard state (struck-layer
     prepared execution, clean baselines, downstream replay ops — see
-    :meth:`~repro.faults.PropagationCampaign._shard_state`); the worker
-    rebuilds a replay-capable campaign over the shared views, builds
-    its slice's fault tuples for records and recovery, and runs the
-    standard chunk loop.  Records are plain frozen dataclasses and
+    :meth:`~repro.faults.PropagationCampaign._shard_state`) and
+    ``settings`` the run's recovery policy and output tolerances; the
+    worker rebuilds a replay-capable campaign over the shared views,
+    builds its slice's fault tuples for records and recovery, and runs
+    the standard chunk loop.  Records are plain frozen dataclasses and
     propagation throughput is orders of magnitude below the GEMM
     campaigns', so returning them pickled is free.
     """
     from .propagation import PropagationCampaign
 
-    campaign = PropagationCampaign._from_state(attach_payload(payload))
+    campaign = PropagationCampaign._from_state(attach_payload(payload), settings)
     return campaign._run_records(arrays, arrays.tolist())
 
 
 # ----------------------------------------------------------------------
-# Parent-side orchestration.
+# Parent-side orchestration: one long-lived pool per campaign.
 # ----------------------------------------------------------------------
 def _mp_context():
     """``fork`` where available (cheap startup, inherits loaded NumPy);
@@ -335,75 +352,172 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-def _gather_shards(pool, futures, shm):
-    """Collect shard results in submission order; always clean up.
+def _gather_shards(futures):
+    """Collect shard results in submission order.
 
     Any worker failure — an exception raised mid-shard, or a dead
-    worker surfacing as ``BrokenProcessPool`` — cancels what it can,
-    tears the pool down, and re-raises as one :class:`CampaignError`
-    with the cause chained.
-    The shared segment is closed and unlinked on every path, so neither
-    success, failure, nor ``KeyboardInterrupt`` leaks ``/dev/shm``
-    space.
+    worker surfacing as ``BrokenProcessPool`` — cancels the shards not
+    yet started and re-raises as one :class:`CampaignError` with the
+    cause chained.
     """
+    results = []
+    for future in futures:
+        try:
+            results.append(future.result())
+        except Exception as exc:
+            for pending in futures:
+                pending.cancel()
+            raise CampaignError(
+                f"sharded campaign failed in a worker process: {exc}"
+            ) from exc
+    return results
+
+
+def _shut_down(
+    owner_pid: int, executor: ProcessPoolExecutor, shm: shared_memory.SharedMemory
+) -> None:
+    """Join a pool's workers, then close and unlink its segment.
+
+    Runs once per pool — from :meth:`ShardPool.close`, the pool's
+    collection, or interpreter exit — and only in the process that
+    exported the segment: a forked worker that collects an inherited
+    pool object must not tear down its parent's pool.  The segment is
+    released on every path, so neither a failed join nor
+    ``KeyboardInterrupt`` leaks ``/dev/shm`` space.
+    """
+    if os.getpid() != owner_pid:
+        return
     try:
-        results = []
-        for future in futures:
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                for pending in futures:
-                    pending.cancel()
-                raise CampaignError(
-                    f"sharded campaign failed in a worker process: {exc}"
-                ) from exc
-        return results
+        executor.shutdown(wait=True, cancel_futures=True)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
         shm.close()
         try:
             shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
+        _CREATED.discard(shm.name)
+
+
+class ShardPool:
+    """Worker processes plus the one shared segment they all read.
+
+    Construction exports ``state`` — the owner's fault-invariant object
+    graph — once, then closes the parent's own mapping of it: workers
+    map the segment by name, and the parent only unlinks it on
+    shutdown.  Workers fork on the first :meth:`map` and stay up, each
+    attaching the segment once, until :meth:`close`, the pool's
+    collection or interpreter exit shuts them down.
+    """
+
+    def __init__(self, state: Any, workers: int) -> None:
+        self.workers = workers
+        self._executor = executor = ProcessPoolExecutor(
+            max_workers=workers, mp_context=_mp_context()
+        )
+        self.payload, shm = export_payload(state)
+        shm.close()
+        self._finalizer = weakref.finalize(
+            self, _shut_down, os.getpid(), executor, shm
+        )
+
+    @property
+    def alive(self) -> bool:
+        """Whether the pool can still run shards (not yet shut down)."""
+        return self._finalizer.alive
+
+    def map(
+        self, fn: Callable, arrays: SpecArrays, workers: int, *args: Any
+    ) -> list:
+        """``fn(payload, shard, *args)`` per contiguous shard, in shard order.
+
+        ``arrays`` splits into at most ``workers`` shards
+        (:func:`shard_bounds`).  Any failure — a worker raising or
+        dying, or an interrupt — shuts the pool down before it
+        propagates, as :class:`CampaignError` for a worker failure.
+        """
+        try:
+            futures = [
+                self._executor.submit(fn, self.payload, arrays[lo:hi], *args)
+                for lo, hi in shard_bounds(len(arrays), workers)
+            ]
+            return _gather_shards(futures)
+        except BrokenProcessPool as exc:  # from submit: a worker died idle
+            self.close()
+            raise CampaignError(
+                f"sharded campaign failed in a worker process: {exc}"
+            ) from exc
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Join the workers and unlink the segment; idempotent."""
+        self._finalizer()
+
+
+class ShardPoolOwner:
+    """A campaign's lazily started :class:`ShardPool` and its shutdown.
+
+    Subclasses provide :meth:`_shard_state`, the fault-invariant object
+    graph their workers read.  The pool starts on the first sharded
+    run and serves every later run that needs no more workers than it
+    has; :meth:`close` — or leaving a ``with`` block — shuts it down,
+    and the campaign stays usable: its next sharded run starts afresh.
+    """
+
+    _pool: ShardPool | None = None
+
+    def _shard_state(self) -> Any:
+        raise NotImplementedError
+
+    def _shard_pool(self, workers: int) -> ShardPool:
+        """The campaign's live pool of at least ``workers`` workers."""
+        pool = self._pool
+        if pool is None or not pool.alive or pool.workers < workers:
+            self.close()
+            self._pool = pool = ShardPool(self._shard_state(), workers)
+        return pool
+
+    def close(self) -> None:
+        """Shut down the campaign's shard pool, if one is running."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 def run_campaign_sharded(
-    campaign: FaultCampaign,
+    campaign: "FaultCampaign",
     *,
     workers: int,
     arrays: SpecArrays,
     faults: Sequence[Sequence[FaultSpec]] | None = None,
-) -> CampaignResult:
-    """Run a campaign's trial batch across a process pool; merge in order.
+) -> "CampaignResult":
+    """Run a campaign's trial batch on its shard pool; merge in order.
 
-    The prepared state ships once via shared memory; each worker
-    classifies a contiguous trial slice of ``arrays`` and returns
-    verdict columns, which the parent concatenates in shard order into
-    a columnar :class:`CampaignResult` over ``faults`` (default: the
+    Each worker classifies a contiguous trial slice of ``arrays``
+    against the pool's shared prepared state and returns verdict
+    columns, which the parent concatenates in shard order into a
+    columnar :class:`CampaignResult` over ``faults`` (default: the
     batch itself; an explicit run passes the caller's fault tuples) —
     the exact record sequence the in-process path produces.  The
     parent never assembles specs.
     """
-    prepared = campaign._prepared
-    # Force the lazy clean check arrays into the prepared state now so
-    # they ride the shared segment instead of being rebuilt once per
-    # worker.
-    prepared.clean_reductions
-    prepared.clean_comparison(campaign.detection)
+    from .campaign import CampaignResult
+
     cfg = _ShardConfig(
         detection=campaign.detection,
         significance_factor=campaign.significance_factor,
         tolerance_scale=campaign._tolerance_scale,
         batch_size=campaign.batch_size,
     )
-    payload, shm = export_payload(prepared)
-    bounds = shard_bounds(len(arrays), workers)
-    pool = ProcessPoolExecutor(max_workers=len(bounds), mp_context=_mp_context())
-    futures = [
-        pool.submit(_run_campaign_shard, payload, cfg, arrays[lo:hi])
-        for lo, hi in bounds
-    ]
-    columns = _gather_shards(pool, futures, shm)
+    pool = campaign._shard_pool(workers)
+    columns = pool.map(_run_campaign_shard, arrays, workers, cfg)
     merged = tuple(
         np.concatenate([shard[k] for shard in columns]) for k in range(4)
     )
@@ -418,22 +532,17 @@ def run_propagation_sharded(
     *,
     workers: int,
 ) -> "list[PropagationRecord]":
-    """Run a propagation trial batch across a process pool; merge in order.
+    """Run a propagation trial batch on the campaign's shard pool.
 
-    Ships the campaign's shard state (struck-layer prepared execution,
-    clean baselines, downstream replay ops) once via shared memory and
-    splits the batch into contiguous trial slices.  Per-trial records
-    are independent of chunk and shard boundaries, so ordered
-    concatenation reproduces the sequential record stream exactly.
+    The pool shares the campaign's shard state (struck-layer prepared
+    execution, clean baselines, downstream replay ops); each run ships
+    only its trial slices and the campaign's current recovery policy
+    and output tolerances.  Per-trial records are independent of chunk
+    and shard boundaries, so ordered concatenation reproduces the
+    sequential record stream exactly.
     """
-    campaign._prepared.clean_reductions
-    campaign._prepared.clean_comparison(campaign._detection)
-    payload, shm = export_payload(campaign._shard_state())
-    bounds = shard_bounds(len(arrays), workers)
-    pool = ProcessPoolExecutor(max_workers=len(bounds), mp_context=_mp_context())
-    futures = [
-        pool.submit(_run_propagation_shard, payload, arrays[lo:hi])
-        for lo, hi in bounds
-    ]
-    shards = _gather_shards(pool, futures, shm)
+    pool = campaign._shard_pool(workers)
+    shards = pool.map(
+        _run_propagation_shard, arrays, workers, campaign._shard_settings()
+    )
     return [record for shard in shards for record in shard]

@@ -59,6 +59,7 @@ from .campaign import FaultCampaign, _check_draw
 from .injector import faulted_site_values
 from .model import FaultSpec, SpecArrays
 from .options import CampaignOptions, resolve_option
+from .parallel import ShardPoolOwner
 from .recovery import RecoveryPolicy, attempt_recovery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
@@ -181,7 +182,7 @@ class PropagationResult:
         return table
 
 
-class PropagationCampaign:
+class PropagationCampaign(ShardPoolOwner):
     """Inject into one layer, propagate to the model output, classify.
 
     Parameters
@@ -229,7 +230,12 @@ class PropagationCampaign:
         pool sharing the campaign's prepared state, clean baselines,
         and downstream replay ops via shared memory
         (:mod:`repro.faults.parallel`), record-for-record identical to
-        the in-process result for a fixed seed.
+        the in-process result for a fixed seed.  The pool starts on the
+        first sharded run and serves every later one that needs no
+        more workers; :meth:`close`, a ``with`` block, or the
+        campaign's collection shuts it down.  Each trial replays the
+        downstream layers, so a few dozen trials already amortize the
+        few milliseconds a warm pool adds to a run.
     options:
         A :class:`~repro.faults.CampaignOptions`; ``seed`` /
         ``batch_size`` / ``workers`` apply here (each settable either
@@ -396,36 +402,38 @@ class PropagationCampaign:
                 )
 
     # ------------------------------------------------------------------
+    #: What a shard worker's campaign holds: the fault-invariant state a
+    #: shard pool exports once, and the settings every sharded run
+    #: ships, since callers may change them between runs.
+    _SHARD_STATE = (
+        "layer", "_detection", "_batch_size", "_prepared", "_clean_c16",
+        "_clean_output", "_clean_top1", "_struck_op", "_downstream",
+        "_step_dims",
+    )
+    _SHARD_SETTINGS = ("recovery", "output_rtol", "output_atol")
+
     def _shard_state(self) -> dict:
-        """Everything a shard worker needs, free of engine/trace handles.
+        """Everything fault-invariant a shard worker needs, by attribute.
 
         The heavyweight entries (the struck layer's prepared execution,
-        clean baselines, downstream ops with the campaign's replay
-        executors and widened weights) are ndarray-bearing object
-        graphs that
+        with its clean checks forced here, the clean baselines, and the
+        downstream ops with the campaign's replay executors and widened
+        weights) are ndarray-bearing object graphs that
         :func:`repro.faults.parallel.export_payload` parks in shared
         memory — a worker attaches zero-copy views, never re-preparing
         or re-tracing anything.
         """
-        return {
-            "layer": self.layer,
-            "recovery": self.recovery,
-            "output_rtol": self.output_rtol,
-            "output_atol": self.output_atol,
-            "detection": self._detection,
-            "prepared": self._prepared,
-            "clean_c16": self._clean_c16,
-            "clean_output": self._clean_output,
-            "clean_top1": self._clean_top1,
-            "struck_op": self._struck_op,
-            "downstream": self._downstream,
-            "step_dims": self._step_dims,
-            "batch_size": self._batch_size,
-        }
+        self._prepared.clean_reductions
+        self._prepared.clean_comparison(self._detection)
+        return {name: getattr(self, name) for name in self._SHARD_STATE}
+
+    def _shard_settings(self) -> dict:
+        """The run-time settings a sharded run ships with its trials."""
+        return {name: getattr(self, name) for name in self._SHARD_SETTINGS}
 
     @classmethod
-    def _from_state(cls, state: dict) -> "PropagationCampaign":
-        """Rebuild a replay-capable campaign from :meth:`_shard_state`.
+    def _from_state(cls, state: dict, settings: dict) -> "PropagationCampaign":
+        """Rebuild a replay-capable campaign from its shard state.
 
         The shard-worker constructor: no engine, no trace, no GEMM
         campaign — just the attributes :meth:`_run_records`,
@@ -434,25 +442,10 @@ class PropagationCampaign:
         draw randomness or aggregate results; the parent owns both.
         """
         self = object.__new__(cls)
-        self.engine = None
-        self.trace = None
-        self._gemm = None
-        self._step = None
-        self.workers = None
-        self.layer = state["layer"]
-        self.recovery = state["recovery"]
-        self.output_rtol = state["output_rtol"]
-        self.output_atol = state["output_atol"]
-        self._detection = state["detection"]
-        self._prepared = state["prepared"]
-        self._epilogue = state["prepared"].executor.epilogue
-        self._clean_c16 = state["clean_c16"]
-        self._clean_output = state["clean_output"]
-        self._clean_top1 = state["clean_top1"]
-        self._struck_op = state["struck_op"]
-        self._downstream = state["downstream"]
-        self._step_dims = state["step_dims"]
-        self._batch_size = state["batch_size"]
+        self.engine = self.trace = self._gemm = self._step = self.workers = None
+        for name, value in {**state, **settings}.items():
+            setattr(self, name, value)
+        self._epilogue = self._prepared.executor.epilogue
         return self
 
     # ------------------------------------------------------------------

@@ -90,7 +90,7 @@ class TestGuardDeletionRegression:
         path = repo_root / "src" / "repro" / "faults" / "parallel.py"
         source = path.read_text()
         mutated = source.replace("            shm.unlink()", "            pass")
-        assert mutated != source, "expected shm.unlink() call in _gather_shards"
+        assert mutated != source, "expected shm.unlink() call in _shut_down"
         found = lint_source(mutated, path=str(path), config=repo_config)
         assert any(f.rule == "RL003" for f in found)
 

@@ -6,11 +6,22 @@ worker count) is pinned by hypothesis in
 engine's machinery and edge cases: shard partitioning, the
 shared-memory payload roundtrip, ``workers=1`` delegation to the
 in-process path, worker counts exceeding the trial count, merged
-statistics, and the failure contract (a raising or dying worker
-surfaces one ``CampaignError``, promptly, with nothing leaked).
+statistics, the pool lifecycle (one pool per campaign, reused across
+runs, gone after ``close()``, a ``with`` block or interpreter exit), and
+the failure contract (a raising or dying worker surfaces one
+``CampaignError``, promptly, with nothing leaked).
 """
 
 import glob
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +68,14 @@ def _campaign(seed=7, **kwargs):
     return FaultCampaign(
         GlobalABFT(), a, b, options=CampaignOptions(seed=seed, **kwargs)
     )
+
+
+def _segments():
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+def _children():
+    return {p.pid for p in multiprocessing.active_children()}
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +264,10 @@ def _boom_value(*args, **kwargs):
     raise ValueError("original failure")
 
 
+def _die(*args, **kwargs):
+    os._exit(1)
+
+
 class TestFailure:
     def test_raising_worker_surfaces_campaign_error(self, monkeypatch):
         monkeypatch.setattr(parallel, "_run_campaign_shard", _boom_runtime)
@@ -258,6 +281,146 @@ class TestFailure:
         with pytest.raises(CampaignError) as excinfo:
             _campaign().run_batch(8, workers=2)
         assert isinstance(excinfo.value.__cause__, ValueError)
+
+    def test_dying_worker_closes_the_pool(self, monkeypatch):
+        campaign, twin = _campaign(), _campaign()
+        segments, children = _segments(), _children()
+        monkeypatch.setattr(parallel, "_run_campaign_shard", _die)
+        with pytest.raises(CampaignError) as excinfo:
+            campaign.run_batch(12, workers=2)
+        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+        assert _segments() <= segments
+        assert _children() <= children
+        # The failed run drew its batch before any worker ran.
+        twin.run_batch(12)
+        monkeypatch.undo()
+        with campaign:
+            again = campaign.run_batch(12, workers=2)
+        assert _same_records(again.trials, twin.run_batch(12).trials)
+
+    def test_worker_killed_between_runs(self):
+        campaign, twin = _campaign(), _campaign()
+        children = _children()
+        campaign.run_batch(12, workers=2)
+        twin.run_batch(12)
+        os.kill(min(_children() - children), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        # The executor's manager thread marks the pool broken on its own.
+        while not campaign._pool._executor._broken:
+            assert time.monotonic() < deadline, "pool never noticed the death"
+            time.sleep(0.01)
+        with pytest.raises(CampaignError) as excinfo:
+            campaign.run_batch(12, workers=2)
+        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+        assert _children() <= children
+        twin.run_batch(12)
+        with campaign:
+            again = campaign.run_batch(12, workers=2)
+        assert _same_records(again.trials, twin.run_batch(12).trials)
+
+
+# ----------------------------------------------------------------------
+# Pool lifecycle: one pool per campaign, reused until closed
+# ----------------------------------------------------------------------
+class TestPoolLifecycle:
+    @pytest.fixture
+    def exports(self, monkeypatch):
+        calls = []
+        export = parallel.export_payload
+
+        def counting(obj):
+            calls.append(obj)
+            return export(obj)
+
+        monkeypatch.setattr(parallel, "export_payload", counting)
+        return calls
+
+    def test_runs_reuse_one_pool(self, exports):
+        children = _children()
+        with _campaign() as campaign:
+            campaign.run_batch(12, workers=2)
+            first = _children() - children
+            campaign.run_batch(20, workers=2)
+            campaign.run_batch(9, workers=1)  # in-process
+            campaign.run_batch(30, workers=2)
+            assert _children() - children == first
+            assert len(first) == 2
+        assert len(exports) == 1
+
+    def test_parent_keeps_no_mapping_of_the_segment(self):
+        with _campaign() as campaign:
+            campaign.run_batch(12, workers=2)
+            name = campaign._pool.payload.shm_name
+            assert os.path.exists(f"/dev/shm/{name}")
+            with open("/proc/self/maps") as maps:
+                assert name not in maps.read()
+
+    def test_larger_request_replaces_the_pool(self, exports):
+        children = _children()
+        with _campaign() as campaign:
+            campaign.run_batch(12, workers=2)
+            first = _children() - children
+            campaign.run_batch(12, workers=3)
+            second = _children() - children
+        assert len(exports) == 2
+        assert len(second) == 3 and not first & second
+
+    def test_close_and_with_leave_no_child_or_segment(self):
+        segments, children = _segments(), _children()
+        campaign, twin = _campaign(), _campaign()
+        campaign.run_batch(12, workers=2)
+        assert _children() - children and _segments() - segments
+        campaign.close()
+        assert _children() <= children
+        assert _segments() <= segments
+        campaign.close()  # idempotent
+        # A closed campaign stays usable: its next sharded run starts afresh.
+        twin.run_batch(12)
+        with campaign:
+            again = campaign.run_batch(8, workers=2)
+        assert _children() <= children
+        assert _segments() <= segments
+        assert _same_records(again.trials, twin.run_batch(8).trials)
+
+    def test_interpreter_exit_without_close(self):
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            import repro
+            from repro.faults import CampaignOptions
+            from repro.nn import build_runnable, runnable_input_shape
+
+            rng = np.random.default_rng(0)
+            a = (rng.standard_normal((48, 32)) * 0.5).astype(np.float16)
+            b = (rng.standard_normal((32, 40)) * 0.5).astype(np.float16)
+            campaign = repro.FaultCampaign(repro.get_scheme("global"), a, b, seed=1)
+            campaign.run_batch(12, workers=2)
+            session = repro.deploy(
+                "mlp_bottom", "T4", batch=4,
+                runnable=build_runnable("mlp_bottom", batch=4, seed=0),
+            )
+            x = np.ones(runnable_input_shape("mlp_bottom", batch=4), np.float16)
+            propagation = session.propagation_campaign(
+                "fc1", x=x, options=CampaignOptions(seed=3, workers=2)
+            )
+            propagation.run_batch(6)
+            print(campaign._pool.payload.shm_name)
+            print(propagation._pool.payload.shm_name)
+            """
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = proc.stdout.split()
+        assert len(names) == 2
+        assert not any(os.path.exists(f"/dev/shm/{name}") for name in names)
+        assert "resource_tracker" not in proc.stderr, proc.stderr
 
 
 # ----------------------------------------------------------------------
@@ -302,6 +465,17 @@ class TestPropagationSharding:
         baseline = setup().run_batch(8)
         sharded = setup().run_batch(8, workers=2)
         assert sharded.records == baseline.records
+
+    def test_reused_pool_runs_changed_settings(self, setup):
+        with setup() as sharded:
+            twin = setup()
+            sharded.run_batch(8, workers=2)
+            twin.run_batch(8)
+            for campaign in (sharded, twin):
+                campaign.recovery = None
+            again = sharded.run_batch(24, workers=2)
+            assert again.records == twin.run_batch(24).records
+        assert again.n_detected and not again.total_retries
 
     def test_raising_worker_surfaces_campaign_error(self, setup, monkeypatch):
         monkeypatch.setattr(parallel, "_run_propagation_shard", _boom_runtime)
