@@ -51,6 +51,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -161,11 +162,12 @@ class ExecutionOutcome:
         Scheme registry name.
     c:
         Logical ``M x N`` output in the FP16 domain (what the next layer
-        consumes), lowered by the executor's epilogue — a plain FP16
-        downcast on the FP16 pipeline, the dequantizing rescale on the
-        INT8 one.  Computed lazily from the accumulator on first
-        access: fault campaigns read only verdicts and accumulators, so
-        batched trials skip the epilogue entirely.
+        consumes), lowered by ``epilogue`` — the executor's epilogue
+        bound to the operand-scale product: a plain FP16 downcast on
+        the FP16 pipeline, the dequantizing rescale on the INT8 one.
+        Computed lazily from the accumulator on first access: fault
+        campaigns read only verdicts and accumulators, so batched
+        trials skip the epilogue entirely.
     c_accumulator:
         Padded accumulator grid after fault application (FP32 on the
         FP16 pipeline, INT32 on the quantized one).  Injection never
@@ -199,7 +201,7 @@ class ExecutionOutcome:
         *,
         crop: tuple[int, int] | None = None,
         acc_factory: Callable[[], np.ndarray] | None = None,
-        epilogue: Callable[[np.ndarray], np.ndarray] | None = None,
+        epilogue: Callable[[np.ndarray], np.ndarray],
     ) -> None:
         if c_accumulator is None and acc_factory is None:
             raise ConfigurationError(
@@ -226,8 +228,7 @@ class ExecutionOutcome:
     def c(self) -> np.ndarray:
         m, n = self._crop
         if self._c is None:
-            lower = self._epilogue if self._epilogue is not None else Scheme._to_fp16
-            self._c = lower(self.c_accumulator[:m, :n])
+            self._c = self._epilogue(self.c_accumulator[:m, :n])
         return self._c
 
     @property
@@ -284,7 +285,7 @@ class OutcomeBatch(Sequence):
                 injected=faults,
                 crop=(prepared.problem.m, prepared.problem.n),
                 acc_factory=_accumulator_factory(prepared.c_clean, faults),
-                epilogue=prepared.executor.epilogue,
+                epilogue=prepared.epilogue,
             )
             self._built[i] = outcome
         return outcome
@@ -341,9 +342,9 @@ class PreparedWeights:
         :class:`~repro.abft.checksums.GlobalWeightChecksums`), or None
         for schemes without weight-side reductions.
     b_scale:
-        Per-tensor quantization scale of ``b_pad`` (int8 pipelines
-        only) — the executor consuming the state needs it to dequantize
-        the epilogue, since ``b`` itself is never re-read.
+        Quantization scale of ``b_pad`` (1.0 on the FP16 pipeline) —
+        :meth:`Scheme.prepare` takes it from here to dequantize the
+        epilogue, since ``b`` itself is never re-read.
     dtype:
         Pipeline dtype the state was built under; consuming it from a
         scheme of a different dtype is a configuration error (the
@@ -356,15 +357,16 @@ class PreparedWeights:
     tile: TileConfig
     b_pad: np.ndarray
     weight_state: Any = None
-    b_scale: float | None = None
+    b_scale: float = 1.0
     dtype: str = "fp16"
 
 
 class PreparedExecution:
     """All fault-invariant state of one protected GEMM.
 
-    Owns the padded operands, the chosen tile, the clean FP32
-    accumulator, and the scheme's checksum/magnitude arrays.
+    Owns the padded operands with their quantization scales, the
+    chosen tile, the clean FP32 accumulator, and the scheme's
+    checksum/magnitude arrays.
     :meth:`inject_batch` re-reduces only the checks each of N trials'
     faults struck and renders all verdicts in batch-wide NumPy calls —
     it never re-runs the GEMM or the operand-side reductions, so a
@@ -382,6 +384,8 @@ class PreparedExecution:
         "executor",
         "a_pad",
         "b_pad",
+        "a_scale",
+        "b_scale",
         "c_clean",
         "state",
         "_clean_reductions",
@@ -397,6 +401,8 @@ class PreparedExecution:
         executor: TiledGemm,
         a_pad: np.ndarray,
         b_pad: np.ndarray,
+        a_scale: float,
+        b_scale: float,
         c_clean: np.ndarray,
         state: Any,
     ) -> None:
@@ -406,6 +412,8 @@ class PreparedExecution:
         self.executor = executor
         self.a_pad = a_pad
         self.b_pad = b_pad
+        self.a_scale = a_scale
+        self.b_scale = b_scale
         self.c_clean = c_clean
         self.state = state
         self._clean_reductions: Any = None
@@ -429,6 +437,15 @@ class PreparedExecution:
         for name, value in state.items():
             setattr(self, name, value)
         self._lazy_lock = threading.RLock()
+
+    @property
+    def epilogue(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The executor's epilogue bound to this GEMM's scale product.
+
+        The binding holds the executor and one float, not this state,
+        so an outcome that keeps it keeps no padded operand alive.
+        """
+        return partial(self.executor.epilogue, scale=self.a_scale * self.b_scale)
 
     @property
     def clean_reductions(self) -> Any:
@@ -789,15 +806,23 @@ class Scheme(abc.ABC):
         so the caller must pass the same matrix the state was built
         from (see :class:`PreparedWeights`).
         """
-        problem, chosen, executor, a_pad, b_pad, c_clean = self._setup(
-            a, b, tile, weights
-        )
+        problem, chosen = self._setup(a, b, tile, weights)
+        executor = executor_for(problem, chosen, self.dtype)
+        if weights is None:
+            b_pad, b_scale = executor.pad_b(b)
+        else:
+            # b is never re-read through prepared weights: the padded
+            # bytes and their scale stand in for it.
+            b_pad, b_scale = weights.b_pad, weights.b_scale
+        a_pad, a_scale = executor.pad_a(a)
+        c_clean = executor.multiply(a_pad, b_pad)
         state = self._prepare_state(
             executor, a_pad, b_pad, c_clean,
             weights.weight_state if weights is not None else None,
         )
         return PreparedExecution(
-            self, problem, chosen, executor, a_pad, b_pad, c_clean, state
+            self, problem, chosen, executor, a_pad, b_pad, a_scale, b_scale,
+            c_clean, state,
         )
 
     def prepare_weights(
@@ -830,7 +855,7 @@ class Scheme(abc.ABC):
         executor = executor_for(
             GemmProblem(m if m is not None else tile.mt, n, k), tile, self.dtype
         )
-        b_pad = executor.pad_b(b)
+        b_pad, b_scale = executor.pad_b(b)
         return PreparedWeights(
             scheme=self.name,
             k=k,
@@ -838,7 +863,7 @@ class Scheme(abc.ABC):
             tile=tile,
             b_pad=b_pad,
             weight_state=self._prepare_weight_state(executor, b_pad),
-            b_scale=executor.b_scale if self.dtype == "int8" else None,
+            b_scale=b_scale,
             dtype=self.dtype,
         )
 
@@ -1006,8 +1031,8 @@ class Scheme(abc.ABC):
         b: np.ndarray,
         tile: TileConfig | None,
         weights: PreparedWeights | None = None,
-    ) -> tuple[GemmProblem, TileConfig, TiledGemm, np.ndarray, np.ndarray, np.ndarray]:
-        """Validate operands, pick a tile, execute the clean GEMM."""
+    ) -> tuple[GemmProblem, TileConfig]:
+        """Validate operands (and prepared weights); the problem and its tile."""
         if a.ndim != 2 or b.ndim != 2:
             raise ShapeError("operands must be 2-D matrices")
         if a.shape[1] != b.shape[0]:
@@ -1034,31 +1059,8 @@ class Scheme(abc.ABC):
                     f"prepared weights were built for tile {weights.tile}, "
                     f"got tile override {tile}"
                 )
-            chosen = weights.tile
-            executor = executor_for(problem, chosen, self.dtype)
-            if weights.b_scale is not None:
-                # b is never re-read through prepared weights, so the
-                # quantization scale must travel with the padded bytes.
-                executor.b_scale = weights.b_scale
-            b_pad = weights.b_pad
-        else:
-            chosen = tile if tile is not None else select_tile(problem)
-            executor = executor_for(problem, chosen, self.dtype)
-            b_pad = executor.pad_b(b)
-        a_pad = executor.pad_a(a)
-        c_clean = executor.multiply(a_pad, b_pad)
-        return problem, chosen, executor, a_pad, b_pad, c_clean
-
-    @staticmethod
-    def _to_fp16(values: np.ndarray) -> np.ndarray:
-        """Quantize the epilogue output to FP16 storage.
-
-        Faults can push accumulator values past the FP16 range; the
-        resulting inf is the value the hardware would store, so the
-        overflow is expected rather than a numerical error.
-        """
-        with np.errstate(over="ignore"):
-            return values.astype(np.float16)
+            return problem, weights.tile
+        return problem, tile if tile is not None else select_tile(problem)
 
 
 def _accumulator_factory(

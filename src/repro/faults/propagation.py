@@ -24,15 +24,16 @@ Downstream replay is cheap by construction: a corrupted *input*
 activation yields a self-consistent downstream GEMM (checksums computed
 from the corrupted operand agree with the corrupted output — ABFT
 cannot, and should not, fire there), so downstream layers replay
-through a raw tiled executor with no checksum work.  The campaign owns
-that replay state: per downstream layer a private executor and the
-layer's padded weights, widened once to the accumulate dtype, both
-built at construction from the session's shared
-:class:`~repro.abft.base.PreparedCache` — per trial only the struck
-activations are re-padded and multiplied, and no cached entry is ever
-written.  Trials whose faults are absorbed by the FP16 output
-quantization (or land in the padding region) skip the replay entirely:
-their output *is* the clean output.
+through a raw tiled executor with no checksum work.  At construction
+the campaign takes, per downstream layer, the executor and weight
+scale of the layer's entry in the session's shared
+:class:`~repro.abft.base.PreparedCache` and widens the entry's padded
+weights once to the accumulate dtype — per trial only the struck
+activations are re-padded and multiplied.  Executors are immutable
+and padding returns the activation's scale as a value, so a replay
+writes nothing shared.  Trials whose faults are absorbed by the FP16
+output quantization (or land in the padding region) skip the replay
+entirely: their output *is* the clean output.
 
 On detection, an optional :class:`~repro.faults.RecoveryPolicy` runs
 the same bounded retry loop the inference engine uses; every recovered
@@ -54,7 +55,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, FaultInjectionError
-from ..gemm.executor import executor_for
 from .campaign import FaultCampaign, _check_draw
 from .injector import faulted_site_values
 from .model import FaultSpec, SpecArrays
@@ -357,39 +357,34 @@ class PropagationCampaign(ShardPoolOwner):
         self._prepared = self._gemm.prepared
         self._batch_size = self._gemm.batch_size
         # The struck layer's accumulator→output lowering (FP16 downcast
-        # on the float pipeline, dequantize on INT8) comes from its
-        # prepared executor, so replayed site values match the scheme's
-        # own epilogue bit-for-bit.
-        self._epilogue = self._prepared.executor.epilogue
+        # on the float pipeline, dequantize on INT8) is its prepared
+        # epilogue, so replayed site values match the scheme's own
+        # outputs bit-for-bit.
+        self._epilogue = self._prepared.epilogue
         self._clean_c16 = self._step.outcome.c  # struck layer's clean FP16
         self._clean_output = trace.output
         self._clean_top1 = self._top1(trace.output)
 
-        # Downstream replay state, owned by the campaign: the ops after
-        # the struck layer, each linear one paired with a private
-        # executor (INT8 pad_a records the activation scale on its
-        # executor, so the cached entry's must not replay) and its
-        # padded weights widened once to the accumulate dtype (exact;
-        # 4 bytes per weight element) — per-trial work is pad_a +
-        # multiply + crop, nothing else.
+        # Downstream replay state: the ops after the struck layer, each
+        # linear one paired with its cached entry's executor and weight
+        # scale, and with the entry's padded weights widened once to the
+        # accumulate dtype (exact; 4 bytes per weight element) — per-
+        # trial work is pad_a + multiply + crop + epilogue, nothing else.
         idx = self._step.op_index
         self._struck_op = engine.model.ops[idx]
         self._downstream: list = []
         for op in engine.model.ops[idx + 1:]:
             if not op.is_linear:
-                self._downstream.append((op, None, None))
+                self._downstream.append((op, None, None, None))
                 continue
             st = trace.step(op.name)
             prepared = engine.cache.get(
                 engine.scheme_for(op.name), st.a, st.b, tile=st.tile
             )
-            executor = executor_for(
-                prepared.problem, prepared.tile, prepared.executor.dtype
-            )
-            if executor.dtype == "int8":
-                executor.b_scale = prepared.executor.b_scale
             b_acc = prepared.b_pad.astype(prepared.c_clean.dtype)
-            self._downstream.append((op, executor, b_acc))
+            self._downstream.append(
+                (op, prepared.executor, b_acc, prepared.b_scale)
+            )
 
         if verify_recovery:
             replayed = np.ascontiguousarray(self._replay(self._clean_c16))
@@ -417,7 +412,7 @@ class PropagationCampaign(ShardPoolOwner):
 
         The heavyweight entries (the struck layer's prepared execution,
         with its clean checks forced here, the clean baselines, and the
-        downstream ops with the campaign's replay executors and widened
+        downstream ops with their executors, weight scales and widened
         weights) are ndarray-bearing object graphs that
         :func:`repro.faults.parallel.export_payload` parks in shared
         memory — a worker attaches zero-copy views, never re-preparing
@@ -445,7 +440,7 @@ class PropagationCampaign(ShardPoolOwner):
         self.engine = self.trace = self._gemm = self._step = self.workers = None
         for name, value in {**state, **settings}.items():
             setattr(self, name, value)
-        self._epilogue = self._prepared.executor.epilogue
+        self._epilogue = self._prepared.epilogue
         return self
 
     # ------------------------------------------------------------------
@@ -453,7 +448,7 @@ class PropagationCampaign(ShardPoolOwner):
     def downstream_ops(self) -> list[str]:
         """Names of the ops corruption propagates through, in order."""
         return [type(op).__name__ if executor is None else op.name
-                for op, executor, _ in self._downstream]
+                for op, executor, _, _ in self._downstream]
 
     @staticmethod
     def _top1(output: np.ndarray) -> np.ndarray:
@@ -468,22 +463,24 @@ class PropagationCampaign(ShardPoolOwner):
         model output, bit-identically to what a protected forward pass
         over the same corrupted activations would compute.
 
-        Downstream linear layers run the raw tiled GEMM on the
-        campaign's own executors and widened weights — the protected
-        path's epilogue (accumulate, crop, lower to FP16) with zero
-        checksum work, which is sound because a consistent GEMM over
-        corrupted inputs is exactly what the protected pass computes
-        and cannot flag.  Reads no shared state, so the result is a
-        pure function of ``c16``'s bytes.
+        Downstream linear layers run the raw tiled GEMM on each cached
+        entry's immutable executor and the campaign's widened weights —
+        the protected path's epilogue (accumulate, crop, lower to FP16
+        by the activation's scale times the entry's weight scale) with
+        zero checksum work, which is sound because a consistent GEMM
+        over corrupted inputs is exactly what the protected pass
+        computes and cannot flag.  Writes nothing and reads no mutable
+        state, so the result is a pure function of ``c16``'s bytes.
         """
         activation = self._struck_op.reshape_output(c16, self._step_dims)
-        for op, executor, b_acc in self._downstream:
+        for op, executor, b_acc, b_scale in self._downstream:
             if executor is None:
                 activation = op.forward(activation)
                 continue
             a, _, dims = op.lower(activation)
-            acc = executor.multiply(executor.pad_a(a), b_acc)
-            c = executor.epilogue(executor.crop(acc))
+            a_pad, a_scale = executor.pad_a(a)
+            acc = executor.multiply(a_pad, b_acc)
+            c = executor.epilogue(executor.crop(acc), a_scale * b_scale)
             activation = op.reshape_output(c, dims)
         return activation
 

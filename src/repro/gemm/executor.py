@@ -13,7 +13,7 @@ vectorize, avoid copies, accumulate in place).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,66 +61,83 @@ class ExecutionStats:
 EXECUTION_STATS = ExecutionStats()
 
 
+@dataclass(frozen=True)
 class TiledGemm:
     """Numeric executor for one (problem, tile configuration) pair.
 
-    Parameters
+    Immutable, so a cached prepared state's executor is safe to share:
+    padding returns each operand's quantization scale beside the
+    padded bytes, and the epilogue takes the product of the two scales
+    as an argument.  No execution stores anything on the executor.
+
+    Attributes
     ----------
     problem:
         Logical GEMM dimensions.
     tile:
         Tile configuration; the executor pads the operands to whole
         thread tiles so every thread owns a full ``Mt x Nt`` fragment.
-    k_chunk:
-        Accumulation chunk along K in elements; defaults to the MMA
-        K-extent (8) for Tensor-Core-faithful accumulation ordering.
+    m_tiles, n_tiles, m_full, n_full, k_full:
+        Thread-tile counts and padded extents (``k_full`` a multiple of
+        the MMA K-extent).  Derived once at construction; they take no
+        part in equality, hashing or ``repr``.
     """
 
     #: Operand dtype token: ``"fp16"`` here, ``"int8"`` on the quantized
     #: subclass.  Schemes key caches and pick detection constants by it.
     dtype = "fp16"
+    #: NumPy storage dtype of a padded operand.
+    storage = np.float16
 
-    def __init__(
-        self,
-        problem: GemmProblem,
-        tile: TileConfig,
-        *,
-        k_chunk: int = MMA_K,
-    ) -> None:
-        if k_chunk <= 0 or k_chunk % MMA_K:
-            raise ShapeError(f"k_chunk must be a positive multiple of {MMA_K}")
-        self.problem = problem
-        self.tile = tile
-        self.k_chunk = k_chunk
+    problem: GemmProblem
+    tile: TileConfig
+    m_tiles: int = field(init=False, compare=False, repr=False)
+    n_tiles: int = field(init=False, compare=False, repr=False)
+    m_full: int = field(init=False, compare=False, repr=False)
+    n_full: int = field(init=False, compare=False, repr=False)
+    k_full: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
         # Pad to whole thread tiles (>= the pad-to-8 execution padding).
-        self.m_tiles = ceil_div(problem.m_pad, tile.mt)
-        self.n_tiles = ceil_div(problem.n_pad, tile.nt)
-        self.m_full = self.m_tiles * tile.mt
-        self.n_full = self.n_tiles * tile.nt
-        self.k_full = round_up(problem.k_pad, MMA_K)
+        m_tiles = ceil_div(self.problem.m_pad, self.tile.mt)
+        n_tiles = ceil_div(self.problem.n_pad, self.tile.nt)
+        object.__setattr__(self, "m_tiles", m_tiles)
+        object.__setattr__(self, "n_tiles", n_tiles)
+        object.__setattr__(self, "m_full", m_tiles * self.tile.mt)
+        object.__setattr__(self, "n_full", n_tiles * self.tile.nt)
+        object.__setattr__(self, "k_full", round_up(self.problem.k_pad, MMA_K))
 
     # ------------------------------------------------------------------
     # Operand handling
     # ------------------------------------------------------------------
-    def pad_a(self, a: np.ndarray) -> np.ndarray:
-        """Zero-pad ``A`` to ``(m_full, k_full)`` and quantize to FP16."""
+    def quantize(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """``x`` in the operand storage dtype, and the scale that
+        dequantizes it: the FP16 cast and scale 1.0 here."""
+        return x.astype(np.float16), 1.0
+
+    def pad_a(self, a: np.ndarray) -> tuple[np.ndarray, float]:
+        """``A`` quantized and zero-padded to ``(m_full, k_full)``, with its scale."""
         if a.shape != (self.problem.m, self.problem.k):
             raise ShapeError(
                 f"A must be {self.problem.m}x{self.problem.k}, got {a.shape}"
             )
-        out = np.zeros((self.m_full, self.k_full), dtype=np.float16)
-        out[: a.shape[0], : a.shape[1]] = a.astype(np.float16)
-        return out
+        return self._pad(a, self.m_full, self.k_full)
 
-    def pad_b(self, b: np.ndarray) -> np.ndarray:
-        """Zero-pad ``B`` to ``(k_full, n_full)`` and quantize to FP16."""
+    def pad_b(self, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """``B`` quantized and zero-padded to ``(k_full, n_full)``, with its scale."""
         if b.shape != (self.problem.k, self.problem.n):
             raise ShapeError(
                 f"B must be {self.problem.k}x{self.problem.n}, got {b.shape}"
             )
-        out = np.zeros((self.k_full, self.n_full), dtype=np.float16)
-        out[: b.shape[0], : b.shape[1]] = b.astype(np.float16)
-        return out
+        return self._pad(b, self.k_full, self.n_full)
+
+    def _pad(self, x: np.ndarray, rows: int, cols: int) -> tuple[np.ndarray, float]:
+        # The zeroed buffer comes first and the quantized operand second:
+        # the reverse order leaves the heap measurably larger.
+        out = np.zeros((rows, cols), dtype=self.storage)
+        quantized, scale = self.quantize(x)
+        out[: x.shape[0], : x.shape[1]] = quantized
+        return out, scale
 
     # ------------------------------------------------------------------
     # Execution
@@ -128,8 +145,8 @@ class TiledGemm:
     def multiply(self, a_pad: np.ndarray, b_pad: np.ndarray) -> np.ndarray:
         """FP32-accumulated product of padded FP16 operands.
 
-        Accumulates chunk-by-chunk along K (chunk = ``k_chunk``) into a
-        single FP32 accumulator, mirroring the sequential MMA
+        Accumulates chunk-by-chunk along K (chunk = the MMA K-extent)
+        into a single FP32 accumulator, mirroring the sequential MMA
         accumulation of the hardware mainloop.  An operand may arrive
         already widened to FP32 (exact for FP16 values); it is then
         used as is, not copied.
@@ -146,22 +163,25 @@ class TiledGemm:
         # overflowing or NaN accumulator is the hardware's value, as in
         # the epilogue, so it is not warned about.
         with np.errstate(invalid="ignore", over="ignore"):
-            for k0 in range(0, self.k_full, self.k_chunk):
-                k1 = min(k0 + self.k_chunk, self.k_full)
+            for k0 in range(0, self.k_full, MMA_K):
                 # In-place accumulate: no temporary C-sized copies per chunk.
-                acc += a32[:, k0:k1] @ b32[k0:k1, :]
+                acc += a32[:, k0:k0 + MMA_K] @ b32[k0:k0 + MMA_K, :]
         return acc
 
     def run(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pad, execute, and return the padded FP32 accumulator grid."""
-        return self.multiply(self.pad_a(a), self.pad_b(b))
+        """Pad, execute, and return the padded accumulator grid; the
+        operand scales :meth:`epilogue` needs on INT8 are dropped."""
+        return self.multiply(self.pad_a(a)[0], self.pad_b(b)[0])
 
-    def epilogue(self, values: np.ndarray) -> np.ndarray:
+    def epilogue(self, values: np.ndarray, scale: float) -> np.ndarray:
         """Lower accumulator values to the logical FP16 output domain.
 
-        The FP16 pipeline's epilogue is the plain FP32 -> FP16 downcast
-        (overflow saturates to ``inf`` exactly as a GPU store would); the
-        INT8 pipeline overrides this with the dequantizing rescale.
+        ``scale`` is the product of the two operand scales that
+        :meth:`pad_a` and :meth:`pad_b` returned.  The FP16 pipeline's
+        scales are 1.0 and its epilogue is the plain FP32 -> FP16
+        downcast (overflow saturates to ``inf`` exactly as a GPU store
+        would); the INT8 pipeline overrides this with the dequantizing
+        rescale.
         """
         with np.errstate(over="ignore"):
             return values.astype(np.float16)
@@ -183,37 +203,26 @@ class TiledGemm:
 
     def thread_tile_view_batch(self, c_batch: np.ndarray) -> np.ndarray:
         """Stacked grids as ``(N, m_tiles, mt, n_tiles, nt)`` fragments."""
-        self._check_batch(c_batch)
-        return c_batch.reshape(
-            len(c_batch), self.m_tiles, self.tile.mt, self.n_tiles, self.tile.nt
-        )
-
-    def _check_batch(self, c_batch: np.ndarray) -> None:
         if c_batch.ndim != 3 or c_batch.shape[1:] != (self.m_full, self.n_full):
             raise ShapeError(
                 f"stacked padded C must be (N, {self.m_full}, {self.n_full}), "
                 f"got {c_batch.shape}"
             )
-
-    def tile_of_element(self, row: int, col: int) -> tuple[int, int]:
-        """Thread-tile grid coordinates owning output element (row, col)."""
-        if not (0 <= row < self.m_full and 0 <= col < self.n_full):
-            raise ShapeError(
-                f"element ({row}, {col}) outside padded output "
-                f"{self.m_full}x{self.n_full}"
-            )
-        return row // self.tile.mt, col // self.tile.nt
+        return c_batch.reshape(
+            len(c_batch), self.m_tiles, self.tile.mt, self.n_tiles, self.tile.nt
+        )
 
 
+@dataclass(frozen=True)
 class Int8TiledGemm(TiledGemm):
     """INT8 quantized executor: INT8 operands, INT32 accumulation.
 
     Quantization is symmetric per-tensor (scale = max|x| / 127, no zero
     point — a zero point would break the linearity the checksum
-    invariants rely on).  ``pad_a`` / ``pad_b`` quantize and record the
-    operand scale; ``multiply`` accumulates the quantized product
-    exactly in INT32; ``epilogue`` dequantizes by ``a_scale * b_scale``
-    back to the FP16 output domain.
+    invariants rely on).  ``pad_a`` / ``pad_b`` return each quantized
+    operand with its scale; ``multiply`` accumulates the quantized
+    product exactly in INT32; ``epilogue`` dequantizes by the product
+    of the two scales back to the FP16 output domain.
 
     Exactness: every INT32 partial product is ``<= k * 127 * 127``,
     far inside the INT32 range for the shapes this repo models, so the
@@ -226,26 +235,17 @@ class Int8TiledGemm(TiledGemm):
     >>> from repro.gemm import GemmProblem, Int8TiledGemm, select_tile
     >>> problem = GemmProblem(m=8, n=8, k=8)
     >>> gemm = Int8TiledGemm(problem, select_tile(problem))
-    >>> a = np.full((8, 8), 0.5, dtype=np.float16)
-    >>> acc = gemm.run(a, a)
+    >>> a_pad, a_scale = gemm.pad_a(np.full((8, 8), 0.5, dtype=np.float16))
+    >>> b_pad, b_scale = gemm.pad_b(np.full((8, 8), 0.5, dtype=np.float16))
+    >>> acc = gemm.multiply(a_pad, b_pad)
     >>> acc.dtype
     dtype('int32')
-    >>> float(gemm.epilogue(gemm.crop(acc))[0, 0])
+    >>> float(gemm.epilogue(gemm.crop(acc), a_scale * b_scale)[0, 0])
     2.0
     """
 
     dtype = "int8"
-
-    def __init__(
-        self,
-        problem: GemmProblem,
-        tile: TileConfig,
-        *,
-        k_chunk: int = MMA_K,
-    ) -> None:
-        super().__init__(problem, tile, k_chunk=k_chunk)
-        self.a_scale = 1.0
-        self.b_scale = 1.0
+    storage = np.int8
 
     @staticmethod
     def scale_for(x: np.ndarray) -> float:
@@ -253,31 +253,11 @@ class Int8TiledGemm(TiledGemm):
         peak = float(np.max(np.abs(np.asarray(x, dtype=np.float32))))
         return peak / 127.0 if peak > 0.0 else 1.0
 
-    def _quantize(self, x: np.ndarray, scale: float) -> np.ndarray:
+    def quantize(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """``x`` quantized symmetrically to INT8, and its scale."""
+        scale = self.scale_for(x)
         scaled = np.asarray(x, dtype=np.float32) / np.float32(scale)
-        return np.clip(np.rint(scaled), -127, 127).astype(np.int8)
-
-    def pad_a(self, a: np.ndarray) -> np.ndarray:
-        """Zero-pad ``A`` to ``(m_full, k_full)`` and quantize to INT8."""
-        if a.shape != (self.problem.m, self.problem.k):
-            raise ShapeError(
-                f"A must be {self.problem.m}x{self.problem.k}, got {a.shape}"
-            )
-        self.a_scale = self.scale_for(a)
-        out = np.zeros((self.m_full, self.k_full), dtype=np.int8)
-        out[: a.shape[0], : a.shape[1]] = self._quantize(a, self.a_scale)
-        return out
-
-    def pad_b(self, b: np.ndarray) -> np.ndarray:
-        """Zero-pad ``B`` to ``(k_full, n_full)`` and quantize to INT8."""
-        if b.shape != (self.problem.k, self.problem.n):
-            raise ShapeError(
-                f"B must be {self.problem.k}x{self.problem.n}, got {b.shape}"
-            )
-        self.b_scale = self.scale_for(b)
-        out = np.zeros((self.k_full, self.n_full), dtype=np.int8)
-        out[: b.shape[0], : b.shape[1]] = self._quantize(b, self.b_scale)
-        return out
+        return np.clip(np.rint(scaled), -127, 127).astype(np.int8), scale
 
     def multiply(self, a_pad: np.ndarray, b_pad: np.ndarray) -> np.ndarray:
         """Exact INT32-accumulated product of padded INT8 operands.
@@ -292,16 +272,15 @@ class Int8TiledGemm(TiledGemm):
         a32 = a_pad.astype(np.int32, copy=False)
         b32 = b_pad.astype(np.int32, copy=False)
         acc = np.zeros((self.m_full, self.n_full), dtype=np.int32)
-        for k0 in range(0, self.k_full, self.k_chunk):
-            k1 = min(k0 + self.k_chunk, self.k_full)
-            acc += a32[:, k0:k1] @ b32[k0:k1, :]
+        for k0 in range(0, self.k_full, MMA_K):
+            acc += a32[:, k0:k0 + MMA_K] @ b32[k0:k0 + MMA_K, :]
         return acc
 
-    def epilogue(self, values: np.ndarray) -> np.ndarray:
-        """Dequantize INT32 accumulator values to the FP16 output domain."""
-        scale = np.float32(self.a_scale * self.b_scale)
+    def epilogue(self, values: np.ndarray, scale: float) -> np.ndarray:
+        """Dequantize INT32 accumulator values by ``scale``, the product
+        of the operand scales, to the FP16 output domain."""
         with np.errstate(over="ignore"):
-            return (values.astype(np.float32) * scale).astype(np.float16)
+            return (values.astype(np.float32) * np.float32(scale)).astype(np.float16)
 
 
 def executor_for(

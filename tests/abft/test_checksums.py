@@ -21,7 +21,7 @@ def setup(small_operands, small_tile):
     a, b = small_operands
     p = GemmProblem(a.shape[0], b.shape[1], a.shape[1])
     ex = TiledGemm(p, small_tile)
-    a_pad, b_pad = ex.pad_a(a), ex.pad_b(b)
+    (a_pad, _), (b_pad, _) = ex.pad_a(a), ex.pad_b(b)
     c = ex.multiply(a_pad, b_pad)
     return ex, a_pad, b_pad, c
 

@@ -99,6 +99,19 @@ class TestPreparedVsDirect:
             direct, prepared.inject(FAULT_CASES["original_add"])
         )
 
+    def test_int8_outcome_ignores_later_padding_on_its_executor(
+        self, small_operands
+    ):
+        # The outcome lowers lazily; padding another activation on the
+        # same executor in between must not change the scale it uses.
+        a, b = small_operands
+        scheme = scheme_from_token("global@int8")
+        prepared = scheme.prepare(a, b)
+        outcome = prepared.inject(FAULT_CASES["original_add"])
+        prepared.executor.pad_a(8 * a)
+        fresh = scheme.prepare(a, b).inject(FAULT_CASES["original_add"])
+        assert np.array_equal(outcome.c, fresh.c)
+
 
 class TestInjectBatch:
     """The batched engine: one inject_batch call == N sequential injects."""

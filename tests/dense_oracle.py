@@ -122,7 +122,7 @@ def oracle_inject_batch(
             verdict,
             faults,
             crop=(m, n),
-            epilogue=prepared.executor.epilogue,
+            epilogue=prepared.epilogue,
         )
         for acc, verdict, faults in zip(c_batch, verdicts, trials)
     ]

@@ -441,10 +441,11 @@ class TestPropagationSharding:
             * 0.5
         ).astype(np.float16)
 
-        def make(workers=None):
+        def make(workers=None, policy="guided"):
             session = repro.deploy(
                 model,
                 "T4",
+                policy=policy,
                 batch=4,
                 runnable=runnable,
                 recovery=RecoveryPolicy(max_retries=1),
@@ -455,9 +456,13 @@ class TestPropagationSharding:
 
         return make
 
-    def test_sharded_records_identical(self, setup):
-        baseline = setup().run_batch(10)
-        sharded = setup(workers=3).run_batch(10)
+    # At guided@int8 every layer of mlp_bottom deploys an INT8 scheme, so
+    # the shard payload carries the downstream executors and weight scales
+    # of the quantized replay.
+    @pytest.mark.parametrize("policy", ["guided", "guided@int8"])
+    def test_sharded_records_identical(self, setup, policy):
+        baseline = setup(policy=policy).run_batch(10)
+        sharded = setup(workers=3, policy=policy).run_batch(10)
         assert sharded.records == baseline.records
         assert sharded.crosstab() == baseline.crosstab()
 

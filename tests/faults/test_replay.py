@@ -127,7 +127,7 @@ class TestRecordGridGolden:
 
 def executor_scales(session):
     return {
-        key: (entry.executor.a_scale, entry.executor.b_scale)
+        key: (entry.a_scale, entry.b_scale)
         for key, entry in session.cache._entries.items()
     }
 

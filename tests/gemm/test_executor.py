@@ -1,10 +1,18 @@
 """Tests for the numeric tiled GEMM executor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.gemm import GemmProblem, TileConfig, TiledGemm, reference_gemm
+from repro.gemm import (
+    GemmProblem,
+    Int8TiledGemm,
+    TileConfig,
+    TiledGemm,
+    reference_gemm,
+)
 from repro.gemm.mma import gemm_by_mma
 
 
@@ -18,7 +26,8 @@ class TestPadding:
         p = GemmProblem(10, 9, 11)
         ex = TiledGemm(p, tile)
         a = rng.standard_normal((10, 11)).astype(np.float16)
-        a_pad = ex.pad_a(a)
+        a_pad, scale = ex.pad_a(a)
+        assert scale == 1.0
         assert a_pad.shape == (ex.m_full, ex.k_full)
         np.testing.assert_array_equal(a_pad[:10, :11], a)
         assert np.all(a_pad[10:, :] == 0) and np.all(a_pad[:, 11:] == 0)
@@ -52,19 +61,8 @@ class TestNumerics:
         b = (rng.standard_normal((24, 16)) * 0.25).astype(np.float16)
         ex = TiledGemm(GemmProblem(32, 16, 24), tile)
         c = ex.crop(ex.run(a, b))
-        ref = gemm_by_mma(ex.pad_a(a), ex.pad_b(b))[:32, :16]
+        ref = gemm_by_mma(ex.pad_a(a)[0], ex.pad_b(b)[0])[:32, :16]
         np.testing.assert_allclose(c, ref, rtol=1e-6, atol=1e-6)
-
-    def test_k_chunking_changes_nothing_material(self, tile, small_operands):
-        a, b = small_operands
-        p = GemmProblem(a.shape[0], b.shape[1], a.shape[1])
-        c8 = TiledGemm(p, tile, k_chunk=8).run(a, b)
-        c40 = TiledGemm(p, tile, k_chunk=40).run(a, b)
-        np.testing.assert_allclose(c8, c40, rtol=1e-5, atol=1e-4)
-
-    def test_rejects_bad_k_chunk(self, tile):
-        with pytest.raises(ShapeError):
-            TiledGemm(GemmProblem(8, 8, 8), tile, k_chunk=12)
 
 
 class TestThreadTileView:
@@ -80,13 +78,23 @@ class TestThreadTileView:
         ex.thread_tile_view(c)[0, 1, 0, 2] = 7.0
         assert c[1, 2] == 7.0
 
-    def test_tile_of_element(self, tile):
-        ex = TiledGemm(GemmProblem(64, 32, 16), tile)
-        assert ex.tile_of_element(0, 0) == (0, 0)
-        assert ex.tile_of_element(tile.mt, tile.nt) == (1, 1)
-        assert ex.tile_of_element(tile.mt - 1, tile.nt - 1) == (0, 0)
 
-    def test_tile_of_element_bounds(self, tile):
-        ex = TiledGemm(GemmProblem(64, 32, 16), tile)
-        with pytest.raises(ShapeError):
-            ex.tile_of_element(ex.m_full, 0)
+class TestImmutability:
+    """A cached prepared state's executor serves every outcome and
+    replay drawn from it, so no execution may leave state on it."""
+
+    @pytest.mark.parametrize("cls", [TiledGemm, Int8TiledGemm])
+    def test_every_attribute_write_raises(self, tile, cls):
+        ex = cls(GemmProblem(10, 9, 11), tile)
+        for attr in ("problem", "tile", "m_full", "k_full", "a_scale", "b_scale"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ex, attr, 1.0)
+
+    def test_int8_padding_returns_the_scale_and_stores_none(self, tile, rng):
+        ex = Int8TiledGemm(GemmProblem(10, 9, 11), tile)
+        before = vars(ex).copy()
+        a = rng.standard_normal((10, 11)).astype(np.float16)
+        a_pad, scale = ex.pad_a(a)
+        assert scale == Int8TiledGemm.scale_for(a)
+        assert a_pad.dtype == np.int8
+        assert vars(ex) == before

@@ -176,7 +176,7 @@ def apply_op(op, x):
     a, b, ctx = op.lower(x)
     problem = GemmProblem(a.shape[0], b.shape[1], a.shape[1])
     gemm = TiledGemm(problem, select_tile(problem))
-    return op.reshape_output(gemm.epilogue(gemm.crop(gemm.run(a, b))), ctx)
+    return op.reshape_output(gemm.epilogue(gemm.crop(gemm.run(a, b)), 1.0), ctx)
 
 
 class TestNonFiniteActivations:
