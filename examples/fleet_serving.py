@@ -9,8 +9,10 @@ The fleet workflow end to end (DESIGN.md §5):
 2. ``repro.plan_diff`` — render what actually differs between two
    devices' plans for the same model,
 3. :class:`repro.SessionServer` — drive ~100 concurrent requests
-   through one shared session behind an asyncio concurrency gate and
-   report throughput and tail latency; a faulted request is detected
+   through one session behind an asyncio concurrency gate and report
+   throughput and tail latency.  Each pass runs in a worker process
+   forked from this one, so the first requests also pay the fork and
+   each worker's first preparation; a faulted request is detected
    in-stream, exactly as a serial pass would detect it.
 """
 
@@ -59,7 +61,7 @@ def main() -> None:
     print(f"\n{MODELS[0]}: {DEVICES[0]} -> {DEVICES[1]}")
     print(diff.render())
 
-    # --- 3. serve concurrent traffic through one shared session -------
+    # --- 3. serve concurrent traffic from worker processes -------------
     session = fleet.session(MODELS[0], DEVICES[0])
     with repro.SessionServer(session, max_workers=4) as server:
         report, outcome = asyncio.run(drive(server, args.requests))
@@ -67,14 +69,14 @@ def main() -> None:
     assert report.requests == args.requests
     # The faulted request rides the same window as the clean batch, so
     # the report may tally its detection — but never more than that
-    # one: clean traffic through a shared session raises no alarms.
+    # one: clean traffic raises no alarms.
     assert report.detected_requests <= 1, "clean traffic raised a detection"
     assert outcome.detected, "the faulted request escaped detection"
     print("faulted request detected in-stream: "
           f"{[r.name for r in outcome.layer_outcomes if r.detected]}")
 
-    # Serving changed nothing numerically: one more serial pass gives
-    # the bit-identical clean output.
+    # Serving changed nothing numerically: a serial pass in this
+    # process gives the bit-identical clean output.
     np.testing.assert_array_equal(
         session.run().output, repro.deploy(
             MODELS[0], DEVICES[0], policy="guided", batch=32

@@ -26,6 +26,7 @@ from .errors import (
     ProfilingError,
     RecoveryError,
     ReproError,
+    ServingError,
     ShapeError,
     TilingError,
 )
@@ -125,6 +126,7 @@ __all__ = [
     "ModelZooError",
     "PlanError",
     "RecoveryError",
+    "ServingError",
     # gpu
     "GPUSpec",
     "get_gpu",

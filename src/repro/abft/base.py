@@ -63,7 +63,7 @@ from ..config import (
     DetectionConstants,
     ModelConstants,
 )
-from ..errors import ConfigurationError, ShapeError
+from ..errors import ConfigurationError, ServingError, ShapeError
 from ..faults.injector import (
     FaultSites,
     apply_fault_to_accumulator,
@@ -174,7 +174,8 @@ class ExecutionOutcome:
         materializes per-trial accumulators, so outcomes build this
         lazily on first access (clean copy plus the trial's
         original-path faults in spec order); campaigns that read only
-        verdicts and fault sites never pay for it.
+        verdicts and fault sites never pay for it.  A :meth:`detach`
+        copy has none.
     verdict:
         Consistency-check outcome (None for the unprotected scheme).
     injected:
@@ -236,11 +237,36 @@ class ExecutionOutcome:
         """True if the scheme's checks flagged an inconsistency."""
         return bool(self.verdict is not None and self.verdict.detected)
 
+    def detach(self) -> "ExecutionOutcome":
+        """This outcome as a worker process returns it: ``c`` only.
+
+        The copy keeps the scheme, the verdict, the injected specs and
+        the FP16 output ``c``; the padded accumulator stays behind, and
+        reading ``c_accumulator`` on the copy raises
+        :class:`~repro.errors.ServingError`.
+        """
+        detached = ExecutionOutcome(
+            self.scheme, None, self.verdict, self.injected,
+            crop=self._crop, acc_factory=_accumulator_stays_in_worker,
+            epilogue=None,  # c is set below: nothing is left to lower
+        )
+        detached._c = self.c
+        return detached
+
     def __repr__(self) -> str:
         return (
             f"ExecutionOutcome(scheme={self.scheme!r}, detected={self.detected}, "
             f"injected={self.injected!r})"
         )
+
+
+def _accumulator_stays_in_worker() -> np.ndarray:
+    """The accumulator factory of a detached outcome: there is none."""
+    raise ServingError(
+        "this outcome was computed in a serving worker process; its padded "
+        "accumulator stays in the worker, and only the FP16 output c was "
+        "returned"
+    )
 
 
 class OutcomeBatch(Sequence):
@@ -337,6 +363,10 @@ class PreparedWeights:
     b_pad:
         Zero-padded weight matrix in the pipeline's storage dtype (FP16,
         or quantized INT8 for int8 schemes).
+    b_digest:
+        Content digest of the ``B`` the state was built from, taken
+        once here.  :class:`PreparedCache` keys on it when a lookup
+        passes this state, so a lookup hashes only the activations.
     weight_state:
         Scheme-specific checksum arrays (e.g.
         :class:`~repro.abft.checksums.GlobalWeightChecksums`), or None
@@ -356,6 +386,7 @@ class PreparedWeights:
     n: int
     tile: TileConfig
     b_pad: np.ndarray
+    b_digest: bytes
     weight_state: Any = None
     b_scale: float = 1.0
     dtype: str = "fp16"
@@ -587,7 +618,10 @@ class PreparedCache:
     the digest is taken at :meth:`get` time, so *mutating* an operand
     array after a hit was cached is safe (the new content digests
     differently) — but the cached state must not be mutated by
-    consumers, which no engine path does.
+    consumers, which no engine path does.  A :meth:`get` passed
+    ``weights=`` keys on the digest the :class:`PreparedWeights` took of
+    ``B`` when it was built, so weights must not change under their
+    prepared state (which :class:`PreparedWeights` already requires).
 
     The cache is thread-safe: an internal lock serializes :meth:`get`
     (including the miss-path ``prepare``, so racing getters of one key
@@ -634,15 +668,6 @@ class PreparedCache:
         with self._lock:
             return len(self._entries)
 
-    @staticmethod
-    def _digest(arr: np.ndarray) -> bytes:
-        """Content digest of one operand (dtype, shape, and bytes)."""
-        h = hashlib.blake2b(digest_size=16)
-        h.update(str(arr.dtype).encode())
-        h.update(str(arr.shape).encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-        return h.digest()
-
     def key_for(
         self,
         scheme: "Scheme",
@@ -655,8 +680,10 @@ class PreparedCache:
         """The cache key ``(scheme, a, b, tile)`` resolves to.
 
         ``weights``, when given, pins the tile exactly like
-        :meth:`Scheme.prepare` would, so a miss prepared through the
-        weight-side state and a plain hit resolve to the same entry.
+        :meth:`Scheme.prepare` would, and stands in for ``b``'s digest
+        with the one taken when it was built, so a miss prepared
+        through the weight-side state and a plain hit resolve to the
+        same entry without re-hashing the weights.
         """
         a = np.asarray(a)
         b = np.asarray(b)
@@ -664,7 +691,8 @@ class PreparedCache:
             tile = weights.tile
         if tile is None and a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0]:
             tile = select_tile(GemmProblem(a.shape[0], b.shape[1], a.shape[1]))
-        return (scheme.cache_token, self._digest(a), self._digest(b), tile)
+        b_digest = weights.b_digest if weights is not None else _digest(b)
+        return (scheme.cache_token, _digest(a), b_digest, tile)
 
     def get(
         self,
@@ -862,6 +890,7 @@ class Scheme(abc.ABC):
             n=n,
             tile=tile,
             b_pad=b_pad,
+            b_digest=_digest(b),
             weight_state=self._prepare_weight_state(executor, b_pad),
             b_scale=b_scale,
             dtype=self.dtype,
@@ -1061,6 +1090,15 @@ class Scheme(abc.ABC):
                 )
             return problem, weights.tile
         return problem, tile if tile is not None else select_tile(problem)
+
+
+def _digest(arr: np.ndarray) -> bytes:
+    """Content digest of one operand (dtype, shape, and bytes)."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(str(arr.dtype).encode())
+    h.update(str(arr.shape).encode())
+    h.update(np.ascontiguousarray(arr).tobytes())
+    return h.digest()
 
 
 def _accumulator_factory(

@@ -5,7 +5,7 @@ Contract guarded (DESIGN.md §1/§5): classes that create a lock
 mutable state is shared across threads — ``PreparedCache`` entries and
 hit counters, ``PreparedExecution``'s lazily built clean-comparison caches,
 ``ProtectedSession``'s synthesized-operand memo, the serving layer's
-latency stats.  Every access to that state must happen inside a
+latency stats and worker pool.  Every access to that state must happen inside a
 ``with self.<lock>`` block, or a racing reader can observe a
 half-built entry.
 
@@ -25,7 +25,7 @@ GIL-atomic dict gets) are annotated ``# repro: ignore[RL002]`` at the
 exact line, so the suppression never outlives the pattern.
 
 Backstops: ``tests/abft`` threaded PreparedCache stress tests and the
-concurrent serving tests in ``tests/fleet``.
+threaded session stress tests in ``tests/properties``.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class LockDiscipline(Rule):
         "state written by methods of a lock-owning class is only "
         "touched inside `with self.<lock>` blocks"
     )
-    backstops = "tests/abft threaded-cache and tests/fleet serving stress tests"
+    backstops = "tests/abft threaded-cache and tests/properties concurrent-session stress tests"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         imports = ImportMap(ctx.tree)

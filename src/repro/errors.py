@@ -58,6 +58,17 @@ class CampaignError(ReproError):
     """
 
 
+class ServingError(ReproError):
+    """A served request lost its worker process, or what stayed there.
+
+    Raised by :class:`~repro.fleet.SessionServer` when a worker process
+    dies with a request in flight (the server then starts a fresh pool
+    for the next request, with the underlying ``BrokenProcessPool``
+    chained as ``__cause__``), and by a served outcome's
+    ``c_accumulator``, which stays in the worker that computed it.
+    """
+
+
 class DetectionError(ReproError):
     """An ABFT consistency check could not be evaluated."""
 

@@ -10,8 +10,8 @@ The single-pair deployment API (:func:`repro.deploy`) scales up here:
   amortizing profiler work per device and prepared numeric state per
   device family;
 * :class:`SessionServer` / :func:`serve_session` — an asyncio serving
-  layer driving concurrent request traffic through one shared
-  (thread-safe) protected session.
+  layer running each request's protected pass in a forked worker
+  process that inherited the session.
 """
 
 from .deploy import FleetDeployment, deploy_fleet

@@ -435,6 +435,31 @@ class TestPreparedCache:
         assert cache.get(scheme, a, b) is through_weights
         assert len(cache) == 1 and cache.hits == 1
 
+    def test_get_through_weights_digests_only_the_activations(
+        self, small_operands, monkeypatch
+    ):
+        """The weights are hashed once, when their prepared state is
+        built; a get passed that state hashes ``a`` alone, hit or miss."""
+        import repro.abft.base as base
+
+        a, b = small_operands
+        scheme = get_scheme("global")
+        weights = scheme.prepare_weights(b, m=a.shape[0])
+        digested = []
+        real_digest = base._digest
+
+        def spy(arr):
+            digested.append(arr)
+            return real_digest(arr)
+
+        monkeypatch.setattr(base, "_digest", spy)
+        cache = PreparedCache()
+        cache.get(scheme, a, b, weights=weights)
+        cache.get(scheme, a, b, weights=weights)
+        assert len(digested) == 2
+        assert all(arr is a for arr in digested)
+        assert cache.hits == 1 and cache.misses == 1
+
     def test_mutated_operands_miss(self, small_operands):
         """Content digests, not identities: mutating an operand after a
         cached hit must produce a fresh entry, never stale state."""
