@@ -18,6 +18,7 @@ The fleet workflow end to end (DESIGN.md §5):
 
 import argparse
 import asyncio
+import multiprocessing
 
 import numpy as np
 
@@ -65,6 +66,10 @@ def main() -> None:
     session = fleet.session(MODELS[0], DEVICES[0])
     with repro.SessionServer(session, max_workers=4) as server:
         report, outcome = asyncio.run(drive(server, args.requests))
+    # Leaving the block joined every worker process.
+    assert not multiprocessing.active_children(), (
+        "a serving worker outlived the server"
+    )
     print(f"\n{report.render()}")
     assert report.requests == args.requests
     # The faulted request rides the same window as the clean batch, so

@@ -1093,12 +1093,15 @@ class Scheme(abc.ABC):
 
 
 def _digest(arr: np.ndarray) -> bytes:
-    """Content digest of one operand (dtype, shape, and bytes)."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(arr.dtype).encode())
+    """Content digest of one operand (dtype, shape, and bytes).
+
+    SHA-256, read straight from the array's buffer (a non-contiguous
+    view is copied once), truncated to a 16-byte key.
+    """
+    h = hashlib.sha256(arr.dtype.str.encode())
     h.update(str(arr.shape).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
-    return h.digest()
+    h.update(np.ascontiguousarray(arr))
+    return h.digest()[:16]
 
 
 def _accumulator_factory(

@@ -5,9 +5,9 @@ Contract guarded (DESIGN.md §1/§5): classes that create a lock
 mutable state is shared across threads — ``PreparedCache`` entries and
 hit counters, ``PreparedExecution``'s lazily built clean-comparison caches,
 ``ProtectedSession``'s synthesized-operand memo, the serving layer's
-latency stats and worker pool.  Every access to that state must happen inside a
-``with self.<lock>`` block, or a racing reader can observe a
-half-built entry.
+latency stats, worker set, idle workers and waiting requests.  Every
+access to that state must happen inside a ``with self.<lock>`` block,
+or a racing reader can observe a half-built entry.
 
 The *guarded* attribute set is inferred, deliberately redundantly, as
 the union of

@@ -59,13 +59,14 @@ class CampaignError(ReproError):
 
 
 class ServingError(ReproError):
-    """A served request lost its worker process, or what stayed there.
+    """A served request lost its worker or its server, or what stayed there.
 
-    Raised by :class:`~repro.fleet.SessionServer` when a worker process
-    dies with a request in flight (the server then starts a fresh pool
-    for the next request, with the underlying ``BrokenProcessPool``
-    chained as ``__cause__``), and by a served outcome's
-    ``c_accumulator``, which stays in the worker that computed it.
+    Raised by :class:`~repro.fleet.SessionServer` when the worker
+    process serving a request dies with it in flight (a fresh fork
+    replaces the worker, and the pipe's ``EOFError`` or ``OSError`` is
+    chained as ``__cause__``), when the server is closed, and by a
+    served outcome's ``c_accumulator``, which stays in the worker that
+    computed it.
     """
 
 

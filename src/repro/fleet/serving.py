@@ -6,20 +6,30 @@ mostly NumPy dispatch that holds the GIL, so passes on threads of one
 process run one at a time; passes in separate processes run in
 parallel.
 
-The workers are one fork-context
-:class:`~concurrent.futures.ProcessPoolExecutor` per server, built from
-the same start method as the sharded campaign engine's pool
-(:mod:`repro.faults.parallel`).  They fork on the server's first
-request and receive the session through the pool initializer: a forked
-child inherits it, so nothing is pickled, exported to shared memory or
-copied, and each worker keeps its own prepared state warm across the
-requests it serves.  A request ships ``(x, faults, session.recovery)``
-— the recovery policy as the session holds it when the request is
-made, not as the worker inherited it.  The served
-:class:`~repro.nn.InferenceResult` carries, per layer outcome, the
-verdict, the injected specs, the recovery counts and the FP16 output
-``c``; the padded accumulator stays in the worker
+Each worker is one process, forked with the start method of the
+sharded campaign engine's pool (:mod:`repro.faults.parallel`), and one
+:func:`~multiprocessing.Pipe` to the server.  The workers fork on the
+server's first request and inherit the session: nothing is pickled,
+exported to shared memory or copied, and each worker keeps its own
+prepared state warm across the requests it serves.  A worker loops
+receive → call → reply.  :meth:`SessionServer.handle` takes an idle
+worker (waiting while all are busy), sends ``(x, faults,
+session.recovery)`` — the recovery policy as the session holds it when
+the request is made, not as the worker inherited it — and awaits the
+reply on the running event loop, which watches the pipe itself
+(``loop.add_reader``, so a selector-based loop): no thread relays
+between the loop and the worker.  The served :class:`~repro.nn.InferenceResult` carries, per
+layer outcome, the verdict, the injected specs, the recovery counts and
+the FP16 output ``c``; the padded accumulator stays in the worker
 (:meth:`~repro.abft.base.ExecutionOutcome.detach`).
+
+A pass that raises in the worker raises the same exception type from
+``handle``.  A worker whose pipe reaches end-of-file fails only the
+request it was serving, with :class:`~repro.errors.ServingError`, and a
+fresh fork replaces it; a worker found dead when picked is replaced
+before the request is sent.  A ``handle`` cancelled with its request in
+flight leaves the reply owed: the worker's next taker reads and
+discards it first, so no reply reaches another request.
 
 Served passes never touch the parent's session: its prepared cache,
 weight cache and operand record see none of them.  A caller that wants
@@ -34,12 +44,16 @@ concurrency cap and report throughput and tail latency.
 from __future__ import annotations
 
 import asyncio
+import os
+import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import weakref
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Sequence
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,18 +64,9 @@ from ..faults.parallel import _mp_context
 from ..faults.recovery import RecoveryPolicy
 from ..nn.inference import InferenceResult
 
-#: The session a worker process serves, set by the pool initializer.
-#: Only worker processes ever assign it; the serving process never does.
-_worker_session: ProtectedSession | None = None
-
-
-def _adopt_session(session: ProtectedSession) -> None:
-    """Pool initializer: the session this worker inherited at fork."""
-    global _worker_session
-    _worker_session = session
-
 
 def _serve_in_worker(
+    session: ProtectedSession,
     x: np.ndarray | None,
     faults: "Mapping[str, Sequence[FaultSpec]] | None",
     recovery: RecoveryPolicy | None,
@@ -71,7 +76,6 @@ def _serve_in_worker(
     Returns the result with every layer outcome detached: the FP16
     output ``c`` crosses back, the padded accumulator does not.
     """
-    session = _worker_session
     session.recovery = recovery
     result = session.run(x, faults=faults)
     return InferenceResult(
@@ -81,6 +85,112 @@ def _serve_in_worker(
             for rec in result.layer_outcomes
         ],
     )
+
+
+def _worker_loop(conn: Connection, session: ProtectedSession) -> None:
+    """A worker process: run ``fn(session, *args)`` per request, reply.
+
+    A request is ``(fn, args)``; the reply is ``(True, value)`` or
+    ``(False, exception)``.  The server's end of the pipe closing stops
+    the worker.
+    """
+    while True:
+        try:
+            fn, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, fn(session, *args))
+        except Exception as exc:  # raised again by the waiting request
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the server hung up
+            return
+
+
+@dataclass(eq=False)
+class _Worker:
+    """One worker process and the server's end of its pipe.
+
+    ``owed`` counts replies to cancelled requests that the worker has
+    yet to send; its next taker reads and discards them first.
+    """
+
+    process: BaseProcess
+    conn: Connection
+    owed: int = 0
+
+    @classmethod
+    def fork(cls, session: ProtectedSession) -> "_Worker":
+        ctx = _mp_context()
+        conn, child_end = ctx.Pipe()
+        process = ctx.Process(
+            target=_worker_loop,
+            args=(child_end, session),
+            name="repro-serving-worker",
+            daemon=True,
+        )
+        process.start()
+        # The worker holds the only other end, so its exit reads as EOF.
+        child_end.close()
+        return cls(process, conn)
+
+    def stop(self, *, close_pipe: bool = True) -> None:
+        """Terminate the process and wait for it to exit.
+
+        A busy worker's pipe stays open (``close_pipe=False``): it
+        belongs to the request holding the worker.
+        """
+        self.process.terminate()
+        self.process.join()
+        if close_pipe:
+            self.conn.close()
+
+
+def _shut_down(
+    owner_pid: int,
+    lock: threading.Lock,
+    workers: list[_Worker],
+    idle: list[_Worker],
+) -> None:
+    """Stop every worker of one server.
+
+    Runs once per server — from :meth:`SessionServer.close`, the
+    server's collection, or interpreter exit — and only in the process
+    that forked the workers: a worker that collects its inherited copy
+    of the server must not stop its siblings.
+    """
+    if os.getpid() != owner_pid:
+        return
+    with lock:
+        idle_now = list(idle)
+        busy = [worker for worker in workers if worker not in idle_now]
+        workers.clear()
+        idle.clear()
+    for worker in idle_now:
+        worker.stop()
+    for worker in busy:
+        worker.stop(close_pipe=False)
+
+
+async def _readable(
+    loop: asyncio.AbstractEventLoop, conn: Connection
+) -> None:
+    """Wait on ``loop`` until ``conn`` has a reply, or end-of-file, to read."""
+    fd = conn.fileno()
+    ready = loop.create_future()
+
+    def wake() -> None:
+        loop.remove_reader(fd)
+        if not ready.done():
+            ready.set_result(None)
+
+    loop.add_reader(fd, wake)
+    try:
+        await ready
+    finally:
+        loop.remove_reader(fd)
 
 
 def _percentile_ms(latencies_s: Sequence[float], q: float) -> float:
@@ -147,17 +257,19 @@ class SessionServer:
     max_workers:
         Worker processes — how many protected passes run at once.  The
         asyncio side may admit more in-flight requests than this; the
-        pool is the execution ceiling.
+        rest wait for an idle worker.
 
     The workers fork on the first request and hold the session as it
     was then (see the module docstring), so make that request while no
     other thread is inside the session: a lock held across the fork
-    stays held in every worker.  A worker that dies fails the requests
-    in flight with :class:`~repro.errors.ServingError`, and the next
-    request starts a fresh pool.  Use the server as a context
-    manager (or call :meth:`close`) so the workers are joined
-    deterministically; a server dropped without either is shut down
-    with its pool when collected or at interpreter exit.
+    stays held in every worker.  One server may serve from several
+    event loops, in turn or on several threads.  A worker that dies
+    fails the request it was serving with
+    :class:`~repro.errors.ServingError` and is replaced by a fresh
+    fork.  Use the server as a context manager (or call :meth:`close`)
+    so the workers are joined deterministically; a server dropped
+    without either stops its workers when collected or at interpreter
+    exit.
 
     Example
     -------
@@ -179,44 +291,182 @@ class SessionServer:
             )
         self.session = session
         self.max_workers = max_workers
-        self._pool = self._new_pool()
         self._latencies_s: list[float] = []
         self._detected = 0
-        # Guards the latency/detection tallies and the pool swap after
-        # a worker death: handle() may run on several event loops.
+        # Every live worker, the idle ones among them, and the requests
+        # waiting for one (each a future on its own event loop).
+        self._workers: list[_Worker] = []
+        self._idle: list[_Worker] = []
+        self._waiters: deque[asyncio.Future] = deque()
+        self._closed = False
+        # Guards all of the above: handle() may run on several event
+        # loops in several threads.
         self._lock = threading.Lock()
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        """A pool whose workers fork on first use, holding the session."""
-        return ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            mp_context=_mp_context(),
-            initializer=_adopt_session,
-            initargs=(self.session,),
+        self._finalizer = weakref.finalize(
+            self, _shut_down, os.getpid(), self._lock, self._workers,
+            self._idle,
         )
-
-    def _replace_broken(self, broken: ProcessPoolExecutor) -> None:
-        """Swap a broken pool for a fresh one (once per breakage)."""
-        with self._lock:
-            if self._pool is not broken:
-                return
-            self._pool = self._new_pool()
-        # The broken pool's workers are already terminated; joining
-        # them here means the next fork sees no leftover pool thread.
-        broken.shutdown(wait=True)
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Join the worker processes (idempotent)."""
+        """Stop the worker processes (idempotent).
+
+        A request waiting for a worker or in flight, and every later
+        one, raises :class:`~repro.errors.ServingError`.
+        """
         with self._lock:
-            pool = self._pool
-        pool.shutdown(wait=True)
+            self._closed = True
+            waiters = list(self._waiters)
+            self._waiters.clear()
+        for waiter in waiters:
+            self._hand_over_soon(waiter, None)
+        self._finalizer()
 
     def __enter__(self) -> "SessionServer":
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+    # -- workers --------------------------------------------------------
+    def _hand_over_soon(
+        self, waiter: asyncio.Future, worker: _Worker | None
+    ) -> bool:
+        """Schedule ``worker`` into ``waiter`` on the waiter's own loop.
+
+        ``None`` tells the waiter to look again (the server closed).
+        False when that loop has closed, so nobody waits there any more.
+        """
+        try:
+            waiter.get_loop().call_soon_threadsafe(
+                self._hand_over, waiter, worker
+            )
+        except RuntimeError:  # the waiter's event loop is closed
+            return False
+        return True
+
+    def _hand_over(
+        self, waiter: asyncio.Future, worker: _Worker | None
+    ) -> None:
+        """On the waiter's loop: deliver ``worker``, or pass it on."""
+        if not waiter.done():
+            waiter.set_result(worker)
+        elif worker is not None:  # the waiter was cancelled meanwhile
+            self._release(worker)
+
+    def _release(self, worker: _Worker, *, owed: int = 0) -> None:
+        """Give a worker back: to the longest waiter, else to the idle set."""
+        with self._lock:
+            worker.owed += owed
+            if not self._closed:
+                while self._waiters:
+                    if self._hand_over_soon(self._waiters.popleft(), worker):
+                        return
+                self._idle.append(worker)
+                return
+        worker.stop()
+
+    def _replace(self, dead: _Worker) -> _Worker | None:
+        """Fork a worker in place of a dead one; ``None`` once closed.
+
+        The replacement is the caller's to use or release.  If the fork
+        fails, the dead worker is released so its next taker retries.
+        """
+        try:
+            with self._lock:
+                fresh = None
+                if not self._closed:
+                    fresh = _Worker.fork(self.session)
+                    self._workers[self._workers.index(dead)] = fresh
+        except BaseException:
+            self._release(dead)
+            raise
+        dead.stop()
+        return fresh
+
+    async def _take(self, loop: asyncio.AbstractEventLoop) -> _Worker:
+        """An idle worker, waiting on ``loop`` while all are busy."""
+        while True:
+            with self._lock:
+                if self._closed:
+                    raise ServingError("the server is closed")
+                if not self._workers:  # first request: fork them all
+                    forked = [
+                        _Worker.fork(self.session)
+                        for _ in range(self.max_workers)
+                    ]
+                    self._workers.extend(forked)
+                    self._idle.extend(forked)
+                if self._idle:
+                    return self._idle.pop()
+                waiter = loop.create_future()
+                self._waiters.append(waiter)
+            try:
+                worker = await waiter
+            except asyncio.CancelledError:
+                with self._lock:
+                    if waiter in self._waiters:
+                        self._waiters.remove(waiter)
+                handed = waiter.done() and not waiter.cancelled()
+                if handed and waiter.result() is not None:
+                    self._release(waiter.result())
+                raise
+            if worker is not None:
+                return worker
+
+    async def _acquire(self, loop: asyncio.AbstractEventLoop) -> _Worker:
+        """A live worker that owes no reply, ready for one request."""
+        worker = await self._take(loop)
+        while True:
+            alive = worker.process.is_alive()
+            if alive and not worker.owed:
+                return worker
+            if alive:  # drain a cancelled request's reply first
+                try:
+                    await _readable(loop, worker.conn)
+                    worker.conn.recv_bytes()
+                except (EOFError, OSError):
+                    alive = False
+                except asyncio.CancelledError:
+                    self._release(worker)
+                    raise
+                else:
+                    worker.owed -= 1
+            if not alive:
+                replacement = self._replace(worker)
+                if replacement is None:
+                    raise ServingError("the server is closed")
+                worker = replacement
+
+    async def _call(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(session, *args)`` in a worker: its value, or its exception."""
+        loop = asyncio.get_running_loop()
+        worker = await self._acquire(loop)
+        sent = False
+        try:
+            worker.conn.send((fn, args))
+            sent = True
+            await _readable(loop, worker.conn)
+            reply = worker.conn.recv_bytes()
+        except (EOFError, OSError) as exc:
+            replacement = self._replace(worker)
+            if replacement is None:
+                raise ServingError(
+                    "the server was closed with this request in flight"
+                ) from exc
+            self._release(replacement)
+            raise ServingError(
+                "a serving worker process died with this request in flight"
+            ) from exc
+        except BaseException:
+            # Cancelled after the send: the reply is still owed.
+            self._release(worker, owed=int(sent))
+            raise
+        self._release(worker)
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        return value
 
     # -- serving --------------------------------------------------------
     async def handle(
@@ -228,23 +478,13 @@ class SessionServer:
         """Serve one request: a protected pass in a worker process.
 
         An exception the pass raises in the worker is raised here with
-        its own type.  A worker that dies raises
-        :class:`~repro.errors.ServingError`.
+        its own type.  A worker that dies with the request in flight,
+        or a closed server, raises :class:`~repro.errors.ServingError`.
         """
-        loop = asyncio.get_running_loop()
-        with self._lock:
-            pool = self._pool
         start = time.perf_counter()
-        try:
-            result = await loop.run_in_executor(
-                pool, _serve_in_worker, x, faults, self.session.recovery
-            )
-        except BrokenProcessPool as exc:
-            self._replace_broken(pool)
-            raise ServingError(
-                f"a serving worker process died with this request in "
-                f"flight: {exc}"
-            ) from exc
+        result = await self._call(
+            _serve_in_worker, x, faults, self.session.recovery
+        )
         elapsed = time.perf_counter() - start
         with self._lock:
             self._latencies_s.append(elapsed)

@@ -18,6 +18,7 @@ from repro.abft import (
     list_schemes,
     scheme_from_token,
 )
+from repro.abft.base import _digest
 from repro.errors import ConfigurationError, FaultInjectionError, ShapeError
 from repro.faults import (
     CampaignOptions,
@@ -324,6 +325,36 @@ class TestAmortization:
         assert EXECUTION_STATS.gemms == 1
         assert EXECUTION_STATS.weight_reductions == 1
         assert EXECUTION_STATS.activation_reductions == 1
+
+
+class TestDigest:
+    """The operand key ``PreparedCache`` looks entries up by."""
+
+    @pytest.fixture
+    def a(self):
+        return (
+            np.random.default_rng(5).standard_normal((12, 10))
+        ).astype(np.float16)
+
+    def test_equal_bytes_give_equal_keys(self, a):
+        key = _digest(a)
+        assert len(key) == 16
+        assert _digest(a.copy()) == key
+        changed = a.copy()
+        changed[3, 4] += 1
+        assert _digest(changed) != key
+
+    def test_view_keys_like_its_contiguous_copy(self, a):
+        view = a[::2, 1::3]
+        assert not view.flags.c_contiguous
+        assert _digest(view) == _digest(np.ascontiguousarray(view))
+        assert _digest(a.T) == _digest(np.ascontiguousarray(a.T))
+
+    def test_dtype_and_shape_are_part_of_the_key(self, a):
+        key = _digest(a)
+        assert _digest(a.view(np.uint16)) != key
+        assert _digest(a.reshape(-1)) != key
+        assert _digest(a.reshape(10, 12)) != key
 
 
 class TestPreparedCache:

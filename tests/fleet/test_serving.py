@@ -5,8 +5,10 @@ result must equal ``session.run``'s for the same request — output
 bytes, and every layer's verdict, specs, recovery counts and FP16
 output — under the session's current recovery policy.  A pass that
 raises in a worker raises the same exception from ``handle``; a worker
-that dies fails its request and the next one is served by a fresh
-pool; and no worker outlives the server.
+that dies fails only the request it was serving and is replaced by a
+fresh fork; a cancelled request's reply never reaches another request;
+the serving process starts no thread; and no worker outlives the
+server.
 """
 
 import asyncio
@@ -17,7 +19,8 @@ import signal
 import subprocess
 import sys
 import textwrap
-from concurrent.futures.process import BrokenProcessPool
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ import pytest
 import repro
 from repro.errors import ConfigurationError, RecoveryError, ServingError
 from repro.faults import FaultKind, FaultSpec, RecoveryPolicy
-from repro.fleet import ServingReport, SessionServer, serve_session
+from repro.fleet import ServingReport, SessionServer, serve_session, serving
 from repro.gemm.executor import EXECUTION_STATS
 from repro.nn import build_runnable, runnable_input_shape
 
@@ -56,20 +59,56 @@ def numeric_session(recovery=None):
     return deployed, x
 
 
-def serve(server, *requests):
+def serve(server, *requests, timeout=60):
     """Serve ``(x, faults)`` requests concurrently; results in order."""
 
     async def drive():
-        return await asyncio.gather(
-            *(server.handle(x, faults=faults) for x, faults in requests)
+        return await asyncio.wait_for(
+            asyncio.gather(
+                *(server.handle(x, faults=faults) for x, faults in requests)
+            ),
+            timeout,
         )
 
     return asyncio.run(drive())
 
 
-def worker_clean_gemms() -> int:
+def worker_clean_gemms(session) -> int:
     """Run in a serving worker: that process's clean-GEMM count."""
     return EXECUTION_STATS.gemms
+
+
+#: Marks for an input's first element: a served pass given one dies or
+#: stalls in the worker (see :func:`marked_serve`).
+DIE, STALL = -1000.0, 1000.0
+SERVE_IN_WORKER = serving._serve_in_worker
+
+
+def marked_serve(session, x, faults, recovery):
+    """``_serve_in_worker`` that dies or stalls on a marked input.
+
+    Module-level so a request pickles it by reference; patched in
+    before the workers fork, so they run it.
+    """
+    mark = None if x is None else float(x.flat[0])
+    if mark == DIE:
+        os._exit(1)
+    if mark == STALL:
+        time.sleep(0.3)
+    return SERVE_IN_WORKER(session, x, faults, recovery)
+
+
+def worker_pid(session, delay):
+    """Run in a serving worker: its pid, after ``delay`` seconds."""
+    time.sleep(delay)
+    return os.getpid()
+
+
+def marked(x, mark):
+    """A copy of ``x`` whose first element is ``mark``."""
+    out = x.copy()
+    out.flat[0] = mark
+    return out
 
 
 def new_children(before):
@@ -119,7 +158,7 @@ class TestReports:
         before = EXECUTION_STATS.gemms
         with SessionServer(fresh, max_workers=1) as server:
             server.serve_blocking(10, concurrency=5)
-            in_worker = server._pool.submit(worker_clean_gemms).result()
+            in_worker = asyncio.run(server._call(worker_clean_gemms))
         # One clean GEMM per layer in the worker that served all ten
         # requests — not one per request.
         assert in_worker - before == len(fresh.plan)
@@ -223,19 +262,141 @@ class TestFailures:
                 serve(server, (x, faulted))
         assert type(served.value) is type(serial.value)
 
-    def test_killed_worker_fails_one_request_then_pool_restarts(self, session):
+    def test_worker_killed_while_idle_is_replaced_before_the_request(
+        self, session
+    ):
         before = set(multiprocessing.active_children())
         with SessionServer(session, max_workers=1) as server:
             serve(server, (None, None))
             (worker,) = new_children(before)
-            os.kill(worker.pid, signal.SIGKILL)
-            with pytest.raises(ServingError) as lost:
-                serve(server, (None, None))
-            assert isinstance(lost.value.__cause__, BrokenProcessPool)
+            killed = worker.pid
+            os.kill(killed, signal.SIGKILL)
+            worker.join(timeout=30)
+            assert worker.exitcode == -signal.SIGKILL
+            # Found dead when picked: the request goes to a fresh fork.
             (after,) = serve(server, (None, None))
             (fresh,) = new_children(before)
-            assert fresh.pid != worker.pid
+            assert fresh.pid != killed
         assert_matches_serial(after, session.run())
+        assert not new_children(before)
+
+    def test_worker_dying_in_flight_fails_only_its_request(self, monkeypatch):
+        monkeypatch.setattr(serving, "_serve_in_worker", marked_serve)
+        deployed, x = numeric_session()
+        y = (x * 2).astype(np.float16)
+        before = set(multiprocessing.active_children())
+
+        async def doomed_and_kept(server):
+            return await asyncio.gather(
+                server.handle(marked(x, DIE)), server.handle(x),
+                return_exceptions=True,
+            )
+
+        async def two_at_once(server):
+            return await asyncio.gather(
+                server._call(worker_pid, 0.2), server._call(worker_pid, 0.2)
+            )
+
+        with SessionServer(deployed, max_workers=2) as server:
+            serve(server, (y, None))  # fork both workers
+            forked = {p.pid for p in new_children(before)}
+            lost, kept = asyncio.run(doomed_and_kept(server))
+            now = {p.pid for p in new_children(before)}
+            # Two calls at once take both workers: the replacement is idle.
+            answered = set(asyncio.run(two_at_once(server)))
+            (after,) = serve(server, (x, None))
+        assert isinstance(lost, ServingError)
+        assert isinstance(lost.__cause__, EOFError)
+        assert_matches_serial(kept, deployed.run(x))
+        assert len(forked) == len(now) == 2 and len(now - forked) == 1
+        assert answered == now
+        assert_matches_serial(after, deployed.run(x))
+        assert not new_children(before)
+
+    def test_cancelled_request_leaks_no_reply(self, monkeypatch):
+        monkeypatch.setattr(serving, "_serve_in_worker", marked_serve)
+        deployed, x = numeric_session()
+        y = (x * 2).astype(np.float16)
+
+        async def cancel_in_flight(server):
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(
+                    server.handle(marked(x, STALL)), timeout=0.05
+                )
+
+        with SessionServer(deployed, max_workers=1) as server:
+            serve(server, (x, None))  # fork the one worker first
+            asyncio.run(cancel_in_flight(server))
+            # A new event loop: the owed reply travels with the worker.
+            (served,) = serve(server, (y, None))
+        assert_matches_serial(served, deployed.run(y))
+
+    @pytest.mark.parametrize("when", ["waiting", "handing", "handed"])
+    def test_cancelled_waiter_takes_no_worker(self, monkeypatch, when):
+        """A request cancelled while it waits for the one busy worker.
+
+        ``waiting``: before the worker is free; ``handing``: once the
+        worker was released to it, before the hand-over ran on its
+        loop; ``handed``: after the hand-over, before it resumed.
+        """
+        monkeypatch.setattr(serving, "_serve_in_worker", marked_serve)
+        deployed, x = numeric_session()
+
+        async def drive(server):
+            async def stalled_then(cancel):
+                result = await server.handle(marked(x, STALL))
+                if cancel:
+                    waiting.cancel()
+                return result
+
+            busy = asyncio.ensure_future(stalled_then(when == "handing"))
+            await asyncio.sleep(0.05)  # the one worker is in flight
+            waiting = asyncio.ensure_future(server.handle(x))
+            await asyncio.sleep(0)  # ...and the second request waits
+            if when == "waiting":
+                waiting.cancel()
+            await busy
+            if when == "handed":
+                waiting.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiting
+            return await asyncio.wait_for(server.handle(x), timeout=10)
+
+        with SessionServer(deployed, max_workers=1) as server:
+            served = asyncio.run(drive(server))
+        assert_matches_serial(served, deployed.run(x))
+
+    def test_closed_server_raises_serving_error(self, session):
+        server = SessionServer(session, max_workers=1)
+        serve(server, (None, None))
+        server.close()
+        with pytest.raises(ServingError, match="closed"):
+            serve(server, (None, None))
+        with SessionServer(session) as never_started:
+            pass
+        with pytest.raises(ServingError, match="closed"):
+            serve(never_started, (None, None))
+
+    def test_close_fails_waiting_and_in_flight_requests(self, monkeypatch):
+        monkeypatch.setattr(serving, "_serve_in_worker", marked_serve)
+        deployed, x = numeric_session()
+        before = set(multiprocessing.active_children())
+        server = SessionServer(deployed, max_workers=1)
+
+        async def close_mid_traffic():
+            in_flight = asyncio.ensure_future(server.handle(marked(x, STALL)))
+            await asyncio.sleep(0.05)  # the one worker is in flight
+            waiting = asyncio.ensure_future(server.handle(x))
+            await asyncio.sleep(0)  # ...and the second request waits
+            server.close()
+            return await asyncio.wait_for(
+                asyncio.gather(in_flight, waiting, return_exceptions=True),
+                timeout=30,
+            )
+
+        for failed in asyncio.run(close_mid_traffic()):
+            assert isinstance(failed, ServingError), failed
+            assert "closed" in str(failed)
         assert not new_children(before)
 
 
@@ -255,6 +416,40 @@ class TestLifecycle:
 
         serve_session(session, 4, concurrency=2, max_workers=2)
         assert not new_children(before)
+
+    def test_no_relay_thread_in_the_serving_process(self, session):
+        async def threads_while_serving(server):
+            await asyncio.gather(*(server.handle() for _ in range(6)))
+            return threading.active_count()
+
+        threads = threading.active_count()
+        with SessionServer(session, max_workers=2) as server:
+            assert asyncio.run(threads_while_serving(server)) == threads
+        assert threading.active_count() == threads
+
+    def test_one_server_serves_from_several_threads(self):
+        deployed, x = numeric_session()
+        inputs = [(x * (1 + i / 8)).astype(np.float16) for i in range(8)]
+        results = {}
+
+        def client(name, xs):
+            results[name] = serve(server, *[(xi, None) for xi in xs])
+
+        with SessionServer(deployed, max_workers=2) as server:
+            # More concurrent requests than workers, on two event loops:
+            # a freed worker can be handed to a waiter on the other loop.
+            clients = [
+                threading.Thread(target=client, args=(i, inputs[i::2]))
+                for i in range(2)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        for i in range(2):
+            for served, xi in zip(results[i], inputs[i::2]):
+                assert_matches_serial(served, deployed.run(xi))
 
     def test_dropped_server_leaves_no_worker(self, tmp_path):
         script = textwrap.dedent(
