@@ -39,9 +39,11 @@ RECORD_GRID_DIGESTS = {
     ("transformer_encoder", "fp16"): "d8ec09471216d9f98fca0677b247e010f859450cfd9cb7bb7703fe3dc6eded83",
     ("transformer_decoder", "fp16"): "d9f79349d4c4c6909897fe072252678458d258181948fbc9b985fe1a57462499",
     ("transformer_decoder", "int8"): "58774762b584414b01fccaf21cc6ead476768799c049a82ffa2c7cd104fb9c5c",
+    ("coral", "fp16"): "1eb1533f969c7ae449215d06f152254385de8d9b1295a04e782ac870df8439f2",
+    ("coral", "int8"): "369be3f1dd490b64275ee089bd5c0e60faf3ccb8a6a61ad737c031a6499a04ce",
 }
 
-BATCH = {"mlp_bottom": 1, "transformer_encoder": 1, "transformer_decoder": 2}
+BATCH = {"mlp_bottom": 1, "transformer_encoder": 1, "transformer_decoder": 2, "coral": 2}
 FP16_TRIALS = 32
 INT8_TRIALS = 8
 #: Struck values that send the FP16 activations non-finite.
