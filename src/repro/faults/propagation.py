@@ -25,15 +25,24 @@ activation yields a self-consistent downstream GEMM (checksums computed
 from the corrupted operand agree with the corrupted output — ABFT
 cannot, and should not, fire there), so downstream layers replay
 through a raw tiled executor with no checksum work.  At construction
-the campaign takes, per downstream layer, the executor and weight
-scale of the layer's entry in the session's shared
-:class:`~repro.abft.base.PreparedCache` and widens the entry's padded
-weights once to the accumulate dtype — per trial only the struck
-activations are re-padded and multiplied.  Executors are immutable
-and padding returns the activation's scale as a value, so a replay
-writes nothing shared.  Trials whose faults are absorbed by the FP16
-output quantization (or land in the padding region) skip the replay
-entirely: their output *is* the clean output.
+the campaign takes, per downstream layer, the executor, weight scale,
+padded activations and activation scale of the layer's entry in the
+session's shared :class:`~repro.abft.base.PreparedCache`, the layer's
+traced FP16 output, and the entry's padded weights widened once to the
+accumulate dtype.  Per trial a downstream layer re-pads its
+activations and recomputes only the logical rows whose padded bytes
+differ from the clean pass's (every row when an INT8 activation scale
+moved), writing them into a copy of its traced output; a layer with no
+changed row passes its traced output on untouched, so a fault that a
+ReLU absorbs skips every later GEMM.  That is bit-identical to a full
+recompute because GEMM row ``i`` reads only row ``i`` of ``A`` and a
+row's chunked accumulation does not depend on the rows beside it; with
+``verify_recovery`` on, construction checks the second premise on the
+host at hand.  Executors are immutable and padding returns the
+activation's scale as a value, so a replay writes nothing shared.
+Trials whose faults are absorbed by the FP16 output quantization (or
+land in the padding region) skip the replay entirely: their output
+*is* the clean output.
 
 On detection, an optional :class:`~repro.faults.RecoveryPolicy` runs
 the same bounded retry loop the inference engine uses; every recovered
@@ -63,7 +72,55 @@ from .parallel import ShardPoolOwner
 from .recovery import RecoveryPolicy, attempt_recovery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
+    from ..gemm.executor import TiledGemm
     from ..nn.inference import ProtectedInference, TraceStep
+
+
+@dataclass(frozen=True)
+class _DownstreamGemm:
+    """One downstream linear layer's replay state, from the clean trace.
+
+    ``b_acc`` is the cached entry's padded weights widened once to the
+    accumulate dtype (exact; 4 bytes per weight element); ``a_pad``,
+    ``a_scale`` and ``c`` are the clean pass's padded activations,
+    their scale and the layer's FP16 output (read-only).
+    """
+
+    executor: "TiledGemm"
+    b_acc: np.ndarray
+    b_scale: float
+    a_pad: np.ndarray
+    a_scale: float
+    c: np.ndarray
+
+    def changed_rows(self, a_pad: np.ndarray, a_scale: float) -> np.ndarray:
+        """Logical rows of ``a_pad`` whose bytes differ from the clean
+        pass's (so NaN payloads and signed zeros count); every logical
+        row when the activation scale moved."""
+        m = self.executor.problem.m
+        if a_scale != self.a_scale:
+            return np.arange(m)
+        bits = np.dtype(f"u{a_pad.itemsize}")
+        diff = a_pad[:m].view(bits) != self.a_pad[:m].view(bits)
+        return np.flatnonzero(diff.any(axis=1))
+
+    def output_rows(
+        self, a_pad: np.ndarray, a_scale: float, rows: np.ndarray
+    ) -> np.ndarray:
+        """FP16 output of the given logical rows of ``a_pad``."""
+        executor = self.executor
+        acc = executor.multiply(a_pad[rows], self.b_acc)
+        return executor.epilogue(executor.crop(acc), a_scale * self.b_scale)
+
+    def forward(self, a_pad: np.ndarray, a_scale: float) -> np.ndarray:
+        """The layer's FP16 output: the traced one with changed rows
+        recomputed, or the traced one itself when none changed."""
+        rows = self.changed_rows(a_pad, a_scale)
+        if not rows.size:
+            return self.c
+        c = self.c.copy()
+        c[rows] = self.output_rows(a_pad, a_scale, rows)
+        return c
 
 
 class PropagationOutcome(Enum):
@@ -366,27 +423,33 @@ class PropagationCampaign(ShardPoolOwner):
         self._clean_top1 = self._top1(trace.output)
 
         # Downstream replay state: the ops after the struck layer, each
-        # linear one paired with its cached entry's executor and weight
-        # scale, and with the entry's padded weights widened once to the
-        # accumulate dtype (exact; 4 bytes per weight element) — per-
-        # trial work is pad_a + multiply + crop + epilogue, nothing else.
+        # linear one paired with its cached entry's clean state and its
+        # traced output — per-trial work is pad_a, a row diff, and
+        # multiply + crop + epilogue over the changed rows only.
         idx = self._step.op_index
         self._struck_op = engine.model.ops[idx]
-        self._downstream: list = []
+        self._downstream: list[tuple[object, _DownstreamGemm | None]] = []
         for op in engine.model.ops[idx + 1:]:
             if not op.is_linear:
-                self._downstream.append((op, None, None, None))
+                self._downstream.append((op, None))
                 continue
             st = trace.step(op.name)
             prepared = engine.cache.get(
                 engine.scheme_for(op.name), st.a, st.b, tile=st.tile
             )
-            b_acc = prepared.b_pad.astype(prepared.c_clean.dtype)
-            self._downstream.append(
-                (op, prepared.executor, b_acc, prepared.b_scale)
-            )
+            traced = st.outcome.c.view()
+            traced.flags.writeable = False
+            self._downstream.append((op, _DownstreamGemm(
+                executor=prepared.executor,
+                b_acc=prepared.b_pad.astype(prepared.c_clean.dtype),
+                b_scale=prepared.b_scale,
+                a_pad=prepared.a_pad,
+                a_scale=prepared.a_scale,
+                c=traced,
+            )))
 
         if verify_recovery:
+            self._check_row_replay()
             replayed = np.ascontiguousarray(self._replay(self._clean_c16))
             clean_out = np.ascontiguousarray(self._clean_output)
             if replayed.tobytes() != clean_out.tobytes():
@@ -412,8 +475,9 @@ class PropagationCampaign(ShardPoolOwner):
 
         The heavyweight entries (the struck layer's prepared execution,
         with its clean checks forced here, the clean baselines, and the
-        downstream ops with their executors, weight scales and widened
-        weights) are ndarray-bearing object graphs that
+        downstream ops with their executors, widened weights, clean
+        padded activations, scales and traced outputs) are
+        ndarray-bearing object graphs that
         :func:`repro.faults.parallel.export_payload` parks in shared
         memory — a worker attaches zero-copy views, never re-preparing
         or re-tracing anything.
@@ -447,8 +511,8 @@ class PropagationCampaign(ShardPoolOwner):
     @property
     def downstream_ops(self) -> list[str]:
         """Names of the ops corruption propagates through, in order."""
-        return [type(op).__name__ if executor is None else op.name
-                for op, executor, _, _ in self._downstream]
+        return [type(op).__name__ if gemm is None else op.name
+                for op, gemm in self._downstream]
 
     @staticmethod
     def _top1(output: np.ndarray) -> np.ndarray:
@@ -463,34 +527,63 @@ class PropagationCampaign(ShardPoolOwner):
         model output, bit-identically to what a protected forward pass
         over the same corrupted activations would compute.
 
-        Downstream linear layers run the raw tiled GEMM on each cached
-        entry's immutable executor and the campaign's widened weights —
-        the protected path's epilogue (accumulate, crop, lower to FP16
-        by the activation's scale times the entry's weight scale) with
-        zero checksum work, which is sound because a consistent GEMM
+        Each downstream linear layer re-pads its activations on the
+        cached entry's immutable executor and recomputes only the
+        logical rows whose padded bytes differ from the clean pass's
+        (all of them when an INT8 activation scale moved): the raw
+        tiled GEMM of those rows against the widened weights, then the
+        protected path's epilogue (crop, lower to FP16 by the
+        activation's scale times the entry's weight scale), written
+        into a copy of the layer's traced output.  A layer with no
+        changed row passes its read-only traced output straight on.
+        No checksum work runs, which is sound because a consistent GEMM
         over corrupted inputs is exactly what the protected pass
         computes and cannot flag.  Writes nothing and reads no mutable
         state, so the result is a pure function of ``c16``'s bytes.
         """
         activation = self._struck_op.reshape_output(c16, self._step_dims)
-        for op, executor, b_acc, b_scale in self._downstream:
-            if executor is None:
+        for op, gemm in self._downstream:
+            if gemm is None:
                 activation = op.forward(activation)
                 continue
             a, _, dims = op.lower(activation)
-            a_pad, a_scale = executor.pad_a(a)
-            acc = executor.multiply(a_pad, b_acc)
-            c = executor.epilogue(executor.crop(acc), a_scale * b_scale)
-            activation = op.reshape_output(c, dims)
+            a_pad, a_scale = gemm.executor.pad_a(a)
+            activation = op.reshape_output(gemm.forward(a_pad, a_scale), dims)
         return activation
 
-    def _classify_output(self, final: np.ndarray) -> tuple[bool, bool, float]:
-        """``(corrupted, top1_flip, divergence)`` of one replayed output."""
-        clean = self._clean_output.astype(np.float64)
+    def _check_row_replay(self) -> None:
+        """Check, on this host, that recomputing some rows of a
+        downstream GEMM reproduces its traced output bit-exactly.
+
+        Row ``i`` of a product reads only row ``i`` of ``A``, but
+        whether its accumulated bits are independent of the rows
+        sharing the matmul call is the host's matmul's business.  Every
+        downstream layer is recomputed over all its logical rows, and
+        its last row alone; both must byte-equal the traced output.
+        """
+        for op, gemm in self._downstream:
+            if gemm is None:
+                continue
+            m = gemm.executor.problem.m
+            for rows in (np.arange(m), np.array([m - 1])):
+                out = gemm.output_rows(gemm.a_pad, gemm.a_scale, rows)
+                if out.tobytes() != gemm.c[rows].tobytes():
+                    raise FaultInjectionError(
+                        f"recomputing {len(rows)} of {m} rows of "
+                        f"downstream layer {op.name!r} does not reproduce "
+                        f"its traced output bit-exactly; replaying only "
+                        f"changed rows is unsound on this host"
+                    )
+
+    def _classify_output(
+        self, final: np.ndarray, clean: np.ndarray, tol: np.ndarray
+    ) -> tuple[bool, bool, float]:
+        """``(corrupted, top1_flip, divergence)`` of one replayed output,
+        against the run's float64 clean output and per-element
+        tolerance (:meth:`_run_records` computes both once)."""
         out = final.astype(np.float64)
         with np.errstate(invalid="ignore"):
             diff = np.abs(out - clean)
-            tol = self.output_atol + self.output_rtol * np.abs(clean)
             # NaN diff fails `<=`, so non-finite corruption always trips.
             diverged = bool(np.any(~(diff <= tol)))
         top1_flip = bool(np.any(self._top1(final) != self._clean_top1))
@@ -558,14 +651,26 @@ class PropagationCampaign(ShardPoolOwner):
     ) -> list[PropagationRecord]:
         """Every trial's record, in chunks; ``trials[i]`` is batch trial
         ``i``'s fault tuple, which its record and recovery carry."""
+        # The clean side of every output comparison, once per run: the
+        # tolerances are run settings, shipped to shard workers with
+        # each run.
+        clean = self._clean_output.astype(np.float64)
+        with np.errstate(invalid="ignore"):
+            tol = self.output_atol + self.output_rtol * np.abs(clean)
         records: list[PropagationRecord] = []
         for start in range(0, len(batch), self._batch_size):
             stop = start + self._batch_size
-            records.extend(self._run_chunk(batch[start:stop], trials[start:stop]))
+            records.extend(self._run_chunk(
+                batch[start:stop], trials[start:stop], clean, tol
+            ))
         return records
 
     def _run_chunk(
-        self, chunk: SpecArrays, trials: Sequence[tuple[FaultSpec, ...]]
+        self,
+        chunk: SpecArrays,
+        trials: Sequence[tuple[FaultSpec, ...]],
+        clean: np.ndarray,
+        tol: np.ndarray,
     ) -> list[PropagationRecord]:
         """Inject one trial chunk, replay unmasked trials, classify."""
         prepared = self._prepared
@@ -602,7 +707,7 @@ class PropagationCampaign(ShardPoolOwner):
                 cols = sites.cols[live]
                 c16[rows, cols] = self._epilogue(sites.values[live])
                 corrupted, top1_flip, divergence = self._classify_output(
-                    self._replay(c16)
+                    self._replay(c16), clean, tol
                 )
             if detected:
                 outcome = (

@@ -142,6 +142,22 @@ class TiledGemm:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _check_padded(self, a_pad: np.ndarray, b_pad: np.ndarray) -> None:
+        """Reject operands :meth:`multiply` cannot take: ``A`` must be
+        ``r`` padded rows (``1 <= r <= m_full``) and ``B`` the whole
+        padded weight matrix."""
+        if (
+            a_pad.ndim != 2
+            or a_pad.shape[1] != self.k_full
+            or not 1 <= a_pad.shape[0] <= self.m_full
+        ):
+            raise ShapeError(
+                f"padded A must be r x {self.k_full} with 1 <= r <= "
+                f"{self.m_full}, got {a_pad.shape}"
+            )
+        if b_pad.shape != (self.k_full, self.n_full):
+            raise ShapeError(f"padded B must be {self.k_full}x{self.n_full}")
+
     def multiply(self, a_pad: np.ndarray, b_pad: np.ndarray) -> np.ndarray:
         """FP32-accumulated product of padded FP16 operands.
 
@@ -150,15 +166,21 @@ class TiledGemm:
         accumulation of the hardware mainloop.  An operand may arrive
         already widened to FP32 (exact for FP16 values); it is then
         used as is, not copied.
+
+        ``a_pad`` is any ``r`` rows of the padded ``A``, ``1 <= r <=
+        m_full`` — all of them as :meth:`pad_a` returns them, or the
+        rows a propagation replay recomputes — and the accumulator has
+        one row per ``A`` row.  Accumulator row ``i`` reads only row
+        ``i`` of ``A``; that its bits do not depend on which other rows
+        share the call is a property of the host's matmul, which a
+        :class:`~repro.faults.PropagationCampaign` checks at
+        construction (with ``verify_recovery`` on) before relying on it.
         """
-        if a_pad.shape != (self.m_full, self.k_full):
-            raise ShapeError(f"padded A must be {self.m_full}x{self.k_full}")
-        if b_pad.shape != (self.k_full, self.n_full):
-            raise ShapeError(f"padded B must be {self.k_full}x{self.n_full}")
+        self._check_padded(a_pad, b_pad)
         EXECUTION_STATS.gemms += 1
         a32 = a_pad.astype(np.float32, copy=False)
         b32 = b_pad.astype(np.float32, copy=False)
-        acc = np.zeros((self.m_full, self.n_full), dtype=np.float32)
+        acc = np.zeros((len(a_pad), self.n_full), dtype=np.float32)
         # Operands struck by an exponent-bit flip carry inf/NaN; the
         # overflowing or NaN accumulator is the hardware's value, as in
         # the epilogue, so it is not warned about.
@@ -263,15 +285,15 @@ class Int8TiledGemm(TiledGemm):
         """Exact INT32-accumulated product of padded INT8 operands.
 
         An operand already widened to INT32 is used as is, not copied.
+        ``a_pad`` is any ``r`` padded rows, ``1 <= r <= m_full``, as on
+        :meth:`TiledGemm.multiply`; integer accumulation is exact, so a
+        row's accumulator never depends on the rows beside it.
         """
-        if a_pad.shape != (self.m_full, self.k_full):
-            raise ShapeError(f"padded A must be {self.m_full}x{self.k_full}")
-        if b_pad.shape != (self.k_full, self.n_full):
-            raise ShapeError(f"padded B must be {self.k_full}x{self.n_full}")
+        self._check_padded(a_pad, b_pad)
         EXECUTION_STATS.gemms += 1
         a32 = a_pad.astype(np.int32, copy=False)
         b32 = b_pad.astype(np.int32, copy=False)
-        acc = np.zeros((self.m_full, self.n_full), dtype=np.int32)
+        acc = np.zeros((len(a_pad), self.n_full), dtype=np.int32)
         for k0 in range(0, self.k_full, MMA_K):
             acc += a32[:, k0:k0 + MMA_K] @ b32[k0:k0 + MMA_K, :]
         return acc

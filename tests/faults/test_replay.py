@@ -9,6 +9,11 @@ Contracts:
 * a campaign replays through state it owns, so no campaign changes a
   cached entry of the session it was built from (the INT8 executors'
   quantization scales in particular);
+* a replay recomputes, per downstream GEMM, only the logical rows
+  whose padded activations changed (every logical row when an INT8
+  activation scale moved, never a padding row), and construction
+  checks on the host that rows recomputed apart reproduce the traced
+  output;
 * the end-to-end recovery check runs once per campaign, at
   construction, and the number of replays a run makes depends only on
   its trials.
@@ -23,6 +28,7 @@ import pytest
 from repro.api import deploy
 from repro.errors import FaultInjectionError
 from repro.faults import FaultKind, FaultSpec, PropagationCampaign, RecoveryPolicy
+from repro.gemm import Int8TiledGemm, TiledGemm
 from repro.nn import build_runnable, runnable_input_shape
 
 RECOVERY = {
@@ -208,3 +214,93 @@ class TestEndToEndCheck:
         assert recovered[True, "transient"] > 0
         assert len(set(counts.values())) == 1
         assert 0 < counts[True, "off"] < 48
+
+
+def record_multiplies(monkeypatch):
+    """``(rows of A, logical m, m_full)`` of every GEMM multiply call."""
+    calls = []
+    for cls in (TiledGemm, Int8TiledGemm):
+        original = cls.__dict__["multiply"]
+
+        def recorded(self, a_pad, b_pad, _original=original):
+            calls.append((len(a_pad), self.problem.m, self.m_full))
+            return _original(self, a_pad, b_pad)
+
+        monkeypatch.setattr(cls, "multiply", recorded)
+    return calls
+
+
+class TestRowSparseReplay:
+    def test_a_struck_query_recomputes_one_row_per_reached_layer(self, monkeypatch):
+        session = make_session("transformer_decoder")
+        campaign = session.propagation_campaign("qkv", x=model_input("transformer_decoder"))
+        calls = record_multiplies(monkeypatch)
+        # Row 3 of head 0's query: heads 1-3 never see it, so of the 11
+        # downstream GEMMs only h0.scores, h0.ctx, attn.out, ffn.fc1 and
+        # ffn.fc2 run, one row each.
+        spec = FaultSpec(row=3, col=5, kind=FaultKind.ADD, value=1.0)
+        campaign.run(0, specs=[spec])
+        assert calls == [(1, 16, 16)] * 5
+
+    def test_a_fault_relu_absorbs_skips_every_downstream_gemm(self, monkeypatch):
+        session = make_session("mlp_bottom")
+        campaign = session.propagation_campaign("fc0", x=model_input("mlp_bottom"))
+        row, col = np.argwhere(campaign._clean_c16 < 0)[0]
+        calls = record_multiplies(monkeypatch)
+        spec = FaultSpec(row=int(row), col=int(col), kind=FaultKind.SET, value=-100.0)
+        (record,) = campaign.run(0, specs=[spec]).records
+        assert calls == []
+        assert not record.output_corrupted
+
+    @pytest.mark.parametrize("dtype", ["fp16", "int8"])
+    def test_a_one_row_layer_multiplies_one_row_not_its_padding(self, monkeypatch, dtype):
+        session = make_session("mlp_bottom", dtype)
+        campaign = session.propagation_campaign("fc0", x=model_input("mlp_bottom"))
+        row, col = np.argwhere(campaign._clean_c16 > 0)[0]
+        calls = record_multiplies(monkeypatch)
+        spec = FaultSpec(row=int(row), col=int(col), kind=FaultKind.ADD, value=3e4)
+        campaign.run(0, specs=[spec])
+        assert [rows for rows, _, _ in calls] == [1, 1]
+        assert all(m_full > 1 for _, _, m_full in calls)
+
+    def test_changed_rows_compare_raw_bytes(self):
+        campaign = make_session("transformer_decoder").propagation_campaign(
+            "qkv", x=model_input("transformer_decoder")
+        )
+        _, gemm = campaign._downstream[-1]  # ffn.fc2: 16 logical rows
+        clean = gemm.a_pad.copy()
+        clean[2, 0], clean[9, 1] = 0.0, np.nan
+        gemm = dataclasses.replace(gemm, a_pad=clean)
+        new = clean.copy()
+        assert gemm.changed_rows(new, gemm.a_scale).size == 0  # same NaN bytes
+        new[2, 0] = -0.0
+        new.view(np.uint16)[9, 1] ^= 1  # another NaN payload
+        assert gemm.changed_rows(new, gemm.a_scale).tolist() == [2, 9]
+
+    @pytest.mark.parametrize("model", ["mlp_bottom", "transformer_decoder"])
+    def test_a_moved_int8_scale_changes_every_logical_row(self, model):
+        session = make_session(model, "int8")
+        layer = session.plan.layer_names[0]
+        campaign = session.propagation_campaign(layer, x=model_input(model))
+        _, gemm = campaign._downstream[-1]
+        m = gemm.executor.problem.m
+        moved = np.nextafter(gemm.a_scale, np.inf)
+        assert gemm.changed_rows(gemm.a_pad, moved).tolist() == list(range(m))
+
+
+class TestRowReplayCheck:
+    def test_construction_raises_when_a_row_alone_differs(self, monkeypatch):
+        session = make_session("transformer_decoder")
+        x = model_input("transformer_decoder")
+        original = TiledGemm.multiply
+
+        def lone_rows_differ(self, a_pad, b_pad):
+            acc = original(self, a_pad, b_pad)
+            if len(a_pad) == 1 < self.problem.m:
+                acc[0, 0] += 1.0  # far past one FP16 ULP of the output
+            return acc
+
+        monkeypatch.setattr(TiledGemm, "multiply", lone_rows_differ)
+        with pytest.raises(FaultInjectionError, match="1 of 16 rows of downstream layer"):
+            session.propagation_campaign("qkv", x=x)
+        session.propagation_campaign("qkv", x=x, verify_recovery=False)

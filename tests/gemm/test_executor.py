@@ -65,6 +65,40 @@ class TestNumerics:
         np.testing.assert_allclose(c, ref, rtol=1e-6, atol=1e-6)
 
 
+class TestRowSubsets:
+    """``multiply`` takes any 1..m_full padded rows of A (the rows a
+    propagation replay recomputes) and returns one accumulator row per
+    A row — the full product's rows, byte for byte on this host."""
+
+    @pytest.mark.parametrize("cls", [TiledGemm, Int8TiledGemm])
+    def test_rows_alone_match_the_full_product(self, tile, rng, cls):
+        ex = cls(GemmProblem(30, 24, 200), tile)
+        a_pad, _ = ex.pad_a((rng.standard_normal((30, 200)) * 0.5).astype(np.float16))
+        b_pad, _ = ex.pad_b((rng.standard_normal((200, 24)) * 0.5).astype(np.float16))
+        full = ex.multiply(a_pad, b_pad)
+        assert full.shape == (ex.m_full, ex.n_full)
+        for rows in ([0], [29], [3, 17], list(range(0, 30, 3)), list(range(30))):
+            part = ex.multiply(a_pad[rows], b_pad)
+            assert part.shape == (len(rows), ex.n_full)
+            assert part.tobytes() == full[rows].tobytes()
+
+    @pytest.mark.parametrize("cls", [TiledGemm, Int8TiledGemm])
+    def test_rejects_what_is_not_padded_rows(self, tile, cls):
+        ex = cls(GemmProblem(10, 9, 11), tile)
+        a_pad = np.zeros((ex.m_full, ex.k_full), dtype=ex.storage)
+        b_pad = np.zeros((ex.k_full, ex.n_full), dtype=ex.storage)
+        bad = [
+            (a_pad[:0], b_pad),  # no row
+            (np.zeros((ex.m_full + 1, ex.k_full), ex.storage), b_pad),
+            (a_pad[:, :-1], b_pad),  # wrong column count
+            (a_pad[0], b_pad),  # not a matrix
+            (a_pad, b_pad[:, :-1]),  # wrong B
+        ]
+        for a, b in bad:
+            with pytest.raises(ShapeError):
+                ex.multiply(a, b)
+
+
 class TestThreadTileView:
     def test_view_shape(self, tile):
         ex = TiledGemm(GemmProblem(64, 32, 16), tile)
