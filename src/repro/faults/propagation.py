@@ -104,9 +104,7 @@ class _DownstreamGemm:
         diff = a_pad[:m].view(bits) != self.a_pad[:m].view(bits)
         return np.flatnonzero(diff.any(axis=1))
 
-    def output_rows(
-        self, a_pad: np.ndarray, a_scale: float, rows: np.ndarray
-    ) -> np.ndarray:
+    def output_rows(self, a_pad: np.ndarray, a_scale: float, rows: np.ndarray) -> np.ndarray:
         """FP16 output of the given logical rows of ``a_pad``."""
         executor = self.executor
         acc = executor.multiply(a_pad[rows], self.b_acc)
@@ -439,14 +437,15 @@ class PropagationCampaign(ShardPoolOwner):
             )
             traced = st.outcome.c.view()
             traced.flags.writeable = False
-            self._downstream.append((op, _DownstreamGemm(
+            gemm = _DownstreamGemm(
                 executor=prepared.executor,
                 b_acc=prepared.b_pad.astype(prepared.c_clean.dtype),
                 b_scale=prepared.b_scale,
                 a_pad=prepared.a_pad,
                 a_scale=prepared.a_scale,
                 c=traced,
-            )))
+            )
+            self._downstream.append((op, gemm))
 
         if verify_recovery:
             self._check_row_replay()
@@ -511,8 +510,7 @@ class PropagationCampaign(ShardPoolOwner):
     @property
     def downstream_ops(self) -> list[str]:
         """Names of the ops corruption propagates through, in order."""
-        return [type(op).__name__ if gemm is None else op.name
-                for op, gemm in self._downstream]
+        return [type(op).__name__ if gemm is None else op.name for op, gemm in self._downstream]
 
     @staticmethod
     def _top1(output: np.ndarray) -> np.ndarray:
@@ -660,9 +658,7 @@ class PropagationCampaign(ShardPoolOwner):
         records: list[PropagationRecord] = []
         for start in range(0, len(batch), self._batch_size):
             stop = start + self._batch_size
-            records.extend(self._run_chunk(
-                batch[start:stop], trials[start:stop], clean, tol
-            ))
+            records.extend(self._run_chunk(batch[start:stop], trials[start:stop], clean, tol))
         return records
 
     def _run_chunk(
