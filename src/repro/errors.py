@@ -51,8 +51,8 @@ class CampaignError(ReproError):
 
     Raised by the multiprocess campaign engine
     (:mod:`repro.faults.parallel`) when a worker dies or raises
-    mid-shard: the pool is torn down, shared-memory segments are
-    released, and the underlying worker exception (when one surfaced)
+    mid-shard: the pool is stopped, and the underlying worker exception
+    (or the ``EOFError`` / ``BrokenPipeError`` of a dead worker's pipe)
     is chained as ``__cause__`` — callers never observe a hang or a
     partial merge.
     """

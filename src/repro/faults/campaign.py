@@ -46,8 +46,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..config import DetectionConstants
-
 if TYPE_CHECKING:  # avoid the faults <-> abft import cycle at runtime
     from ..abft.base import PreparedCache, PreparedExecution, Scheme
 from ..errors import FaultInjectionError
@@ -291,15 +289,16 @@ class FaultCampaign(ShardPoolOwner):
     workers:
         Default worker-process count for :meth:`run`/:meth:`run_batch`
         (both also take a per-call override).  ``None`` or ``1`` runs
-        in-process; ``N > 1`` shards each run's trials across a process
-        pool sharing this campaign's prepared state via shared memory
-        (:mod:`repro.faults.parallel`), record-for-record identical to
-        the in-process result for a fixed seed.  The pool starts on the
-        first sharded run and serves every later one that needs no
-        more workers; :meth:`close`, a ``with`` block, or the
-        campaign's collection shuts it down.  A warm pool adds a few
-        milliseconds to a run, so two workers pay from a few thousand
-        trials of a mid-size GEMM (measured in DESIGN.md §4).
+        in-process; ``N > 1`` shards each run's trials across worker
+        processes forked from this campaign, which inherit its prepared
+        state (:mod:`repro.faults.parallel`), record-for-record
+        identical to the in-process result for a fixed seed.  The
+        workers fork on the first sharded run and serve every later
+        one that needs no more workers; :meth:`close`, a ``with``
+        block, or the campaign's collection stops them.  A warm pool
+        adds a millisecond or two to a run, so two workers pay from a
+        few thousand trials of a mid-size GEMM (measured in DESIGN.md
+        §4).
     options:
         A :class:`~repro.faults.CampaignOptions` carrying any of the
         knobs above; ``seed`` / ``significance_factor`` / ``batch_size``
@@ -388,15 +387,17 @@ class FaultCampaign(ShardPoolOwner):
             detection.atol_floor,
         )
 
-    def _shard_state(self) -> "PreparedExecution":
-        """The prepared state a shard pool exports, clean checks built.
+    #: The settings a caller may change between runs: every sharded run
+    #: ships them to the workers forked from this campaign.
+    _SHARD_SETTINGS = (
+        "detection", "significance_factor", "_tolerance_scale", "batch_size"
+    )
 
-        The lazy clean check arrays are forced first, so they ride the
-        shared segment instead of being rebuilt in every worker.
-        """
+    def _before_fork(self) -> None:
+        """Build the lazy clean check arrays once, before the shard
+        workers fork, so none of them rebuilds them."""
         self._prepared.clean_reductions
         self._prepared.clean_comparison(self.detection)
-        return self._prepared
 
     @property
     def prepared(self) -> "PreparedExecution":
@@ -422,44 +423,6 @@ class FaultCampaign(ShardPoolOwner):
         model already budgets for.
         """
         return self._tolerance_scale
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def _from_prepared(
-        cls,
-        prepared: "PreparedExecution",
-        *,
-        detection: DetectionConstants,
-        significance_factor: float,
-        tolerance_scale: float,
-        batch_size: int,
-    ) -> "FaultCampaign":
-        """Rehydrate a campaign around an existing prepared state.
-
-        The shard-worker constructor (:mod:`repro.faults.parallel`):
-        skips preparation and the clean-baseline injection entirely —
-        the parent already did both — and carries the parent's
-        *derived* configuration (including the baseline tolerance
-        scale) verbatim, so worker-side classification matches the
-        in-process path bit for bit.  No RNG is attached: workers never
-        draw, the parent owns the random stream.
-        """
-        self = cls.__new__(cls)
-        self.scheme = prepared.scheme
-        # Logical operands live inside the prepared state; nothing
-        # downstream of construction reads these again.
-        self.a = None
-        self.b = None
-        self.tile = prepared.tile
-        self.detection = detection
-        self.significance_factor = significance_factor
-        self.workers = None
-        self.rng = None
-        self._prepared = prepared
-        self.batch_size = batch_size
-        self._baseline = None
-        self._tolerance_scale = tolerance_scale
-        return self
 
     def _resolve_workers(self, workers: int | None, n_trials: int) -> int:
         """Effective worker count for a run of ``n_trials`` trials.
@@ -766,12 +729,11 @@ class FaultCampaign(ShardPoolOwner):
         simultaneous fault count (see :meth:`draw_faults`).
 
         With ``workers=N > 1`` (or a campaign-level default) the drawn
-        trial stream is sharded across a process pool sharing this
-        campaign's prepared state through shared memory; the parent
-        draws all randomness up front exactly as in-process, so for a
-        fixed seed the merged result is record-for-record identical at
-        any worker count.  A worker failure raises
-        :class:`~repro.errors.CampaignError`.
+        trial stream is sharded across worker processes forked from
+        this campaign; the parent draws all randomness up front exactly
+        as in-process, so for a fixed seed the merged result is
+        record-for-record identical at any worker count.  A worker
+        failure raises :class:`~repro.errors.CampaignError`.
 
         Example
         -------

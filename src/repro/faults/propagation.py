@@ -281,16 +281,16 @@ class PropagationCampaign(ShardPoolOwner):
     workers:
         Default worker-process count for :meth:`run`/:meth:`run_batch`
         (both also take a per-call override).  ``None`` or ``1`` runs
-        in-process; ``N > 1`` shards each run's trials across a process
-        pool sharing the campaign's prepared state, clean baselines,
-        and downstream replay ops via shared memory
+        in-process; ``N > 1`` shards each run's trials across worker
+        processes forked from this campaign, which inherit its prepared
+        state, clean baselines and downstream replay state
         (:mod:`repro.faults.parallel`), record-for-record identical to
-        the in-process result for a fixed seed.  The pool starts on the
-        first sharded run and serves every later one that needs no
+        the in-process result for a fixed seed.  The workers fork on
+        the first sharded run and serve every later one that needs no
         more workers; :meth:`close`, a ``with`` block, or the
-        campaign's collection shuts it down.  Each trial replays the
+        campaign's collection stops them.  Each trial replays the
         downstream layers, so a few dozen trials already amortize the
-        few milliseconds a warm pool adds to a run.
+        millisecond or two a warm pool adds to a run.
     options:
         A :class:`~repro.faults.CampaignOptions`; ``seed`` /
         ``batch_size`` / ``workers`` apply here (each settable either
@@ -369,9 +369,6 @@ class PropagationCampaign(ShardPoolOwner):
         self.output_atol = float(output_atol)
         self.verify_recovery = verify_recovery
         self.workers = workers
-        # Shard workers rebuild the campaign without the engine; keep
-        # everything the trial loop touches on the campaign itself.
-        self._detection = engine.detection
 
         # One clean traced pass pins the baseline: per-layer operands,
         # tiles, clean outcomes, and the clean model output.
@@ -389,7 +386,6 @@ class PropagationCampaign(ShardPoolOwner):
                 f"{layer!r}; linear layers are {names}"
             )
         self._step: "TraceStep" = trace.step(layer)
-        self._step_dims = self._step.dims
 
         # The struck layer rides a full GEMM campaign (shared cache →
         # shared prepared state with the traced pass) for fault drawing,
@@ -410,7 +406,6 @@ class PropagationCampaign(ShardPoolOwner):
             ),
         )
         self._prepared = self._gemm.prepared
-        self._batch_size = self._gemm.batch_size
         # The struck layer's accumulator→output lowering (FP16 downcast
         # on the float pipeline, dequantize on INT8) is its prepared
         # epilogue, so replayed site values match the scheme's own
@@ -459,52 +454,14 @@ class PropagationCampaign(ShardPoolOwner):
                 )
 
     # ------------------------------------------------------------------
-    #: What a shard worker's campaign holds: the fault-invariant state a
-    #: shard pool exports once, and the settings every sharded run
-    #: ships, since callers may change them between runs.
-    _SHARD_STATE = (
-        "layer", "_detection", "_batch_size", "_prepared", "_clean_c16",
-        "_clean_output", "_clean_top1", "_struck_op", "_downstream",
-        "_step_dims",
-    )
+    #: The settings a caller may change between runs: every sharded run
+    #: ships them to the workers forked from this campaign.
     _SHARD_SETTINGS = ("recovery", "output_rtol", "output_atol")
 
-    def _shard_state(self) -> dict:
-        """Everything fault-invariant a shard worker needs, by attribute.
-
-        The heavyweight entries (the struck layer's prepared execution,
-        with its clean checks forced here, the clean baselines, and the
-        downstream ops with their executors, widened weights, clean
-        padded activations, scales and traced outputs) are
-        ndarray-bearing object graphs that
-        :func:`repro.faults.parallel.export_payload` parks in shared
-        memory — a worker attaches zero-copy views, never re-preparing
-        or re-tracing anything.
-        """
-        self._prepared.clean_reductions
-        self._prepared.clean_comparison(self._detection)
-        return {name: getattr(self, name) for name in self._SHARD_STATE}
-
-    def _shard_settings(self) -> dict:
-        """The run-time settings a sharded run ships with its trials."""
-        return {name: getattr(self, name) for name in self._SHARD_SETTINGS}
-
-    @classmethod
-    def _from_state(cls, state: dict, settings: dict) -> "PropagationCampaign":
-        """Rebuild a replay-capable campaign from its shard state.
-
-        The shard-worker constructor: no engine, no trace, no GEMM
-        campaign — just the attributes :meth:`_run_records`,
-        :meth:`_replay`, and the recovery check touch (the end-to-end
-        check already ran at the parent's construction).  Workers never
-        draw randomness or aggregate results; the parent owns both.
-        """
-        self = object.__new__(cls)
-        self.engine = self.trace = self._gemm = self._step = self.workers = None
-        for name, value in {**state, **settings}.items():
-            setattr(self, name, value)
-        self._epilogue = self._prepared.epilogue
-        return self
+    def _before_fork(self) -> None:
+        """Build the struck layer's lazy clean checks once, before the
+        shard workers fork."""
+        self._gemm._before_fork()
 
     # ------------------------------------------------------------------
     @property
@@ -539,7 +496,7 @@ class PropagationCampaign(ShardPoolOwner):
         computes and cannot flag.  Writes nothing and reads no mutable
         state, so the result is a pure function of ``c16``'s bytes.
         """
-        activation = self._struck_op.reshape_output(c16, self._step_dims)
+        activation = self._struck_op.reshape_output(c16, self._step.dims)
         for op, gemm in self._downstream:
             if gemm is None:
                 activation = op.forward(activation)
@@ -618,9 +575,9 @@ class PropagationCampaign(ShardPoolOwner):
         :class:`~repro.faults.FaultCampaign` with this seed draws.
 
         ``workers`` overrides the campaign's default worker count for
-        this run: with ``N > 1`` the trials shard across a process pool
-        (:mod:`repro.faults.parallel`) sharing the campaign's prepared
-        and replay state via shared memory.  Per-trial records are
+        this run: with ``N > 1`` the trials shard across worker
+        processes forked from the campaign
+        (:mod:`repro.faults.parallel`).  Per-trial records are
         independent of shard boundaries, so the merged result is
         record-for-record identical to in-process execution; a worker
         failure raises :class:`~repro.errors.CampaignError`.
@@ -656,8 +613,9 @@ class PropagationCampaign(ShardPoolOwner):
         with np.errstate(invalid="ignore"):
             tol = self.output_atol + self.output_rtol * np.abs(clean)
         records: list[PropagationRecord] = []
-        for start in range(0, len(batch), self._batch_size):
-            stop = start + self._batch_size
+        batch_size = self._gemm.batch_size
+        for start in range(0, len(batch), batch_size):
+            stop = start + batch_size
             records.extend(self._run_chunk(batch[start:stop], trials[start:stop], clean, tol))
         return records
 
@@ -672,7 +630,7 @@ class PropagationCampaign(ShardPoolOwner):
         prepared = self._prepared
         sites = faulted_site_values(prepared.c_clean, chunk)
         outcomes = prepared.inject_batch(
-            trials, detection=self._detection, sites=sites,
+            trials, detection=self._gemm.detection, sites=sites,
         )
 
         # Quantization-masked fast path: a site only affects the model
@@ -719,7 +677,7 @@ class PropagationCampaign(ShardPoolOwner):
                 )
             attempt = attempt_recovery(
                 lambda specs: prepared.inject(
-                    specs, detection=self._detection
+                    specs, detection=self._gemm.detection
                 ),
                 outcomes[i],
                 faults,

@@ -6,19 +6,19 @@ mostly NumPy dispatch that holds the GIL, so passes on threads of one
 process run one at a time; passes in separate processes run in
 parallel.
 
-Each worker is one process, forked with the start method of the
-sharded campaign engine's pool (:mod:`repro.faults.parallel`), and one
-:func:`~multiprocessing.Pipe` to the server.  The workers fork on the
-server's first request and inherit the session: nothing is pickled,
-exported to shared memory or copied, and each worker keeps its own
-prepared state warm across the requests it serves.  A worker loops
-receive → call → reply.  :meth:`SessionServer.handle` takes an idle
-worker (waiting while all are busy), sends ``(x, faults,
-session.recovery)`` — the recovery policy as the session holds it when
-the request is made, not as the worker inherited it — and awaits the
-reply on the running event loop, which watches the pipe itself
-(``loop.add_reader``, so a selector-based loop): no thread relays
-between the loop and the worker.  The served :class:`~repro.nn.InferenceResult` carries, per
+Each worker is a :class:`~repro.faults.parallel.Worker`, the process
+and pipe the sharded campaign engine runs on: one process forked from
+the session and one :func:`~multiprocessing.Pipe` to the server.  The
+workers fork when the server is built and inherit the session: nothing
+is pickled or copied, and each worker keeps its own prepared state
+warm across the requests it serves.  A worker loops receive → call →
+reply.  :meth:`SessionServer.handle` takes an idle worker (waiting
+while all are busy), sends ``(x, faults, session.recovery)`` — the
+recovery policy as the session holds it when the request is made, not
+as the worker inherited it — and awaits the reply on the running event
+loop, which watches the pipe itself (``loop.add_reader``, so a
+selector-based loop): no thread relays between the loop and the
+worker.  The served :class:`~repro.nn.InferenceResult` carries, per
 layer outcome, the verdict, the injected specs, the recovery counts and
 the FP16 output ``c``; the padded accumulator stays in the worker
 (:meth:`~repro.abft.base.ExecutionOutcome.detach`).
@@ -52,7 +52,6 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection
-from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -60,7 +59,7 @@ import numpy as np
 from ..api.session import ProtectedSession
 from ..errors import ConfigurationError, ServingError
 from ..faults.model import FaultSpec
-from ..faults.parallel import _mp_context
+from ..faults.parallel import Worker
 from ..faults.recovery import RecoveryPolicy
 from ..nn.inference import InferenceResult
 
@@ -87,72 +86,11 @@ def _serve_in_worker(
     )
 
 
-def _worker_loop(conn: Connection, session: ProtectedSession) -> None:
-    """A worker process: run ``fn(session, *args)`` per request, reply.
-
-    A request is ``(fn, args)``; the reply is ``(True, value)`` or
-    ``(False, exception)``.  The server's end of the pipe closing stops
-    the worker.
-    """
-    while True:
-        try:
-            fn, args = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = (True, fn(session, *args))
-        except Exception as exc:  # raised again by the waiting request
-            reply = (False, exc)
-        try:
-            conn.send(reply)
-        except OSError:  # the server hung up
-            return
-
-
-@dataclass(eq=False)
-class _Worker:
-    """One worker process and the server's end of its pipe.
-
-    ``owed`` counts replies to cancelled requests that the worker has
-    yet to send; its next taker reads and discards them first.
-    """
-
-    process: BaseProcess
-    conn: Connection
-    owed: int = 0
-
-    @classmethod
-    def fork(cls, session: ProtectedSession) -> "_Worker":
-        ctx = _mp_context()
-        conn, child_end = ctx.Pipe()
-        process = ctx.Process(
-            target=_worker_loop,
-            args=(child_end, session),
-            name="repro-serving-worker",
-            daemon=True,
-        )
-        process.start()
-        # The worker holds the only other end, so its exit reads as EOF.
-        child_end.close()
-        return cls(process, conn)
-
-    def stop(self, *, close_pipe: bool = True) -> None:
-        """Terminate the process and wait for it to exit.
-
-        A busy worker's pipe stays open (``close_pipe=False``): it
-        belongs to the request holding the worker.
-        """
-        self.process.terminate()
-        self.process.join()
-        if close_pipe:
-            self.conn.close()
-
-
 def _shut_down(
     owner_pid: int,
     lock: threading.Lock,
-    workers: list[_Worker],
-    idle: list[_Worker],
+    workers: list[Worker],
+    idle: list[Worker],
 ) -> None:
     """Stop every worker of one server.
 
@@ -259,9 +197,9 @@ class SessionServer:
         asyncio side may admit more in-flight requests than this; the
         rest wait for an idle worker.
 
-    The workers fork on the first request and hold the session as it
-    was then (see the module docstring), so make that request while no
-    other thread is inside the session: a lock held across the fork
+    The workers fork when the server is built and hold the session as
+    it was then (see the module docstring), so build the server while
+    no other thread is inside the session: a lock held across the fork
     stays held in every worker.  One server may serve from several
     event loops, in turn or on several threads.  A worker that dies
     fails the request it was serving with
@@ -295,8 +233,8 @@ class SessionServer:
         self._detected = 0
         # Every live worker, the idle ones among them, and the requests
         # waiting for one (each a future on its own event loop).
-        self._workers: list[_Worker] = []
-        self._idle: list[_Worker] = []
+        self._workers: list[Worker] = []
+        self._idle: list[Worker] = []
         self._waiters: deque[asyncio.Future] = deque()
         self._closed = False
         # Guards all of the above: handle() may run on several event
@@ -306,6 +244,14 @@ class SessionServer:
             self, _shut_down, os.getpid(), self._lock, self._workers,
             self._idle,
         )
+        try:
+            for _ in range(max_workers):
+                worker = Worker.fork(session)
+                self._workers.append(worker)
+                self._idle.append(worker)
+        except BaseException:
+            self._finalizer()
+            raise
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
@@ -330,7 +276,7 @@ class SessionServer:
 
     # -- workers --------------------------------------------------------
     def _hand_over_soon(
-        self, waiter: asyncio.Future, worker: _Worker | None
+        self, waiter: asyncio.Future, worker: Worker | None
     ) -> bool:
         """Schedule ``worker`` into ``waiter`` on the waiter's own loop.
 
@@ -346,7 +292,7 @@ class SessionServer:
         return True
 
     def _hand_over(
-        self, waiter: asyncio.Future, worker: _Worker | None
+        self, waiter: asyncio.Future, worker: Worker | None
     ) -> None:
         """On the waiter's loop: deliver ``worker``, or pass it on."""
         if not waiter.done():
@@ -354,7 +300,7 @@ class SessionServer:
         elif worker is not None:  # the waiter was cancelled meanwhile
             self._release(worker)
 
-    def _release(self, worker: _Worker, *, owed: int = 0) -> None:
+    def _release(self, worker: Worker, *, owed: int = 0) -> None:
         """Give a worker back: to the longest waiter, else to the idle set."""
         with self._lock:
             worker.owed += owed
@@ -366,7 +312,7 @@ class SessionServer:
                 return
         worker.stop()
 
-    def _replace(self, dead: _Worker) -> _Worker | None:
+    def _replace(self, dead: Worker) -> Worker | None:
         """Fork a worker in place of a dead one; ``None`` once closed.
 
         The replacement is the caller's to use or release.  If the fork
@@ -376,7 +322,7 @@ class SessionServer:
             with self._lock:
                 fresh = None
                 if not self._closed:
-                    fresh = _Worker.fork(self.session)
+                    fresh = Worker.fork(self.session)
                     self._workers[self._workers.index(dead)] = fresh
         except BaseException:
             self._release(dead)
@@ -384,19 +330,12 @@ class SessionServer:
         dead.stop()
         return fresh
 
-    async def _take(self, loop: asyncio.AbstractEventLoop) -> _Worker:
+    async def _take(self, loop: asyncio.AbstractEventLoop) -> Worker:
         """An idle worker, waiting on ``loop`` while all are busy."""
         while True:
             with self._lock:
                 if self._closed:
                     raise ServingError("the server is closed")
-                if not self._workers:  # first request: fork them all
-                    forked = [
-                        _Worker.fork(self.session)
-                        for _ in range(self.max_workers)
-                    ]
-                    self._workers.extend(forked)
-                    self._idle.extend(forked)
                 if self._idle:
                     return self._idle.pop()
                 waiter = loop.create_future()
@@ -414,7 +353,7 @@ class SessionServer:
             if worker is not None:
                 return worker
 
-    async def _acquire(self, loop: asyncio.AbstractEventLoop) -> _Worker:
+    async def _acquire(self, loop: asyncio.AbstractEventLoop) -> Worker:
         """A live worker that owes no reply, ready for one request."""
         worker = await self._take(loop)
         while True:

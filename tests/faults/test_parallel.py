@@ -3,12 +3,12 @@
 The determinism property (fixed seed => identical records at any
 worker count) is pinned by hypothesis in
 ``tests/properties/test_sharded_determinism.py``; this file covers the
-engine's machinery and edge cases: shard partitioning, the
-shared-memory payload roundtrip, ``workers=1`` delegation to the
-in-process path, worker counts exceeding the trial count, merged
-statistics, the pool lifecycle (one pool per campaign, reused across
-runs, gone after ``close()``, a ``with`` block or interpreter exit), and
-the failure contract (a raising or dying worker surfaces one
+engine's machinery and edge cases: shard partitioning, ``workers=1``
+delegation to the in-process path, worker counts exceeding the trial
+count, merged statistics, the pool lifecycle (one pool per campaign,
+reused across runs with the campaign's current settings, no thread in
+the parent, gone after ``close()``, a ``with`` block or interpreter
+exit), and the failure contract (a raising or dying worker surfaces one
 ``CampaignError``, promptly, with nothing leaked).
 """
 
@@ -19,8 +19,7 @@ import signal
 import subprocess
 import sys
 import textwrap
-import time
-from concurrent.futures.process import BrokenProcessPool
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,6 @@ from repro.faults import (
 )
 from repro.faults import parallel
 from repro.faults.campaign import SpecArrays
-from repro.faults.parallel import attach_payload, export_payload
 
 
 def _operands(seed=0, m=48, n=40, k=32):
@@ -99,54 +97,6 @@ class TestShardBounds:
                 assert sum(sizes) == n
                 assert max(sizes) - min(sizes) <= 1
                 assert all(s > 0 for s in sizes)
-
-
-# ----------------------------------------------------------------------
-# Shared-memory payload roundtrip
-# ----------------------------------------------------------------------
-class TestPayload:
-    def test_roundtrip_preserves_object_graph(self):
-        obj = {
-            "arr": np.arange(12, dtype=np.float32).reshape(3, 4),
-            "nested": [np.float16([1.5, -2.0]), "text", 42],
-            "empty": np.empty((0, 3)),
-        }
-        payload, shm = export_payload(obj)
-        try:
-            # Simulate a worker: clear the attach cache first so the
-            # segment is genuinely re-opened.
-            parallel._ATTACHED.pop(payload.shm_name, None)
-            rebuilt = attach_payload(payload)
-            np.testing.assert_array_equal(rebuilt["arr"], obj["arr"])
-            np.testing.assert_array_equal(rebuilt["nested"][0], obj["nested"][0])
-            assert rebuilt["nested"][1:] == ["text", 42]
-            assert rebuilt["empty"].shape == (0, 3)
-            assert not rebuilt["arr"].flags.writeable
-        finally:
-            attached = parallel._ATTACHED.pop(payload.shm_name, None)
-            if attached is not None:
-                attached[0].close()
-            shm.close()
-            shm.unlink()
-
-    def test_prepared_execution_roundtrip(self):
-        campaign = _campaign()
-        prepared = campaign.prepared
-        prepared.clean_reductions  # force the lazy check arrays
-        payload, shm = export_payload(prepared)
-        try:
-            parallel._ATTACHED.pop(payload.shm_name, None)
-            rebuilt = attach_payload(payload)
-            np.testing.assert_array_equal(rebuilt.c_clean, prepared.c_clean)
-            np.testing.assert_array_equal(rebuilt.a_pad, prepared.a_pad)
-            assert rebuilt.scheme.name == prepared.scheme.name
-            assert rebuilt.tile == prepared.tile
-        finally:
-            attached = parallel._ATTACHED.pop(payload.shm_name, None)
-            if attached is not None:
-                attached[0].close()
-            shm.close()
-            shm.unlink()
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +206,7 @@ class TestMerge:
 # Failure contract
 # ----------------------------------------------------------------------
 def _boom_runtime(*args, **kwargs):
-    """Module-level so the pool can pickle it by reference for workers."""
+    """Module-level so a shard request pickles it by reference."""
     raise RuntimeError("shard exploded")
 
 
@@ -288,7 +238,7 @@ class TestFailure:
         monkeypatch.setattr(parallel, "_run_campaign_shard", _die)
         with pytest.raises(CampaignError) as excinfo:
             campaign.run_batch(12, workers=2)
-        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+        assert isinstance(excinfo.value.__cause__, EOFError)
         assert _segments() <= segments
         assert _children() <= children
         # The failed run drew its batch before any worker ran.
@@ -303,15 +253,16 @@ class TestFailure:
         children = _children()
         campaign.run_batch(12, workers=2)
         twin.run_batch(12)
-        os.kill(min(_children() - children), signal.SIGKILL)
-        deadline = time.monotonic() + 30
-        # The executor's manager thread marks the pool broken on its own.
-        while not campaign._pool._executor._broken:
-            assert time.monotonic() < deadline, "pool never noticed the death"
-            time.sleep(0.01)
+        victim = min(_children() - children)
+        (worker,) = [
+            p for p in multiprocessing.active_children() if p.pid == victim
+        ]
+        os.kill(victim, signal.SIGKILL)
+        worker.join(timeout=30)
+        assert worker.exitcode == -signal.SIGKILL
         with pytest.raises(CampaignError) as excinfo:
             campaign.run_batch(12, workers=2)
-        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+        assert isinstance(excinfo.value.__cause__, (EOFError, OSError))
         assert _children() <= children
         twin.run_batch(12)
         with campaign:
@@ -324,18 +275,19 @@ class TestFailure:
 # ----------------------------------------------------------------------
 class TestPoolLifecycle:
     @pytest.fixture
-    def exports(self, monkeypatch):
+    def builds(self, monkeypatch):
+        """The worker count of every pool a campaign builds."""
         calls = []
-        export = parallel.export_payload
+        pool = parallel.ShardPool
 
-        def counting(obj):
-            calls.append(obj)
-            return export(obj)
+        def counting(owner, workers):
+            calls.append(workers)
+            return pool(owner, workers)
 
-        monkeypatch.setattr(parallel, "export_payload", counting)
+        monkeypatch.setattr(parallel, "ShardPool", counting)
         return calls
 
-    def test_runs_reuse_one_pool(self, exports):
+    def test_runs_reuse_one_pool(self, builds):
         children = _children()
         with _campaign() as campaign:
             campaign.run_batch(12, workers=2)
@@ -345,31 +297,43 @@ class TestPoolLifecycle:
             campaign.run_batch(30, workers=2)
             assert _children() - children == first
             assert len(first) == 2
-        assert len(exports) == 1
+        assert builds == [2]
 
-    def test_parent_keeps_no_mapping_of_the_segment(self):
+    def test_live_pool_runs_no_thread_in_the_parent(self):
+        threads = threading.active_count()
         with _campaign() as campaign:
             campaign.run_batch(12, workers=2)
-            name = campaign._pool.payload.shm_name
-            assert os.path.exists(f"/dev/shm/{name}")
-            with open("/proc/self/maps") as maps:
-                assert name not in maps.read()
+            assert campaign._pool.alive
+            assert threading.active_count() == threads
+        assert threading.active_count() == threads
 
-    def test_larger_request_replaces_the_pool(self, exports):
+    def test_reused_pool_runs_changed_settings(self):
+        """A setting changed after the fork reaches the live workers."""
+        with _campaign() as sharded:
+            twin = _campaign()
+            first = sharded.run_batch(200, workers=2)
+            twin.run_batch(200)
+            for campaign in (sharded, twin):
+                campaign.significance_factor = 1e3
+            again = sharded.run_batch(200, workers=2)
+            assert _same_records(again.trials, twin.run_batch(200).trials)
+        assert 0 < again.n_significant < first.n_significant
+
+    def test_larger_request_replaces_the_pool(self, builds):
         children = _children()
         with _campaign() as campaign:
             campaign.run_batch(12, workers=2)
             first = _children() - children
             campaign.run_batch(12, workers=3)
             second = _children() - children
-        assert len(exports) == 2
+        assert builds == [2, 3]
         assert len(second) == 3 and not first & second
 
     def test_close_and_with_leave_no_child_or_segment(self):
         segments, children = _segments(), _children()
         campaign, twin = _campaign(), _campaign()
         campaign.run_batch(12, workers=2)
-        assert _children() - children and _segments() - segments
+        assert _children() - children
         campaign.close()
         assert _children() <= children
         assert _segments() <= segments
@@ -404,8 +368,8 @@ class TestPoolLifecycle:
                 "fc1", x=x, options=CampaignOptions(seed=3, workers=2)
             )
             propagation.run_batch(6)
-            print(campaign._pool.payload.shm_name)
-            print(propagation._pool.payload.shm_name)
+            for owner in (campaign, propagation):
+                print(*(w.process.pid for w in owner._pool._workers))
             """
         )
         src = Path(__file__).resolve().parents[2] / "src"
@@ -417,9 +381,11 @@ class TestPoolLifecycle:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        names = proc.stdout.split()
-        assert len(names) == 2
-        assert not any(os.path.exists(f"/dev/shm/{name}") for name in names)
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 4
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
         assert "resource_tracker" not in proc.stderr, proc.stderr
 
 
@@ -457,8 +423,8 @@ class TestPropagationSharding:
         return make
 
     # At guided@int8 every layer of mlp_bottom deploys an INT8 scheme, so
-    # the shard payload carries the downstream executors and weight scales
-    # of the quantized replay.
+    # the workers replay on the downstream executors and weight scales of
+    # the quantized pipeline.
     @pytest.mark.parametrize("policy", ["guided", "guided@int8"])
     def test_sharded_records_identical(self, setup, policy):
         baseline = setup(policy=policy).run_batch(10)
