@@ -11,9 +11,10 @@ The fleet workflow end to end (DESIGN.md §5):
 3. :class:`repro.SessionServer` — drive ~100 concurrent requests
    through one session behind an asyncio concurrency gate and report
    throughput and tail latency.  Each pass runs in a worker process
-   forked from this one, so the first requests also pay the fork and
-   each worker's first preparation; a faulted request is detected
-   in-stream, exactly as a serial pass would detect it.
+   forked from this one when the server is built, so the first
+   requests also pay each worker's first preparation; a faulted
+   request is detected in-stream, exactly as a serial pass would
+   detect it.
 """
 
 import argparse

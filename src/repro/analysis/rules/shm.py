@@ -1,20 +1,22 @@
 """RL003 — shared-memory segment lifecycle.
 
-Contract guarded (DESIGN.md §4, failure contract): every
-``SharedMemory(create=True)`` segment is eventually both ``close()``d
-and ``unlink()``ed, on success *and* failure paths — otherwise sharded
-campaigns leak ``/dev/shm`` space (bounded by the kernel, so leaks
-eventually fail unrelated runs).  The PR 7 resource-tracker asymmetry
-(cpython#82300 — attachments registered as if owned) is exactly this
-bug class.
+Contract guarded (DESIGN.md §9): every ``SharedMemory(create=True)``
+segment is eventually both ``close()``d and ``unlink()``ed, on success
+*and* failure paths — otherwise the process leaks ``/dev/shm`` space
+(bounded by the kernel, so leaks eventually fail unrelated runs).  No
+module in ``src/`` creates a segment since shard workers fork from
+their campaign (DESIGN.md §4); the rule keeps a new one honest.  The
+resource-tracker asymmetry (cpython#82300 — attachments registered as
+if owned) is exactly this bug class.
 
 Two checks per function:
 
 * **creation** — a name assigned from ``SharedMemory(create=True, ...)``
   must either *escape* the function (returned/yielded, stored on an
   object or into a container, or handed to another call — ownership
-  transfer, as ``export_payload`` does) or be closed *and* unlinked in
-  a ``finally`` block so exception paths clean up too;
+  transfer to the caller, as in ``return payload, shm``) or be closed
+  *and* unlinked in a ``finally`` block so exception paths clean up
+  too;
 * **pairing** — for any shm-like name (a parameter named ``shm`` /
   ``*_shm`` / ``shm_*``, or a local bound from a ``SharedMemory(...)``
   call), a ``finally`` that ``close()``s it while the function never
@@ -22,8 +24,9 @@ Two checks per function:
   the mapping).  Attach-only handles that are merely closed outside a
   ``finally`` — worker-side caches — are not flagged.
 
-Backstops: ``tests/faults`` sharded-campaign leak assertions over
-``/dev/shm`` before/after.
+Backstops: the synthetic sources of ``tests/analysis/test_rules.py``,
+and ``tests/faults`` sharded-campaign leak assertions over ``/dev/shm``
+before/after.
 """
 
 from __future__ import annotations

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import weakref
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
@@ -143,6 +144,17 @@ class Worker:
         child_end.close()
         return cls(process, conn)
 
+    def send(self, fn: Callable, *args: Any) -> None:
+        """Ask the worker for ``fn(target, *args)``; the reply comes on
+        :attr:`conn`.
+
+        Pickled to bytes here, not by ``Connection.send``: that sends a
+        view of a ``BytesIO``, which a failed send's traceback keeps
+        exported, so collecting the traceback can close the ``BytesIO``
+        under its export (an error ``python -X dev`` reports).
+        """
+        self.conn.send_bytes(pickle.dumps((fn, args)))
+
     def stop(self, *, close_pipe: bool = True) -> None:
         """Terminate the process and wait for it to exit.
 
@@ -217,22 +229,22 @@ def _run_propagation_shard(
 # ----------------------------------------------------------------------
 # Parent-side orchestration: one long-lived pool per campaign.
 # ----------------------------------------------------------------------
+def _worker_failed(cause: BaseException) -> CampaignError:
+    """The one error a failed shard raises, ``cause`` chained by the caller."""
+    return CampaignError(f"sharded campaign failed in a worker process: {cause}")
+
+
 def _gather_shards(workers: Sequence[Worker]) -> list:
     """Receive one shard reply per worker, in shard order.
 
-    A worker that raised, or died (``EOFError`` or ``OSError`` on its
-    pipe), raises one :class:`CampaignError` with the cause chained.
+    A worker that raised raises :class:`CampaignError` with its
+    exception chained; a dead one raises ``EOFError`` from its pipe.
     """
     results = []
     for worker in workers:
-        try:
-            ok, value = worker.conn.recv()
-        except (EOFError, OSError) as exc:
-            ok, value = False, exc
+        ok, value = worker.conn.recv()
         if not ok:
-            raise CampaignError(
-                f"sharded campaign failed in a worker process: {value}"
-            ) from value
+            raise _worker_failed(value) from value
         results.append(value)
     return results
 
@@ -292,13 +304,11 @@ class ShardPool:
             bounds = shard_bounds(len(arrays), workers)
             busy = self._workers[:len(bounds)]
             for worker, (lo, hi) in zip(busy, bounds):
-                worker.conn.send((fn, (arrays[lo:hi], *args)))
+                worker.send(fn, arrays[lo:hi], *args)
             return _gather_shards(busy)
-        except OSError as exc:  # from send: a worker died idle
+        except (EOFError, OSError) as exc:  # a worker died
             self.close()
-            raise CampaignError(
-                f"sharded campaign failed in a worker process: {exc}"
-            ) from exc
+            raise _worker_failed(exc) from exc
         except BaseException:
             self.close()
             raise

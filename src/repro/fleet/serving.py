@@ -383,7 +383,7 @@ class SessionServer:
         worker = await self._acquire(loop)
         sent = False
         try:
-            worker.conn.send((fn, args))
+            worker.send(fn, *args)
             sent = True
             await _readable(loop, worker.conn)
             reply = worker.conn.recv_bytes()

@@ -87,8 +87,8 @@ SERVE_IN_WORKER = serving._serve_in_worker
 def marked_serve(session, x, faults, recovery):
     """``_serve_in_worker`` that dies or stalls on a marked input.
 
-    Module-level so a request pickles it by reference; patched in
-    before the workers fork, so they run it.
+    Module-level so a request pickles it by reference, and the worker
+    that takes the request runs it.
     """
     mark = None if x is None else float(x.flat[0])
     if mark == DIE:
@@ -154,7 +154,7 @@ class TestReports:
 
     def test_shared_prepared_state_across_requests(self):
         fresh = repro.deploy("mlp_bottom", "T4", batch=16)
-        # The worker forks on the first request, inheriting this count.
+        # The worker forks when the server is built, inheriting this count.
         before = EXECUTION_STATS.gemms
         with SessionServer(fresh, max_workers=1) as server:
             server.serve_blocking(10, concurrency=5)
@@ -215,7 +215,7 @@ class TestServedResults:
         deployed, x = numeric_session(recovery=None)
         faulted = {"fc1": [FAULT]}
         with SessionServer(deployed, max_workers=1) as server:
-            serve(server, (x, None))  # the worker forks without a policy
+            serve(server, (x, None))  # the worker forked without a policy
             deployed.recovery = TRANSIENT
             (served,) = serve(server, (x, faulted))
         serial = deployed.run(x, faults=faulted)
@@ -227,7 +227,7 @@ class TestServedResults:
         deployed, x = numeric_session(recovery=TRANSIENT)
         faulted = {"fc1": [FAULT]}
         with SessionServer(deployed, max_workers=1) as server:
-            serve(server, (x, None))  # the worker forks with a policy
+            serve(server, (x, None))  # the worker forked with a policy
             deployed.recovery = None
             (served,) = serve(server, (x, faulted))
         serial = deployed.run(x, faults=faulted)
@@ -298,7 +298,7 @@ class TestFailures:
             )
 
         with SessionServer(deployed, max_workers=2) as server:
-            serve(server, (y, None))  # fork both workers
+            serve(server, (y, None))  # the workers forked with the server
             forked = {p.pid for p in new_children(before)}
             lost, kept = asyncio.run(doomed_and_kept(server))
             now = {p.pid for p in new_children(before)}
@@ -325,7 +325,7 @@ class TestFailures:
                 )
 
         with SessionServer(deployed, max_workers=1) as server:
-            serve(server, (x, None))  # fork the one worker first
+            serve(server, (x, None))  # a first pass on the one worker
             asyncio.run(cancel_in_flight(server))
             # A new event loop: the owed reply travels with the worker.
             (served,) = serve(server, (y, None))
