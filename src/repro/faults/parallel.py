@@ -151,9 +151,12 @@ class Worker:
         Pickled to bytes here, not by ``Connection.send``: that sends a
         view of a ``BytesIO``, which a failed send's traceback keeps
         exported, so collecting the traceback can close the ``BytesIO``
-        under its export (an error ``python -X dev`` reports).
+        under its export (an error ``python -X dev`` reports).  Protocol
+        5 writes NumPy columns without an intermediate copy.
         """
-        self.conn.send_bytes(pickle.dumps((fn, args)))
+        self.conn.send_bytes(
+            pickle.dumps((fn, args), protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
     def stop(self, *, close_pipe: bool = True) -> None:
         """Terminate the process and wait for it to exit.
@@ -229,11 +232,6 @@ def _run_propagation_shard(
 # ----------------------------------------------------------------------
 # Parent-side orchestration: one long-lived pool per campaign.
 # ----------------------------------------------------------------------
-def _worker_failed(cause: BaseException) -> CampaignError:
-    """The one error a failed shard raises, ``cause`` chained by the caller."""
-    return CampaignError(f"sharded campaign failed in a worker process: {cause}")
-
-
 def _gather_shards(workers: Sequence[Worker]) -> list:
     """Receive one shard reply per worker, in shard order.
 
@@ -244,7 +242,9 @@ def _gather_shards(workers: Sequence[Worker]) -> list:
     for worker in workers:
         ok, value = worker.conn.recv()
         if not ok:
-            raise _worker_failed(value) from value
+            raise CampaignError(
+                f"sharded campaign failed in a worker process: {value}"
+            ) from value
         results.append(value)
     return results
 
@@ -308,7 +308,9 @@ class ShardPool:
             return _gather_shards(busy)
         except (EOFError, OSError) as exc:  # a worker died
             self.close()
-            raise _worker_failed(exc) from exc
+            raise CampaignError(
+                f"sharded campaign failed in a worker process: {exc}"
+            ) from exc
         except BaseException:
             self.close()
             raise
