@@ -92,13 +92,17 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-def _worker_loop(conn: Connection, target: Any) -> None:
+def _worker_loop(
+    conn: Connection, target: Any, parent_end: Connection
+) -> None:
     """A worker process: run ``fn(target, *args)`` per request, reply.
 
     A request is ``(fn, args)``; the reply is ``(True, value)`` or
-    ``(False, exception)``.  The parent's end of the pipe closing stops
-    the worker.
+    ``(False, exception)``.  The worker first closes the copy of the
+    parent's end that the fork gave it, so the parent's end closing —
+    or the parent dying — stops the worker.
     """
+    parent_end.close()
     while True:
         try:
             fn, args = conn.recv()
@@ -135,7 +139,7 @@ class Worker:
         conn, child_end = ctx.Pipe()
         process = ctx.Process(
             target=_worker_loop,
-            args=(child_end, target),
+            args=(child_end, target, conn),
             name="repro-worker",
             daemon=True,
         )

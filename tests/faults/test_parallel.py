@@ -3,7 +3,9 @@
 The determinism property (fixed seed => identical records at any
 worker count) is pinned by hypothesis in
 ``tests/properties/test_sharded_determinism.py``; this file covers the
-engine's machinery and edge cases: shard partitioning, ``workers=1``
+engine's machinery and edge cases: shard partitioning, the worker
+primitive (requests run against the target as forked, a raised
+exception is the reply, EOF or ``stop()`` ends it), ``workers=1``
 delegation to the in-process path, worker counts exceeding the trial
 count, merged statistics, the pool lifecycle (one pool per campaign,
 reused across runs with the campaign's current settings, no thread in
@@ -97,6 +99,70 @@ class TestShardBounds:
                 assert sum(sizes) == n
                 assert max(sizes) - min(sizes) <= 1
                 assert all(s > 0 for s in sizes)
+
+
+# ----------------------------------------------------------------------
+# The worker primitive
+# ----------------------------------------------------------------------
+def _append(target, value):
+    """Run in a worker: append ``value`` to its copy of ``target``."""
+    target.append(value)
+    return list(target)
+
+
+def _raise_in_worker(target):
+    raise ValueError("raised in the worker")
+
+
+def _reply(worker):
+    """The worker's next reply, waiting at most 30 s for it."""
+    assert worker.conn.poll(30), "the worker never replied"
+    return worker.conn.recv()
+
+
+class TestWorker:
+    def test_runs_requests_against_the_target_it_forked_from(self):
+        target = [1]
+        worker = parallel.Worker.fork(target)
+        try:
+            target.append(2)  # after the fork: the worker never sees it
+            worker.send(_append, 3)
+            assert _reply(worker) == (True, [1, 3])
+            worker.send(_append, 4)
+            assert _reply(worker) == (True, [1, 3, 4])
+        finally:
+            worker.stop()
+        assert target == [1, 2]  # the worker's writes stay in its copy
+
+    def test_a_raising_request_replies_its_exception(self):
+        worker = parallel.Worker.fork([])
+        try:
+            worker.send(_raise_in_worker)
+            ok, exc = _reply(worker)
+            assert not ok
+            assert isinstance(exc, ValueError)
+            assert str(exc) == "raised in the worker"
+            worker.send(_append, 5)  # the worker serves on
+            assert _reply(worker) == (True, [5])
+        finally:
+            worker.stop()
+
+    def test_closing_the_pipe_or_stop_ends_the_process(self):
+        children = _children()
+        # A worker inherits the parent's end of every pipe opened before
+        # its fork, so the one that must read EOF is forked last.
+        stopped = parallel.Worker.fork([])
+        hung_up = parallel.Worker.fork([])
+        assert _children() - children == {
+            hung_up.process.pid, stopped.process.pid
+        }
+        hung_up.conn.close()
+        hung_up.process.join(timeout=30)
+        assert hung_up.process.exitcode == 0  # the loop read EOF and returned
+        stopped.stop()
+        assert stopped.process.exitcode == -signal.SIGTERM
+        assert stopped.conn.closed
+        assert _children() <= children
 
 
 # ----------------------------------------------------------------------

@@ -401,6 +401,15 @@ class TestFailures:
 
 
 class TestLifecycle:
+    def test_workers_fork_when_the_server_is_built(self, session):
+        before = set(multiprocessing.active_children())
+        with SessionServer(session, max_workers=2) as server:
+            forked = new_children(before)
+            assert len(forked) == 2  # before any request
+            serve(server, *[(None, None)] * 4)
+            assert new_children(before) == forked
+        assert not new_children(before)
+
     def test_no_worker_outlives_close_or_with(self, session):
         before = set(multiprocessing.active_children())
         with SessionServer(session, max_workers=2) as server:
