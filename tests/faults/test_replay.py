@@ -24,6 +24,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import tail_model
 
 from repro.api import deploy
 from repro.errors import FaultInjectionError
@@ -47,9 +48,17 @@ RECORD_GRID_DIGESTS = {
     ("transformer_decoder", "int8"): "58774762b584414b01fccaf21cc6ead476768799c049a82ffa2c7cd104fb9c5c",
     ("coral", "fp16"): "1eb1533f969c7ae449215d06f152254385de8d9b1295a04e782ac870df8439f2",
     ("coral", "int8"): "369be3f1dd490b64275ee089bd5c0e60faf3ccb8a6a61ad737c031a6499a04ce",
+    (tail_model.NAME, "fp16"): "39390564eee02410da2334354a5732135c68b5e6e7752c8c773027206c6525d5",
+    (tail_model.NAME, "int8"): "84eab1d1ba4a83d15c1263a0a42c65f8919f8f30e09442d885b1cc71e64b43e3",
 }
 
-BATCH = {"mlp_bottom": 1, "transformer_encoder": 1, "transformer_decoder": 2, "coral": 2}
+BATCH = {
+    "mlp_bottom": 1,
+    "transformer_encoder": 1,
+    "transformer_decoder": 2,
+    "coral": 2,
+    tail_model.NAME: 1,
+}
 FP16_TRIALS = 32
 INT8_TRIALS = 8
 #: Struck values that send the FP16 activations non-finite.
@@ -63,17 +72,24 @@ NON_FINITE = [
 
 def make_session(model, dtype="fp16"):
     batch = BATCH[model]
+    policy = "guided" if dtype == "fp16" else "guided@int8"
+    if model == tail_model.NAME:
+        graph, runnable = tail_model.build()
+        return deploy(graph, "T4", policy=policy, runnable=runnable)
     return deploy(
         model,
         "T4",
         batch=batch,
-        policy="guided" if dtype == "fp16" else "guided@int8",
+        policy=policy,
         runnable=build_runnable(model, batch=batch, seed=0),
     )
 
 
 def model_input(model):
-    shape = runnable_input_shape(model, batch=BATCH[model])
+    if model == tail_model.NAME:
+        shape = tail_model.INPUT_SHAPE
+    else:
+        shape = runnable_input_shape(model, batch=BATCH[model])
     return (np.random.default_rng(1).standard_normal(shape) * 0.5).astype(np.float16)
 
 

@@ -16,27 +16,34 @@ import functools
 
 import numpy as np
 import pytest
+import tail_model
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import deploy
 from repro.faults import FaultKind, FaultSpec
 from repro.nn import build_runnable, runnable_input_shape
 
-BATCH = {"mlp_bottom": 1, "coral": 2, "transformer_decoder": 2}
+BATCH = {"mlp_bottom": 1, "coral": 2, "transformer_decoder": 2, tail_model.NAME: 1}
 CASES = [(model, dtype) for model in BATCH for dtype in ("fp16", "int8")]
 
 
 @functools.cache
 def session_and_input(model, dtype):
     batch = BATCH[model]
-    session = deploy(
-        model,
-        "T4",
-        batch=batch,
-        policy="guided" if dtype == "fp16" else "guided@int8",
-        runnable=build_runnable(model, batch=batch, seed=0),
-    )
-    shape = runnable_input_shape(model, batch=batch)
+    policy = "guided" if dtype == "fp16" else "guided@int8"
+    if model == tail_model.NAME:
+        graph, runnable = tail_model.build()
+        session = deploy(graph, "T4", policy=policy, runnable=runnable)
+        shape = tail_model.INPUT_SHAPE
+    else:
+        session = deploy(
+            model,
+            "T4",
+            batch=batch,
+            policy=policy,
+            runnable=build_runnable(model, batch=batch, seed=0),
+        )
+        shape = runnable_input_shape(model, batch=batch)
     x = (np.random.default_rng(1).standard_normal(shape) * 0.5).astype(np.float16)
     return session, x
 
