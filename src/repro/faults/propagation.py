@@ -29,17 +29,20 @@ the campaign takes, per downstream layer, the executor, weight scale,
 padded activations and activation scale of the layer's entry in the
 session's shared :class:`~repro.abft.base.PreparedCache`, the layer's
 traced FP16 output, and the entry's padded weights widened once to the
-accumulate dtype.  Per trial a downstream layer re-pads its
-activations and recomputes only the logical rows whose padded bytes
-differ from the clean pass's (every row when an INT8 activation scale
-moved), writing them into a copy of its traced output; a layer with no
-changed row passes its traced output on untouched, so a fault that a
-ReLU absorbs skips every later GEMM.  That is bit-identical to a full
-recompute because GEMM row ``i`` reads only row ``i`` of ``A`` and a
-row's chunked accumulation does not depend on the rows beside it; with
-``verify_recovery`` on, construction checks the second premise on the
-host at hand.  Executors are immutable and padding returns the
-activation's scale as a value, so a replay writes nothing shared.
+accumulate dtype, plus the traced clean activation at every op
+boundary.  Per trial the replay carries only the rows a fault changed
+(rows of a 2-D activation, pixels of an NCHW one) from op to op: a
+row-local op (one whose output row reads only its own input row) runs
+on those rows alone, a GEMM multiplying only the rows whose padded
+activations changed; any other op, and every INT8 GEMM (its activation
+scale reads every row), runs on the clean input with the changed rows
+spliced in.  Rows that come out equal to the clean pass's are dropped,
+so a fault that a ReLU absorbs stops the replay there.  That is
+bit-identical to a full forward pass because each row-local op's rows
+do not depend on the rows beside them; with ``verify_recovery`` on,
+construction checks that on the host at hand.  Executors are immutable
+and padding returns the activation's scale as a value, so a replay
+writes nothing shared.
 Trials whose faults are absorbed by the FP16 output quantization (or
 land in the padding region) skip the replay entirely: their output
 *is* the clean output.
@@ -73,7 +76,38 @@ from .recovery import RecoveryPolicy, attempt_recovery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from ..gemm.executor import TiledGemm
-    from ..nn.inference import ProtectedInference, TraceStep
+    from ..nn.inference import ProtectedInference, TraceStep, _Op
+
+
+def _row_differs(x: np.ndarray, clean: np.ndarray) -> np.ndarray:
+    """Per row, whether ``x``'s bytes differ from ``clean``'s (so NaN
+    payloads and signed zeros count): one flag per row of a 2-D array,
+    one per pixel ``(b, h, w)`` of an NCHW one."""
+    bits = np.dtype(f"u{x.itemsize}")
+    return (x.view(bits) != clean.view(bits)).any(axis=1)
+
+
+def _row_index(x: np.ndarray, rows: np.ndarray) -> tuple:
+    """Index of ``rows`` in ``x``: rows of a 2-D activation, or pixels of
+    an NCHW one numbered in ``(b, h, w)`` order, a conv GEMM's row order."""
+    if x.ndim == 2:
+        return (rows,)
+    b, _, h, w = x.shape
+    bs, hs, ws = np.unravel_index(rows, (b, h, w))
+    return (bs, slice(None), hs, ws)
+
+
+def _take(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows`` of ``x`` as an ``(r, row width)`` array."""
+    return x[_row_index(x, rows)]
+
+
+def _splice(x: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A copy of ``x`` with ``rows`` set to ``values``, in ``x``'s memory
+    layout, so the op it feeds reduces in the order a forward pass does."""
+    out = x.copy(order="K")
+    out[_row_index(x, rows)] = values
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,7 +117,9 @@ class _DownstreamGemm:
     ``b_acc`` is the cached entry's padded weights widened once to the
     accumulate dtype (exact; 4 bytes per weight element); ``a_pad``,
     ``a_scale`` and ``c`` are the clean pass's padded activations,
-    their scale and the layer's FP16 output (read-only).
+    their scale and the layer's FP16 output (read-only).  ``by_rows``
+    is whether a replay runs the layer on its changed rows alone: a
+    row-local op on FP16 (an INT8 activation scale reads every row).
     """
 
     executor: "TiledGemm"
@@ -92,6 +128,7 @@ class _DownstreamGemm:
     a_pad: np.ndarray
     a_scale: float
     c: np.ndarray
+    by_rows: bool
 
     def changed_rows(self, a_pad: np.ndarray, a_scale: float) -> np.ndarray:
         """Logical rows of ``a_pad`` whose bytes differ from the clean
@@ -100,9 +137,7 @@ class _DownstreamGemm:
         m = self.executor.problem.m
         if a_scale != self.a_scale:
             return np.arange(m)
-        bits = np.dtype(f"u{a_pad.itemsize}")
-        diff = a_pad[:m].view(bits) != self.a_pad[:m].view(bits)
-        return np.flatnonzero(diff.any(axis=1))
+        return np.flatnonzero(_row_differs(a_pad[:m], self.a_pad[:m]))
 
     def output_rows(self, a_pad: np.ndarray, a_scale: float, rows: np.ndarray) -> np.ndarray:
         """FP16 output of the given logical rows of ``a_pad``."""
@@ -119,6 +154,51 @@ class _DownstreamGemm:
         c = self.c.copy()
         c[rows] = self.output_rows(a_pad, a_scale, rows)
         return c
+
+    def forward_rows(self, op: "_Op", x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``op``'s output for ``x``, its input at logical rows ``rows``
+        alone: the rows whose padded ``A`` bytes equal the clean pass's
+        keep the traced output, and only the others are multiplied."""
+        a, _, ctx = op.lower(x)
+        a_pad, a_scale = self.executor.pad_rows(a)
+        c = self.c[rows]
+        hit = np.flatnonzero(_row_differs(a_pad, self.a_pad[rows]))
+        if hit.size:
+            c[hit] = self.output_rows(a_pad, a_scale, hit)
+        return op.reshape_output(c, ctx)
+
+
+def _forward(op: "_Op", gemm: _DownstreamGemm | None, x: np.ndarray) -> np.ndarray:
+    """``op`` on a whole activation; a GEMM recomputes only the logical
+    rows whose padded activations changed."""
+    if gemm is None:
+        return op.forward(x)
+    a, _, dims = op.lower(x)
+    a_pad, a_scale = gemm.executor.pad_a(a)
+    return op.reshape_output(gemm.forward(a_pad, a_scale), dims)
+
+
+def _forward_rows(
+    op: "_Op",
+    gemm: _DownstreamGemm | None,
+    clean_x: np.ndarray,
+    rows: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
+    """Row-local ``op`` on input ``rows`` alone, whose ``(r, row width)``
+    ``values`` replace those rows of ``clean_x``: their output rows.
+    NCHW pixels go through the op as ``(r, C, 1, 1)`` images."""
+    if clean_x.ndim == 4:
+        values = values.reshape(len(rows), -1, 1, 1)
+    out = op.forward(values) if gemm is None else gemm.forward_rows(op, values, rows)
+    return out.reshape(len(rows), -1)
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """A read-only view of ``x``."""
+    view = x.view()
+    view.flags.writeable = False
+    return view
 
 
 class PropagationOutcome(Enum):
@@ -412,16 +492,19 @@ class PropagationCampaign(ShardPoolOwner):
         # outputs bit-for-bit.
         self._epilogue = self._prepared.epilogue
         self._clean_c16 = self._step.outcome.c  # struck layer's clean FP16
-        self._clean_output = trace.output
-        self._clean_top1 = self._top1(trace.output)
 
-        # Downstream replay state: the ops after the struck layer, each
+        # Downstream replay state: the clean activation at every op
+        # boundary from the struck layer's output on (read-only views
+        # of the trace's), and the ops after the struck layer, each
         # linear one paired with its cached entry's clean state and its
-        # traced output — per-trial work is pad_a, a row diff, and
-        # multiply + crop + epilogue over the changed rows only.
+        # traced output — per-trial work follows the rows a fault
+        # changed, op by op.
         idx = self._step.op_index
         self._struck_op = engine.model.ops[idx]
-        self._downstream: list[tuple[object, _DownstreamGemm | None]] = []
+        self._boundaries = [_read_only(a) for a in trace.activations[idx:]]
+        self._clean_output = self._boundaries[-1]
+        self._clean_top1 = self._top1(self._clean_output)
+        self._downstream: list[tuple["_Op", _DownstreamGemm | None]] = []
         for op in engine.model.ops[idx + 1:]:
             if not op.is_linear:
                 self._downstream.append((op, None))
@@ -430,15 +513,14 @@ class PropagationCampaign(ShardPoolOwner):
             prepared = engine.cache.get(
                 engine.scheme_for(op.name), st.a, st.b, tile=st.tile
             )
-            traced = st.outcome.c.view()
-            traced.flags.writeable = False
             gemm = _DownstreamGemm(
                 executor=prepared.executor,
                 b_acc=prepared.b_pad.astype(prepared.c_clean.dtype),
                 b_scale=prepared.b_scale,
                 a_pad=prepared.a_pad,
                 a_scale=prepared.a_scale,
-                c=traced,
+                c=_read_only(st.outcome.c),
+                by_rows=op.row_local and prepared.executor.dtype == "fp16",
             )
             self._downstream.append((op, gemm))
 
@@ -482,52 +564,81 @@ class PropagationCampaign(ShardPoolOwner):
         model output, bit-identically to what a protected forward pass
         over the same corrupted activations would compute.
 
-        Each downstream linear layer re-pads its activations on the
-        cached entry's immutable executor and recomputes only the
-        logical rows whose padded bytes differ from the clean pass's
-        (all of them when an INT8 activation scale moved): the raw
-        tiled GEMM of those rows against the widened weights, then the
+        The replay carries only the rows that differ from the clean
+        pass's at each op boundary (rows of a 2-D activation, pixels
+        of an NCHW one).  A row-local op runs on those rows alone; on
+        a GEMM, only the rows whose padded ``A`` bytes changed are
+        multiplied, the others keep the traced output.  Any other op,
+        and every INT8 GEMM, runs on a copy of its clean input with
+        the changed rows spliced in, a GEMM recomputing the logical
+        rows whose padded activations changed (all of them when an
+        INT8 activation scale moved); a byte diff against the clean
+        output gives the next rows.  Rows whose output equals the
+        clean output's are dropped after every op, and once none is
+        left the clean model output is returned.  A GEMM runs the raw
+        tiled product of its rows against the widened weights and the
         protected path's epilogue (crop, lower to FP16 by the
-        activation's scale times the entry's weight scale), written
-        into a copy of the layer's traced output.  A layer with no
-        changed row passes its read-only traced output straight on.
-        No checksum work runs, which is sound because a consistent GEMM
+        activation's scale times the entry's weight scale).  No
+        checksum work runs, which is sound because a consistent GEMM
         over corrupted inputs is exactly what the protected pass
         computes and cannot flag.  Writes nothing and reads no mutable
         state, so the result is a pure function of ``c16``'s bytes.
         """
-        activation = self._struck_op.reshape_output(c16, self._step.dims)
-        for op, gemm in self._downstream:
-            if gemm is None:
-                activation = op.forward(activation)
-                continue
-            a, _, dims = op.lower(activation)
-            a_pad, a_scale = gemm.executor.pad_a(a)
-            activation = op.reshape_output(gemm.forward(a_pad, a_scale), dims)
-        return activation
+        clean = self._boundaries
+        out = self._struck_op.reshape_output(c16, self._step.dims)
+        rows = np.flatnonzero(_row_differs(out, clean[0]))
+        values = _take(out, rows)
+        for j, (op, gemm) in enumerate(self._downstream):
+            if not rows.size:
+                return self._clean_output
+            if op.row_local if gemm is None else gemm.by_rows:
+                values = _forward_rows(op, gemm, clean[j], rows, values)
+                moved = _row_differs(values, _take(clean[j + 1], rows))
+                rows, values = rows[moved], values[moved]
+            else:
+                out = _forward(op, gemm, _splice(clean[j], rows, values))
+                rows = np.flatnonzero(_row_differs(out, clean[j + 1]))
+                values = _take(out, rows)
+        if not rows.size:
+            return self._clean_output
+        return _splice(self._clean_output, rows, values)
 
     def _check_row_replay(self) -> None:
-        """Check, on this host, that recomputing some rows of a
-        downstream GEMM reproduces its traced output bit-exactly.
+        """Check, on this host, that running a downstream op on some of
+        its rows reproduces its traced output bit-exactly.
 
         Row ``i`` of a product reads only row ``i`` of ``A``, but
         whether its accumulated bits are independent of the rows
-        sharing the matmul call is the host's matmul's business.  Every
-        downstream layer is recomputed over all its logical rows, and
-        its last row alone; both must byte-equal the traced output.
+        sharing the matmul call is the host's matmul's business, as is
+        a row-local op's own arithmetic.  Every downstream GEMM is
+        recomputed over all its logical rows, and its last row alone;
+        every op a replay runs by rows runs on its clean input's last
+        row alone.  Each must byte-equal the traced output.
         """
-        for op, gemm in self._downstream:
-            if gemm is None:
-                continue
-            m = gemm.executor.problem.m
-            for rows in (np.arange(m), np.array([m - 1])):
-                out = gemm.output_rows(gemm.a_pad, gemm.a_scale, rows)
-                if out.tobytes() != gemm.c[rows].tobytes():
+        for label, (op, gemm), x, y in zip(
+            self.downstream_ops, self._downstream, self._boundaries, self._boundaries[1:]
+        ):
+            if gemm is not None:
+                m = gemm.executor.problem.m
+                for rows in (np.arange(m), np.array([m - 1])):
+                    out = gemm.output_rows(gemm.a_pad, gemm.a_scale, rows)
+                    if out.tobytes() != gemm.c[rows].tobytes():
+                        raise FaultInjectionError(
+                            f"recomputing {len(rows)} of {m} rows of "
+                            f"downstream layer {label!r} does not reproduce "
+                            f"its traced output bit-exactly; replaying only "
+                            f"changed rows is unsound on this host"
+                        )
+            if op.row_local if gemm is None else gemm.by_rows:
+                # A row holds shape[1] elements in either layout.
+                last = np.array([x.size // x.shape[1] - 1])
+                out = _forward_rows(op, gemm, x, last, _take(x, last))
+                if out.tobytes() != _take(y, last).tobytes():
                     raise FaultInjectionError(
-                        f"recomputing {len(rows)} of {m} rows of "
-                        f"downstream layer {op.name!r} does not reproduce "
-                        f"its traced output bit-exactly; replaying only "
-                        f"changed rows is unsound on this host"
+                        f"running downstream op {label!r} on the last of "
+                        f"its input rows alone does not reproduce that "
+                        f"row of its traced output bit-exactly; replaying "
+                        f"only changed rows is unsound on this host"
                     )
 
     def _classify_output(

@@ -60,6 +60,11 @@ class ExecutionStats:
 #: Module-level stats instance every executor and checksum build reports to.
 EXECUTION_STATS = ExecutionStats()
 
+#: Bound on the FP32 partial products one stacked call of
+#: :meth:`TiledGemm.multiply` holds (``r x n_full`` per K-chunk): a
+#: GEMM whose one chunk already fills it runs one chunk per call.
+CHUNK_STACK_FLOATS = 1 << 16
+
 
 @dataclass(frozen=True)
 class TiledGemm:
@@ -131,6 +136,22 @@ class TiledGemm:
             )
         return self._pad(b, self.k_full, self.n_full)
 
+    def pad_rows(self, a: np.ndarray) -> tuple[np.ndarray, float]:
+        """Any ``r`` rows of ``A`` (``1 <= r <= m``) quantized and
+        zero-padded to ``(r, k_full)``, with their scale.
+
+        The FP16 cast quantizes each element alone, so these are the
+        bytes :meth:`pad_a` gives the same rows of the whole ``A``.  An
+        INT8 scale reads every row it is given, so on INT8 they are
+        not, and a propagation replay pads INT8 activations whole.
+        """
+        if a.ndim != 2 or a.shape[1] != self.problem.k or not 1 <= len(a) <= self.problem.m:
+            raise ShapeError(
+                f"A rows must be r x {self.problem.k} with 1 <= r <= "
+                f"{self.problem.m}, got {a.shape}"
+            )
+        return self._pad(a, len(a), self.k_full)
+
     def _pad(self, x: np.ndarray, rows: int, cols: int) -> tuple[np.ndarray, float]:
         # The zeroed buffer comes first and the quantized operand second:
         # the reverse order leaves the heap measurably larger.
@@ -163,9 +184,14 @@ class TiledGemm:
 
         Accumulates chunk-by-chunk along K (chunk = the MMA K-extent)
         into a single FP32 accumulator, mirroring the sequential MMA
-        accumulation of the hardware mainloop.  An operand may arrive
-        already widened to FP32 (exact for FP16 values); it is then
-        used as is, not copied.
+        accumulation of the hardware mainloop.  Consecutive chunks'
+        ``(r x 8) @ (8 x n_full)`` products run as one stacked
+        ``np.matmul`` call, each stack element the same BLAS call a
+        chunk alone makes, and are added into the accumulator in chunk
+        order; a group holds at most :data:`CHUNK_STACK_FLOATS` partial
+        products (at least one chunk).  An operand may arrive already
+        widened to FP32 (exact for FP16 values); it is then used as is,
+        not copied.
 
         ``a_pad`` is any ``r`` rows of the padded ``A``, ``1 <= r <=
         m_full`` — all of them as :meth:`pad_a` returns them, or the
@@ -178,16 +204,22 @@ class TiledGemm:
         """
         self._check_padded(a_pad, b_pad)
         EXECUTION_STATS.gemms += 1
-        a32 = a_pad.astype(np.float32, copy=False)
-        b32 = b_pad.astype(np.float32, copy=False)
-        acc = np.zeros((len(a_pad), self.n_full), dtype=np.float32)
+        rows, chunks = len(a_pad), self.k_full // MMA_K
+        # Chunk c of each operand as element c of a stack: views with
+        # the strides of the chunk's own slice, so no copy is made.
+        a_chunks = a_pad.astype(np.float32, copy=False).reshape(rows, chunks, MMA_K)
+        a_chunks = a_chunks.transpose(1, 0, 2)
+        b_chunks = b_pad.astype(np.float32, copy=False).reshape(chunks, MMA_K, self.n_full)
+        group = max(1, CHUNK_STACK_FLOATS // (rows * self.n_full))
+        acc = np.zeros((rows, self.n_full), dtype=np.float32)
         # Operands struck by an exponent-bit flip carry inf/NaN; the
         # overflowing or NaN accumulator is the hardware's value, as in
         # the epilogue, so it is not warned about.
         with np.errstate(invalid="ignore", over="ignore"):
-            for k0 in range(0, self.k_full, MMA_K):
-                # In-place accumulate: no temporary C-sized copies per chunk.
-                acc += a32[:, k0:k0 + MMA_K] @ b32[k0:k0 + MMA_K, :]
+            for c0 in range(0, chunks, group):
+                stop = c0 + group
+                for partial in np.matmul(a_chunks[c0:stop], b_chunks[c0:stop]):
+                    acc += partial
         return acc
 
     def run(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,9 +30,18 @@ from .layers import Conv2dSpec, LinearSpec, pool_output_shape
 
 
 class _Op:
-    """Base class for runnable ops (internal)."""
+    """Base class for runnable ops (internal).
+
+    ``row_local`` declares that output row ``i`` depends only on input
+    row ``i``, with the same bytes whatever other rows share the call.
+    A row is a row of a 2-D activation, or a pixel ``(b, h, w)`` of an
+    NCHW one, which a row-local op takes as a ``(rows, C, 1, 1)``
+    batch of images.  A propagation replay runs a row-local op on the
+    rows a fault changed alone (DESIGN.md §3).
+    """
 
     is_linear = False
+    row_local = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
@@ -40,6 +49,8 @@ class _Op:
 
 class ReLU(_Op):
     """Rectified linear activation, applied in FP16."""
+
+    row_local = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, np.float16(0.0)).astype(np.float16)
@@ -103,6 +114,9 @@ class Conv2d(_Op):
         self.name = name
         self.weights = weights.astype(np.float16)
         self.b_matrix = conv_weights_to_gemm(self.weights)
+        # Only a 1x1, stride-1, unpadded conv maps each input pixel to
+        # the output pixel at the same coordinates and no other.
+        self.row_local = spec.kernel == 1 and spec.stride == 1 and spec.padding == 0
 
     def lower(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
         """im2col the input; returns (A, B, (batch, Ho, Wo))."""
@@ -127,6 +141,7 @@ class Linear(_Op):
     """Fully-connected layer executed as a GEMM through an ABFT scheme."""
 
     is_linear = True
+    row_local = True
 
     def __init__(self, spec: LinearSpec, weights: np.ndarray, *, name: str = "linear") -> None:
         expected = (spec.in_features, spec.out_features)
@@ -237,13 +252,17 @@ class InferenceTrace:
 
     Produced by :meth:`ProtectedInference.trace`; consumed by
     :class:`~repro.faults.PropagationCampaign`, which replays corrupted
-    activations through the traced downstream layers.
+    activations through the traced downstream layers.  ``activations``
+    holds every op's clean output, in op order (the last is
+    ``output``): the clean side of each op boundary, into which a
+    replay splices the rows a fault changed.
     """
 
     x: np.ndarray
     output: np.ndarray
     result: InferenceResult
     steps: tuple[TraceStep, ...]
+    activations: tuple[np.ndarray, ...]
 
     def step(self, name: str) -> TraceStep:
         """The traced step of the named linear layer."""
@@ -534,38 +553,41 @@ class ProtectedInference:
         Runs the model fault-free (through the shared cache when the
         engine owns one) and records, per linear layer, the lowered
         operands, the pinned tile, the conv reshape dims, and the
-        clean execution outcome — the downstream state a
-        :class:`~repro.faults.PropagationCampaign` replays corrupted
-        activations through.  Does not touch
+        clean execution outcome, and every op's output activation —
+        the downstream state a :class:`~repro.faults.PropagationCampaign`
+        replays corrupted activations through.  Does not touch
         :attr:`recorded_operands`.
         """
         result = InferenceResult(output=np.asarray(x, dtype=np.float16))
         activation = result.output
         steps: list[TraceStep] = []
+        activations: list[np.ndarray] = []
         staged: dict[str, tuple[np.ndarray, np.ndarray, TileConfig]] = {}
         for idx, op in enumerate(self.model.ops):
-            if not op.is_linear:
-                activation = op.forward(activation)
-                continue
-            a, b, dims = op.lower(activation)
-            rec = self._run_linear(op.name, a, b, (), None, staged)
-            result.layer_outcomes.append(rec)
-            steps.append(
-                TraceStep(
-                    name=op.name,
-                    op_index=idx,
-                    a=a,
-                    b=b,
-                    tile=staged[op.name][2],
-                    dims=dims,
-                    outcome=rec.outcome,
+            if op.is_linear:
+                a, b, dims = op.lower(activation)
+                rec = self._run_linear(op.name, a, b, (), None, staged)
+                result.layer_outcomes.append(rec)
+                steps.append(
+                    TraceStep(
+                        name=op.name,
+                        op_index=idx,
+                        a=a,
+                        b=b,
+                        tile=staged[op.name][2],
+                        dims=dims,
+                        outcome=rec.outcome,
+                    )
                 )
-            )
-            activation = op.reshape_output(rec.outcome.c, dims)
+                activation = op.reshape_output(rec.outcome.c, dims)
+            else:
+                activation = op.forward(activation)
+            activations.append(activation)
         result.output = activation
         return InferenceTrace(
             x=np.asarray(x, dtype=np.float16),
             output=activation,
             result=result,
             steps=tuple(steps),
+            activations=tuple(activations),
         )

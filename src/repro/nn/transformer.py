@@ -220,6 +220,7 @@ class _HeadScores(_Op):
     """
 
     is_linear = True
+    row_local = True
 
     def __init__(self, head: int, head_dim: int, b: np.ndarray, *, name: str) -> None:
         self.head = head
@@ -238,6 +239,8 @@ class _HeadScores(_Op):
 
 class _SoftmaxTail(_Op):
     """Row softmax over the activation's trailing ``n`` columns (FP32)."""
+
+    row_local = True
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -262,6 +265,7 @@ class _HeadContext(_Op):
     """
 
     is_linear = True
+    row_local = True
 
     def __init__(self, kv: int, v: np.ndarray, *, name: str) -> None:
         self.kv = kv
@@ -287,6 +291,7 @@ class _TailLinear(_Op):
     """
 
     is_linear = True
+    row_local = True
 
     def __init__(self, spec: LinearSpec, weights: np.ndarray, *, name: str) -> None:
         if weights.shape != (spec.in_features, spec.out_features):
@@ -328,6 +333,8 @@ class _GELU(_Op):
     Looks each activation's bit pattern up in :func:`_gelu_table`;
     the input is always an FP16 epilogue output.
     """
+
+    row_local = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return _gelu_table()[x.view(np.uint16)]

@@ -9,11 +9,13 @@ Contracts:
 * a campaign replays through state it owns, so no campaign changes a
   cached entry of the session it was built from (the INT8 executors'
   quantization scales in particular);
-* a replay recomputes, per downstream GEMM, only the logical rows
-  whose padded activations changed (every logical row when an INT8
-  activation scale moved, never a padding row), and construction
-  checks on the host that rows recomputed apart reproduce the traced
-  output;
+* a replay carries only the rows a fault changed from op to op: a
+  row-local op runs on them alone, a downstream GEMM recomputes only
+  the logical rows whose padded activations changed (every logical row
+  when an INT8 activation scale moved, never a padding row), and a
+  replay whose rows all return to the clean bytes stops there;
+  construction checks on the host that rows recomputed apart reproduce
+  the traced output;
 * the end-to-end recovery check runs once per campaign, at
   construction, and the number of replays a run makes depends only on
   its trials.
@@ -31,6 +33,8 @@ from repro.errors import FaultInjectionError
 from repro.faults import FaultKind, FaultSpec, PropagationCampaign, RecoveryPolicy
 from repro.gemm import Int8TiledGemm, TiledGemm
 from repro.nn import build_runnable, runnable_input_shape
+from repro.nn.inference import Flatten, GlobalAvgPool, ReLU
+from repro.nn.transformer import _GELU, _SoftmaxTail
 
 RECOVERY = {
     "off": None,
@@ -246,6 +250,19 @@ def record_multiplies(monkeypatch):
     return calls
 
 
+def record_forwards(monkeypatch, *classes):
+    """Per op class, the row count of every ``forward`` call."""
+    calls = {cls: [] for cls in classes}
+    for cls in classes:
+
+        def recorded(self, x, _cls=cls, _original=cls.forward):
+            calls[_cls].append(len(x))
+            return _original(self, x)
+
+        monkeypatch.setattr(cls, "forward", recorded)
+    return calls
+
+
 class TestRowSparseReplay:
     def test_a_struck_query_recomputes_one_row_per_reached_layer(self, monkeypatch):
         session = make_session("transformer_decoder")
@@ -257,6 +274,30 @@ class TestRowSparseReplay:
         spec = FaultSpec(row=3, col=5, kind=FaultKind.ADD, value=1.0)
         campaign.run(0, specs=[spec])
         assert calls == [(1, 16, 16)] * 5
+
+    def test_a_struck_query_runs_each_softmax_and_the_gelu_on_one_row(self, monkeypatch):
+        session = make_session("transformer_decoder")
+        campaign = session.propagation_campaign("qkv", x=model_input("transformer_decoder"))
+        calls = record_forwards(monkeypatch, _SoftmaxTail, _GELU)
+        # Heads 1-3 never read the struck query, but the row carries
+        # head 0's context past them, so every softmax runs on it.
+        spec = FaultSpec(row=3, col=5, kind=FaultKind.ADD, value=1.0)
+        campaign.run(0, specs=[spec])
+        assert calls == {_SoftmaxTail: [1] * 4, _GELU: [1]}
+
+    def test_a_fault_relu_absorbs_returns_before_the_pool(self, monkeypatch):
+        session = make_session(tail_model.NAME)
+        campaign = session.propagation_campaign("conv2", x=model_input(tail_model.NAME))
+        row, col = np.argwhere(campaign._clean_c16 < 0)[0]
+        replays = count_replays(monkeypatch)
+        forwards = record_forwards(monkeypatch, ReLU, GlobalAvgPool, Flatten)
+        multiplies = record_multiplies(monkeypatch)
+        spec = FaultSpec(row=int(row), col=int(col), kind=FaultKind.SET, value=-100.0)
+        (record,) = campaign.run(0, specs=[spec]).records
+        assert len(replays) == 1
+        assert forwards == {ReLU: [1], GlobalAvgPool: [], Flatten: []}
+        assert multiplies == []
+        assert not record.output_corrupted
 
     def test_a_fault_relu_absorbs_skips_every_downstream_gemm(self, monkeypatch):
         session = make_session("mlp_bottom")
@@ -318,5 +359,20 @@ class TestRowReplayCheck:
 
         monkeypatch.setattr(TiledGemm, "multiply", lone_rows_differ)
         with pytest.raises(FaultInjectionError, match="1 of 16 rows of downstream layer"):
+            session.propagation_campaign("qkv", x=x)
+        session.propagation_campaign("qkv", x=x, verify_recovery=False)
+
+    def test_construction_raises_when_an_op_reads_other_rows(self, monkeypatch):
+        session = make_session("transformer_decoder")
+        x = model_input("transformer_decoder")
+
+        def normalize_over_all_rows(self, x):
+            tail = x[:, -self.n :].astype(np.float32)
+            tail = np.exp(tail - tail.max())
+            tail /= tail.sum()
+            return np.concatenate([x[:, : -self.n], tail.astype(np.float16)], axis=1)
+
+        monkeypatch.setattr(_SoftmaxTail, "forward", normalize_over_all_rows)
+        with pytest.raises(FaultInjectionError, match="'_SoftmaxTail' on the last of its input"):
             session.propagation_campaign("qkv", x=x)
         session.propagation_campaign("qkv", x=x, verify_recovery=False)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
+from repro.gemm import executor
 from repro.gemm import (
     GemmProblem,
     Int8TiledGemm,
@@ -97,6 +98,53 @@ class TestRowSubsets:
         for a, b in bad:
             with pytest.raises(ShapeError):
                 ex.multiply(a, b)
+
+
+def chunk_loop(ex, a_pad, b_pad):
+    """The reference accumulation: one ``(r x 8) @ (8 x n_full)`` call
+    per MMA K-chunk, added into the FP32 accumulator in chunk order."""
+    a32 = a_pad.astype(np.float32)
+    b32 = b_pad.astype(np.float32)
+    acc = np.zeros((len(a_pad), ex.n_full), dtype=np.float32)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k0 in range(0, ex.k_full, 8):
+            acc += a32[:, k0 : k0 + 8] @ b32[k0 : k0 + 8, :]
+    return acc
+
+
+class TestStackedChunks:
+    """``multiply`` runs groups of K-chunks as one stacked matmul call;
+    its accumulator is the per-chunk loop's, byte for byte."""
+
+    # (k, n): one chunk; one group of several chunks; several groups at
+    # a narrow n; and an n where 13 chunks fill the bound on one row
+    # and one chunk is past it on all 16.
+    SHAPES = [(8, 24), (200, 24), (3000, 24), (8, 5000), (200, 5000)]
+
+    @pytest.mark.parametrize("k, n", SHAPES)
+    def test_multiply_equals_the_per_chunk_loop(self, tile, rng, k, n):
+        ex = TiledGemm(GemmProblem(13, n, k), tile)
+        a = (rng.standard_normal((13, k)) * 0.5).astype(np.float16)
+        b = (rng.standard_normal((k, n)) * 0.5).astype(np.float16)
+        a[0, 0], a[1, k // 2], a[2, k - 1], a[12, 0] = -0.0, np.inf, -np.inf, np.nan
+        b[0, 1], b[k // 2, 0], b[k - 1, n - 1] = np.nan, -0.0, np.inf
+        a_pad, _ = ex.pad_a(a)
+        b_pad, _ = ex.pad_b(b)
+        for r in (1, 3, ex.m_full):
+            rows = a_pad[:r]
+            assert ex.multiply(rows, b_pad).tobytes() == chunk_loop(ex, rows, b_pad).tobytes()
+
+    def test_the_shapes_cover_one_group_several_and_the_bound(self, tile):
+        kinds = set()
+        for k, n in self.SHAPES:
+            ex = TiledGemm(GemmProblem(13, n, k), tile)
+            for r in (1, 3, ex.m_full):
+                group = executor.CHUNK_STACK_FLOATS // (r * ex.n_full)
+                if group == 0:
+                    kinds.add("past the bound")  # one chunk per call
+                else:
+                    kinds.add("one group" if group >= ex.k_full // 8 else "several")
+        assert kinds == {"one group", "several", "past the bound"}
 
 
 class TestThreadTileView:
