@@ -117,9 +117,7 @@ class _DownstreamGemm:
     ``b_acc`` is the cached entry's padded weights widened once to the
     accumulate dtype (exact; 4 bytes per weight element); ``a_pad``,
     ``a_scale`` and ``c`` are the clean pass's padded activations,
-    their scale and the layer's FP16 output (read-only).  ``by_rows``
-    is whether a replay runs the layer on its changed rows alone: a
-    row-local op on FP16 (an INT8 activation scale reads every row).
+    their scale and the layer's FP16 output (read-only).
     """
 
     executor: "TiledGemm"
@@ -128,7 +126,6 @@ class _DownstreamGemm:
     a_pad: np.ndarray
     a_scale: float
     c: np.ndarray
-    by_rows: bool
 
     def changed_rows(self, a_pad: np.ndarray, a_scale: float) -> np.ndarray:
         """Logical rows of ``a_pad`` whose bytes differ from the clean
@@ -166,6 +163,12 @@ class _DownstreamGemm:
         if hit.size:
             c[hit] = self.output_rows(a_pad, a_scale, hit)
         return op.reshape_output(c, ctx)
+
+
+def _by_rows(op: "_Op", gemm: _DownstreamGemm | None) -> bool:
+    """Whether a replay runs ``op`` on its changed rows alone: a
+    row-local op, unless an INT8 GEMM, whose scale reads every row."""
+    return op.row_local and (gemm is None or gemm.executor.dtype == "fp16")
 
 
 def _forward(op: "_Op", gemm: _DownstreamGemm | None, x: np.ndarray) -> np.ndarray:
@@ -520,7 +523,6 @@ class PropagationCampaign(ShardPoolOwner):
                 a_pad=prepared.a_pad,
                 a_scale=prepared.a_scale,
                 c=_read_only(st.outcome.c),
-                by_rows=op.row_local and prepared.executor.dtype == "fp16",
             )
             self._downstream.append((op, gemm))
 
@@ -591,7 +593,7 @@ class PropagationCampaign(ShardPoolOwner):
         for j, (op, gemm) in enumerate(self._downstream):
             if not rows.size:
                 return self._clean_output
-            if op.row_local if gemm is None else gemm.by_rows:
+            if _by_rows(op, gemm):
                 values = _forward_rows(op, gemm, clean[j], rows, values)
                 moved = _row_differs(values, _take(clean[j + 1], rows))
                 rows, values = rows[moved], values[moved]
@@ -629,7 +631,7 @@ class PropagationCampaign(ShardPoolOwner):
                             f"its traced output bit-exactly; replaying only "
                             f"changed rows is unsound on this host"
                         )
-            if op.row_local if gemm is None else gemm.by_rows:
+            if _by_rows(op, gemm):
                 # A row holds shape[1] elements in either layout.
                 last = np.array([x.size // x.shape[1] - 1])
                 out = _forward_rows(op, gemm, x, last, _take(x, last))
