@@ -210,15 +210,20 @@ class TiledGemm:
         a_chunks = a_pad.astype(np.float32, copy=False).reshape(rows, chunks, MMA_K)
         a_chunks = a_chunks.transpose(1, 0, 2)
         b_chunks = b_pad.astype(np.float32, copy=False).reshape(chunks, MMA_K, self.n_full)
-        group = max(1, CHUNK_STACK_FLOATS // (rows * self.n_full))
+        group = min(chunks, max(1, CHUNK_STACK_FLOATS // (rows * self.n_full)))
         acc = np.zeros((rows, self.n_full), dtype=np.float32)
+        # One buffer serves every group: a fresh product per group would
+        # be allocated while the last one is still held.
+        partials = np.empty((group, rows, self.n_full), dtype=np.float32)
         # Operands struck by an exponent-bit flip carry inf/NaN; the
         # overflowing or NaN accumulator is the hardware's value, as in
         # the epilogue, so it is not warned about.
         with np.errstate(invalid="ignore", over="ignore"):
             for c0 in range(0, chunks, group):
-                stop = c0 + group
-                for partial in np.matmul(a_chunks[c0:stop], b_chunks[c0:stop]):
+                stop = min(c0 + group, chunks)
+                products = partials[: stop - c0]
+                np.matmul(a_chunks[c0:stop], b_chunks[c0:stop], out=products)
+                for partial in products:
                     acc += partial
         return acc
 
