@@ -359,8 +359,10 @@ class PropagationCampaign(ShardPoolOwner):
         pure function of those bytes, so this replays the clean struck
         output once, at construction, and raises
         :class:`~repro.errors.FaultInjectionError` unless it
-        reproduces the clean model output.  On by default; disabling
-        it skips that one replay.
+        reproduces the clean model output.  It also checks that every
+        downstream op a replay runs on some rows alone reproduces its
+        traced rows on this host.  On by default; disabling it skips
+        that replay and those checks.
     workers:
         Default worker-process count for :meth:`run`/:meth:`run_batch`
         (both also take a per-call override).  ``None`` or ``1`` runs
