@@ -254,8 +254,9 @@ def record_forwards(monkeypatch, *classes):
     """Per op class, the row count of every ``forward`` call."""
     calls = {cls: [] for cls in classes}
     for cls in classes:
+        original = cls.forward
 
-        def recorded(self, x, _cls=cls, _original=cls.forward):
+        def recorded(self, x, _cls=cls, _original=original):
             calls[_cls].append(len(x))
             return _original(self, x)
 
