@@ -17,7 +17,95 @@ from repro.core import IntensityGuidedABFT
 from repro.errors import ConfigurationError
 from repro.gpu import T4
 from repro.nn import build_model
-from repro.utils.serde import model_selection_to_json
+
+
+#: ``repro select mlp_bottom --batch 16 --json`` as it printed before
+#: selection returned plans: layers carry ``chosen`` instead of
+#: ``scheme``, and the document declares no schema version.  Saved
+#: files in this form must keep loading as deployment input.
+SELECT_JSON_V1 = """\
+{
+  "model": "mlp_bottom",
+  "device": "T4",
+  "baseline_s": 1.9316666666666668e-05,
+  "guided": {
+    "total_s": 2.0379083333333333e-05,
+    "overhead_percent": 5.499999999999992,
+    "selection_counts": {
+      "thread_onesided": 3
+    }
+  },
+  "schemes": {
+    "global": {
+      "total_s": 2.3392083333333332e-05,
+      "overhead_percent": 21.09792924935288
+    },
+    "thread_onesided": {
+      "total_s": 2.0379083333333333e-05,
+      "overhead_percent": 5.499999999999992
+    }
+  },
+  "layers": [
+    {
+      "layer": "fc0",
+      "gemm": {
+        "m": 16,
+        "n": 512,
+        "k": 13
+      },
+      "arithmetic_intensity": 7.876923076923077,
+      "baseline_s": 3.3611111111111113e-06,
+      "scheme_times_s": {
+        "global": 4.653472222222222e-06,
+        "thread_onesided": 3.5459722222222223e-06
+      },
+      "chosen": "thread_onesided",
+      "overheads_percent": {
+        "global": 38.45041322314049,
+        "thread_onesided": 5.4999999999999964
+      }
+    },
+    {
+      "layer": "fc1",
+      "gemm": {
+        "m": 16,
+        "n": 256,
+        "k": 512
+      },
+      "arithmetic_intensity": 14.628571428571428,
+      "baseline_s": 9.222222222222222e-06,
+      "scheme_times_s": {
+        "global": 1.0650138888888888e-05,
+        "thread_onesided": 9.729444444444444e-06
+      },
+      "chosen": "thread_onesided",
+      "overheads_percent": {
+        "global": 15.483433734939744,
+        "thread_onesided": 5.499999999999997
+      }
+    },
+    {
+      "layer": "fc2",
+      "gemm": {
+        "m": 16,
+        "n": 64,
+        "k": 256
+      },
+      "arithmetic_intensity": 12.19047619047619,
+      "baseline_s": 6.733333333333334e-06,
+      "scheme_times_s": {
+        "global": 8.088472222222222e-06,
+        "thread_onesided": 7.103666666666667e-06
+      },
+      "chosen": "thread_onesided",
+      "overheads_percent": {
+        "global": 20.125825082508232,
+        "thread_onesided": 5.499999999999996
+      }
+    }
+  ]
+}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -96,16 +184,26 @@ class TestDeploymentPlanJson:
             guided_plan.scheme_overhead_percent("global")
         )
 
-    def test_loads_select_json_schema(self, mlp):
-        """`repro select --json` output is loadable deployment input."""
-        selection = IntensityGuidedABFT(T4).select_for_model(mlp)
-        plan = DeploymentPlan.from_json(model_selection_to_json(selection))
-        assert plan.model == "mlp_bottom"
-        assert plan.assignment() == {
-            sel.layer_name: sel.chosen for sel in selection.layers
-        }
+    def test_loads_select_json_schema(self, guided_plan):
+        """An old `repro select --json` file is loadable deployment input."""
+        plan = DeploymentPlan.from_json(SELECT_JSON_V1)
+        assert (plan.model, plan.device, plan.policy) == (
+            "mlp_bottom", "T4", "guided"
+        )
+        assert plan.assignment() == dict.fromkeys(
+            ["fc0", "fc1", "fc2"], "thread_onesided"
+        )
+        assert [
+            (layer.name, layer.problem, layer.intensity, layer.baseline_s,
+             dict(layer.scheme_times_s))
+            for layer in plan
+        ] == [
+            (layer.name, layer.problem, layer.intensity, layer.baseline_s,
+             dict(layer.scheme_times_s))
+            for layer in guided_plan
+        ]
         assert plan.guided_overhead_percent == pytest.approx(
-            selection.guided_overhead_percent
+            json.loads(SELECT_JSON_V1)["guided"]["overhead_percent"]
         )
 
     def test_invalid_json_rejected(self):

@@ -15,8 +15,10 @@ UNSCHEDULABLE_TILE = TileConfig(mb=256, nb=256, kb=32, mw=32, nw=32, mt=4, nt=8)
 
 #: SHA-256 over every model's ``DeploymentPlan.to_json()``, in
 #: ``repro.list_models()`` order, per (device, policy) cell of the plan
-#: benchmark's grid.  Recorded before the profiler memoized anything;
-#: a tile choice or modeled time that moves by one ULP changes a digest.
+#: benchmark's grid, plus uniform ``fixed:`` policies on T4.  Recorded
+#: before the profiler memoized anything (the fixed rows before fixed
+#: plans shared the guided selection's code); a tile choice or modeled
+#: time that moves by one ULP changes a digest.
 PLAN_GRID_DIGESTS = {
     ("A100", "guided"): "dcd5600b39bfd026f0158cc279ddc33298518684adeb6ee5a4ba1c9b6c1aba5e",
     ("Jetson-AGX-Xavier", "guided"): "ad037701c5981edcf64bee2a56dc62279f35b0abb49a39b2091680544bf93e84",
@@ -26,6 +28,11 @@ PLAN_GRID_DIGESTS = {
     ("T4", "guided@int8"): "29939396c69c4da4bf7f03f3694982bb753b4418ba4090ce66bb2d0aec0beb1a",
     ("A100", "guided@int8"): "246f098ad55aab0dcc19af2f195211ad7dcaea08e86e58b9b78b1ab460a0dc1d",
     ("Jetson-AGX-Xavier", "guided@int8"): "103562d1e58624c3f3e69b0bf1843f381ef0ab96153dad262915d6d9f72a3e64",
+    ("T4", "fixed:global"): "5f44af4132a868fe0314c0fa0eed49042fa6e92db7a7b863f0a83d0a5264057a",
+    ("T4", "fixed:thread_onesided"): "e8f8aef08b19554145c29b91dc782e6942fedb7bacd0317efb19d3d456ad4b3e",
+    ("T4", "fixed:global_multi:2"): "daac7b54c1d1a91fcf8020af104c54df212c73b98759c38ec0934e6f09ff428d",
+    ("T4", "fixed:replication_traditional"): "7eb7722b2a47099d9e66a1649133dc29caaca920f0f40fad97c0e415dcc55a16",
+    ("T4", "fixed:global@int8"): "6e96759917bd04428f766afe0151ef7dc16a372fd4e73f3ad8aba78a551e8e0e",
 }
 
 
