@@ -22,10 +22,10 @@ def main() -> None:
         )
         for device in repro.list_gpus():
             spec = repro.get_gpu(device)
-            selection = repro.IntensityGuidedABFT(spec).select_for_model(model)
-            counts = selection.selection_counts
-            global_pct = selection.scheme_overhead_percent("global")
-            guided_pct = selection.guided_overhead_percent
+            plan = repro.IntensityGuidedABFT(spec).select_for_model(model)
+            counts = plan.selection_counts
+            global_pct = plan.scheme_overhead_percent("global")
+            guided_pct = plan.guided_overhead_percent
             table.add_row([
                 spec.name, spec.cmr,
                 counts.get("thread_onesided", 0), counts.get("global", 0),

@@ -75,7 +75,6 @@ from .nn import (
 )
 from .core import (
     IntensityGuidedABFT,
-    ModelSelection,
     PredeploymentProfiler,
     analytical_choice,
     overhead_percent,
@@ -181,7 +180,6 @@ __all__ = [
     # core
     "IntensityGuidedABFT",
     "PredeploymentProfiler",
-    "ModelSelection",
     "analytical_choice",
     "overhead_percent",
     "reduction_factor",

@@ -15,7 +15,8 @@ is the glue that composes the repo's analytic half (``repro.core``,
 
 * :mod:`~repro.api.policy` — :class:`SchemePolicy` implementations
   mapping a model + device to a per-layer scheme assignment;
-* :mod:`~repro.api.plan` — the serializable :class:`DeploymentPlan`
+* :mod:`~repro.api.plan` — re-exports :mod:`repro.core.plan`'s
+  serializable :class:`DeploymentPlan`, the record selection returns
   (``repro deploy --json`` output ⇄ runnable input);
 * :mod:`~repro.api.session` — the :class:`ProtectedSession` facade and
   the :func:`deploy` entry point.
@@ -23,7 +24,7 @@ is the glue that composes the repo's analytic half (``repro.core``,
 See DESIGN.md §2 for the architecture.
 """
 
-from .plan import DeploymentPlan, LayerPlan, layer_plan_table
+from ..core.plan import DeploymentPlan, LayerPlan, layer_plan_table
 from .policy import (
     CallablePolicy,
     FixedPolicy,

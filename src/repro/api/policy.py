@@ -10,7 +10,8 @@ escape hatches:
   wrapping :class:`repro.core.IntensityGuidedABFT` (profile the
   candidates per layer, deploy the cheapest);
 * :class:`FixedPolicy` — one scheme token everywhere (the paper's
-  uniform baselines, still priced by the latency model);
+  uniform baselines): the same selection over a single candidate, so
+  the plan is still priced by the latency model;
 * :class:`CallablePolicy` — any user function mapping ``(model, spec)``
   to a layer → token assignment (or a full plan), validated against
   the model's layers.
@@ -26,16 +27,11 @@ from typing import Callable, Mapping, Protocol, Sequence, runtime_checkable
 
 from ..abft import scheme_from_token, split_dtype_token
 from ..config import DEFAULT_CONSTANTS, ModelConstants
-from ..core.intensity_guided import (
-    DEFAULT_CANDIDATES,
-    IntensityGuidedABFT,
-    ModelSelection,
-)
-from ..core.profiler import PredeploymentProfiler
+from ..core.intensity_guided import DEFAULT_CANDIDATES, IntensityGuidedABFT
+from ..core.plan import DeploymentPlan, LayerPlan
 from ..errors import ConfigurationError
 from ..gpu.specs import GPUSpec
 from ..nn.graph import ModelGraph
-from .plan import DeploymentPlan, LayerPlan
 
 #: What a user callable may return: a finished plan, or layer → token.
 PolicyResult = "DeploymentPlan | Mapping[str, str]"
@@ -98,22 +94,17 @@ class IntensityGuidedPolicy:
             self._guided[spec] = guided
         return guided
 
-    def select(self, model: ModelGraph, spec: GPUSpec) -> ModelSelection:
-        """The underlying profiler selection (analytic-side callers)."""
-        return self._guided_for(spec).select_for_model(model)
-
     def assign(self, model: ModelGraph, spec: GPUSpec) -> DeploymentPlan:
-        return DeploymentPlan.from_selection(
-            self.select(model, spec), graph=model, policy=self.name
-        )
+        return self._guided_for(spec).select_for_model(model, policy=self.name)
 
 
-class FixedPolicy:
+class FixedPolicy(IntensityGuidedPolicy):
     """Deploy one scheme token on every linear layer.
 
-    The uniform baselines of the paper's figures — still run through
-    the pre-deployment profiler so the plan carries predicted
-    overheads (the profiler also prices the unprotected baseline).
+    The uniform baselines of the paper's figures: the guided selection
+    over one candidate, so the plan carries the same predicted times
+    (the profiler also prices the unprotected baseline).  An ``@int8``
+    token prices the device's INT8 pipe with one-byte operands.
     """
 
     def __init__(
@@ -122,57 +113,12 @@ class FixedPolicy:
         *,
         constants: ModelConstants = DEFAULT_CONSTANTS,
     ) -> None:
-        self.token = token
-        self.constants = constants
-        self.name = f"fixed:{token}"
         # Fail on a bad token at policy construction, not at assign time.
         scheme_from_token(token)
-        self._dtype = split_dtype_token(token)[1]
-        self._profilers: dict[GPUSpec, PredeploymentProfiler] = {}
-
-    def _profiler_for(self, spec: GPUSpec) -> PredeploymentProfiler:
-        profiler = self._profilers.get(spec)
-        if profiler is None:
-            # An ``@int8`` token prices against the device's INT8 pipe
-            # with one-byte operands, mirroring IntensityGuidedABFT.
-            constants = self.constants
-            if self._dtype == "int8":
-                constants = constants.with_overrides(fp16_bytes=1)
-            profiler = PredeploymentProfiler(
-                spec.for_dtype(self._dtype),
-                schemes=[scheme_from_token(self.token)],
-                constants=constants,
-            )
-            self._profilers[spec] = profiler
-        return profiler
-
-    def assign(self, model: ModelGraph, spec: GPUSpec) -> DeploymentPlan:
-        scheme = scheme_from_token(self.token)
-        profiler = self._profiler_for(spec)
-        layers = []
-        for layer in model:
-            entries = profiler.profile(layer.problem)
-            layers.append(
-                LayerPlan(
-                    name=layer.name,
-                    scheme=self.token,
-                    m=layer.problem.m,
-                    n=layer.problem.n,
-                    k=layer.problem.k,
-                    kind=layer.kind,
-                    intensity=layer.problem.arithmetic_intensity(padded=True),
-                    baseline_s=entries["none"].time_s,
-                    scheme_times_s={self.token: entries[scheme.name].time_s},
-                )
-            )
-        return DeploymentPlan(
-            model=model.name,
-            device=spec.name,
-            layers=tuple(layers),
-            batch=model.batch,
-            input_desc=model.input_desc,
-            policy=self.name,
-        )
+        base, dtype = split_dtype_token(token)
+        super().__init__(candidates=(base,), constants=constants, dtype=dtype)
+        self.token = token
+        self.name = f"fixed:{token}"
 
 
 class CallablePolicy:

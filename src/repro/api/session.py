@@ -37,6 +37,7 @@ import numpy as np
 
 from ..abft.base import PreparedCache
 from ..config import DetectionConstants
+from ..core.plan import DeploymentPlan
 from ..errors import ConfigurationError
 from ..faults.campaign import FaultCampaign
 from ..faults.model import FaultSpec
@@ -53,7 +54,6 @@ from ..nn.inference import (
     SequentialModel,
 )
 from ..nn.models import build_model
-from .plan import DeploymentPlan
 from .policy import SchemePolicy, as_policy
 
 

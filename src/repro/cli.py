@@ -4,11 +4,11 @@ Subcommands mirror the deployment workflow:
 
 * ``models`` / ``devices`` — list what is available.
 * ``intensity MODEL`` — per-layer and aggregate arithmetic intensity.
-* ``select MODEL`` — run the intensity-guided selection on a device and
-  print (or ``--json``-export) the per-layer result.
-* ``deploy MODEL`` — produce the policy's deployment plan (table or
-  ``--json``; the JSON loads back via ``DeploymentPlan.from_json`` and
-  feeds ``campaign --plan``).
+* ``deploy MODEL`` (alias ``select``) — run a policy's per-layer
+  selection (intensity-guided by default) and print the deployment
+  plan: a table with every candidate's per-layer overhead, or
+  ``--json``, which loads back via ``DeploymentPlan.from_json`` and
+  feeds ``campaign --plan``.
 * ``campaign MODEL`` — deploy and run a fault-injection campaign
   against one linear layer through a protected session.
 * ``sdc MODEL`` — end-to-end SDC propagation campaign: inject into one
@@ -31,21 +31,13 @@ import argparse
 import sys
 from typing import Sequence
 
-from .api import (
-    DeploymentPlan,
-    IntensityGuidedPolicy,
-    ProtectedSession,
-    as_policy,
-    layer_plan_table,
-)
-from .core import layer_selection_table
+from .api import DeploymentPlan, ProtectedSession, as_policy, layer_plan_table
 from .errors import ConfigurationError, ReproError
 from .faults.options import CampaignOptions
 from .gpu import get_gpu, list_gpus
 from .nn import build_model, list_models
 from .roofline import layer_intensities
 from .utils import Table
-from .utils.serde import model_selection_to_json
 
 
 def _cmd_models(_: argparse.Namespace) -> int:
@@ -84,24 +76,6 @@ def _cmd_intensity(args: argparse.Namespace) -> int:
         table.add_row([layer.name, layer.problem.m, layer.problem.n,
                        layer.problem.k, brk.intensity])
     print(table.render())
-    return 0
-
-
-def _cmd_select(args: argparse.Namespace) -> int:
-    spec = get_gpu(args.device)
-    selection = IntensityGuidedPolicy().select(_build_graph(args), spec)
-    if args.json:
-        # This export is loadable deployment input: DeploymentPlan.
-        # from_json accepts the selection schema directly.
-        print(model_selection_to_json(selection))
-        return 0
-    print(layer_selection_table(selection).render())
-    print()
-    print(f"thread-level overhead : "
-          f"{selection.scheme_overhead_percent('thread_onesided'):6.2f}%")
-    print(f"global overhead       : "
-          f"{selection.scheme_overhead_percent('global'):6.2f}%")
-    print(f"intensity-guided      : {selection.guided_overhead_percent:6.2f}%")
     return 0
 
 
@@ -488,16 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     _model_args(p_int)
     p_int.set_defaults(fn=_cmd_intensity)
 
-    p_sel = sub.add_parser("select", help="intensity-guided per-layer selection")
-    _model_args(p_sel)
-    p_sel.add_argument("--device", default="T4", choices=list_gpus())
-    p_sel.add_argument("--json", action="store_true",
-                       help="emit the machine-readable selection (loadable "
-                            "via DeploymentPlan.from_json)")
-    p_sel.set_defaults(fn=_cmd_select)
-
     p_dep = sub.add_parser(
-        "deploy", help="produce a policy's per-layer deployment plan"
+        "deploy", aliases=["select"],
+        help="produce a policy's per-layer deployment plan",
     )
     _deploy_args(p_dep)
     p_dep.add_argument("--json", action="store_true",

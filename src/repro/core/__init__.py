@@ -3,29 +3,25 @@
 ``profiler`` implements the CUTLASS-profiler-style pre-deployment
 workflow (enumerate tile configurations x ABFT schemes, keep the
 fastest); ``intensity_guided`` runs it per linear layer of a model and
-selects the cheapest protection for each; ``overhead`` computes the
-paper's execution-time-overhead metric; ``report`` renders results.
+selects the cheapest protection for each, returning ``plan``'s
+:class:`DeploymentPlan`; ``overhead`` computes the paper's
+execution-time-overhead metric; ``report`` renders results.
 """
 
 from .profiler import PredeploymentProfiler, ProfileEntry
-from .intensity_guided import (
-    IntensityGuidedABFT,
-    LayerSelection,
-    ModelSelection,
-    analytical_choice,
-)
+from .plan import DeploymentPlan, LayerPlan
+from .intensity_guided import IntensityGuidedABFT, analytical_choice
 from .overhead import overhead_percent, reduction_factor
-from .report import model_overhead_table, layer_selection_table
+from .report import model_overhead_table
 
 __all__ = [
     "PredeploymentProfiler",
     "ProfileEntry",
+    "DeploymentPlan",
+    "LayerPlan",
     "IntensityGuidedABFT",
-    "LayerSelection",
-    "ModelSelection",
     "analytical_choice",
     "overhead_percent",
     "reduction_factor",
     "model_overhead_table",
-    "layer_selection_table",
 ]

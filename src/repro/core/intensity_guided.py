@@ -14,16 +14,15 @@ well as global ABFT", §6.2), and the tests pin that invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from ..abft import get_scheme
+from ..abft import scheme_from_token
 from ..config import DEFAULT_CONSTANTS, ModelConstants
 from ..errors import ProfilingError
 from ..gemm.problem import GemmProblem
 from ..gpu.specs import GPUSpec
 from ..nn.graph import ModelGraph
-from .overhead import overhead_percent
+from .plan import DeploymentPlan, LayerPlan
 from .profiler import PredeploymentProfiler
 
 #: The two schemes intensity-guided ABFT arbitrates between (paper §5.3).
@@ -36,87 +35,31 @@ def analytical_choice(problem: GemmProblem, spec: GPUSpec) -> str:
     Layers with arithmetic intensity below the device CMR are
     bandwidth bound and predicted to prefer thread-level ABFT; the rest
     prefer global ABFT.  The empirical profiler refines this; the
-    agreement between the two is itself an experiment (see benchmarks).
+    agreement between the two is itself an experiment
+    (``repro experiments sec72_agreement``).
     """
     intensity = problem.arithmetic_intensity(padded=True)
     return "thread_onesided" if intensity <= spec.cmr else "global"
 
 
-@dataclass(frozen=True)
-class LayerSelection:
-    """Per-layer profiling result and the guided choice."""
-
-    layer_name: str
-    problem: GemmProblem
-    intensity: float
-    baseline_s: float
-    scheme_times_s: Mapping[str, float]
-    chosen: str
-
-    @property
-    def chosen_time_s(self) -> float:
-        return self.scheme_times_s[self.chosen]
-
-    def overhead_percent(self, scheme: str) -> float:
-        """Per-layer overhead of one candidate scheme."""
-        return overhead_percent(self.scheme_times_s[scheme], self.baseline_s)
-
-
-@dataclass(frozen=True)
-class ModelSelection:
-    """Whole-model result of intensity-guided selection.
-
-    Per-layer times are summed across linear layers (paper §6.2: layers
-    execute sequentially, so the sum represents the NN's execution).
-    """
-
-    model_name: str
-    device: str
-    layers: tuple[LayerSelection, ...]
-
-    # ------------------------------------------------------------------
-    @property
-    def baseline_s(self) -> float:
-        """Unprotected execution time of the whole model."""
-        return sum(sel.baseline_s for sel in self.layers)
-
-    def scheme_total_s(self, scheme: str) -> float:
-        """Total time under one uniform scheme."""
-        return sum(sel.scheme_times_s[scheme] for sel in self.layers)
-
-    @property
-    def guided_total_s(self) -> float:
-        """Total time under the per-layer guided selection."""
-        return sum(sel.chosen_time_s for sel in self.layers)
-
-    def scheme_overhead_percent(self, scheme: str) -> float:
-        """Whole-model overhead of one uniform scheme (the paper's bars)."""
-        return overhead_percent(self.scheme_total_s(scheme), self.baseline_s)
-
-    @property
-    def guided_overhead_percent(self) -> float:
-        """Whole-model overhead of intensity-guided ABFT."""
-        return overhead_percent(self.guided_total_s, self.baseline_s)
-
-    @property
-    def selection_counts(self) -> dict[str, int]:
-        """How many layers chose each scheme."""
-        counts: dict[str, int] = {}
-        for sel in self.layers:
-            counts[sel.chosen] = counts.get(sel.chosen, 0) + 1
-        return counts
-
-
 class IntensityGuidedABFT:
     """Per-layer adaptive ABFT selection for a model on a device.
+
+    The result is the deployment record itself: a
+    :class:`~repro.core.plan.LayerPlan` per layer (the chosen token plus
+    every candidate's modeled time) and a
+    :class:`~repro.core.plan.DeploymentPlan` per model.
 
     Parameters
     ----------
     spec:
         Target device.
     candidates:
-        Scheme registry names to arbitrate between; defaults to the
-        paper's pair (global, one-sided thread-level).
+        Scheme tokens to arbitrate between (registry names, optionally
+        with a constructor argument such as ``"global_multi:2"``);
+        defaults to the paper's pair (global, one-sided thread-level).
+        A single candidate prices one uniform scheme, which is how
+        :class:`~repro.api.policy.FixedPolicy` plans.
     constants:
         Latency-model constants.  Under ``dtype="int8"`` the operand
         width is forced to one byte regardless of what is passed.
@@ -147,10 +90,20 @@ class IntensityGuidedABFT:
             constants = constants.with_overrides(fp16_bytes=1)
         self.candidates = tuple(candidates)
         self.constants = constants
+        # Deployment token -> scheme.  The profiler keys its entries by
+        # scheme name, so two candidates may not share one.
+        self._schemes = {
+            token: scheme_from_token(token)
+            for token in dict.fromkeys(map(self._token, self.candidates))
+        }
+        names = [scheme.name for scheme in self._schemes.values()]
+        if len(set(names)) < len(names):
+            raise ProfilingError(
+                f"candidates {list(self._schemes)} share a scheme name; "
+                f"the profiler prices one entry per name"
+            )
         self.profiler = profiler or PredeploymentProfiler(
-            self.spec,
-            schemes=[get_scheme(name, dtype=dtype) for name in self.candidates],
-            constants=constants,
+            self.spec, schemes=list(self._schemes.values()), constants=constants
         )
 
     # ------------------------------------------------------------------
@@ -158,26 +111,45 @@ class IntensityGuidedABFT:
         """The deployment token for one candidate on this pipeline."""
         return candidate if self.dtype == "fp16" else f"{candidate}@{self.dtype}"
 
-    def select_for_problem(self, problem: GemmProblem, *, name: str = "") -> LayerSelection:
-        """Profile one layer and choose its cheapest protection."""
+    def _layer_plan(
+        self, name: str, problem: GemmProblem, kind: str | None
+    ) -> LayerPlan:
         entries = self.profiler.profile(problem)
-        times = {self._token(s): entries[s].time_s for s in self.candidates}
-        chosen = min(times, key=lambda s: times[s])
-        return LayerSelection(
-            layer_name=name or problem.label or str(problem),
-            problem=problem,
+        times = {
+            token: entries[scheme.name].time_s
+            for token, scheme in self._schemes.items()
+        }
+        return LayerPlan(
+            name=name,
+            scheme=min(times, key=lambda t: times[t]),
+            m=problem.m,
+            n=problem.n,
+            k=problem.k,
+            kind=kind,
             intensity=problem.arithmetic_intensity(padded=True),
             baseline_s=entries["none"].time_s,
             scheme_times_s=times,
-            chosen=chosen,
         )
 
-    def select_for_model(self, graph: ModelGraph) -> ModelSelection:
-        """Run the per-layer selection over a whole model."""
-        layers = tuple(
-            self.select_for_problem(layer.problem, name=layer.name)
-            for layer in graph
-        )
-        return ModelSelection(
-            model_name=graph.name, device=self.spec.name, layers=layers
+    def select_for_problem(self, problem: GemmProblem, *, name: str = "") -> LayerPlan:
+        """Profile one layer and choose its cheapest protection."""
+        return self._layer_plan(name or problem.label or str(problem), problem, None)
+
+    def select_for_model(
+        self, graph: ModelGraph, *, policy: str | None = None
+    ) -> DeploymentPlan:
+        """Run the per-layer selection over a whole model.
+
+        ``policy`` labels the plan with the policy that asked for it.
+        """
+        return DeploymentPlan(
+            model=graph.name,
+            device=self.spec.name,
+            layers=tuple(
+                self._layer_plan(layer.name, layer.problem, layer.kind)
+                for layer in graph
+            ),
+            batch=graph.batch,
+            input_desc=graph.input_desc,
+            policy=policy,
         )

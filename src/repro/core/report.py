@@ -1,16 +1,16 @@
-"""Table renderers for experiment results (what the benchmarks print)."""
+"""Table renderer for whole-model overhead results, one plan per row."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 from ..utils import Table
-from .intensity_guided import ModelSelection
 from .overhead import reduction_factor
+from .plan import DeploymentPlan
 
 
 def model_overhead_table(
-    selections: Sequence[ModelSelection],
+    plans: Sequence[DeploymentPlan],
     *,
     schemes: Sequence[str] = ("thread_onesided", "global"),
     title: str = "Execution-time overhead (%)",
@@ -28,48 +28,19 @@ def model_overhead_table(
     columns += [f"{s} (%)" for s in schemes]
     columns += ["intensity-guided (%)", "reduction vs global"]
     table = Table(columns, title=title)
-    for sel in selections:
-        row: list[object] = [sel.model_name]
+    for plan in plans:
+        row: list[object] = [plan.model]
         if include_intensity:
-            total_flops = sum(l.problem.flops(padded=True) for l in sel.layers)
-            total_bytes = sum(l.problem.bytes_moved(padded=True) for l in sel.layers)
+            total_flops = sum(l.problem.flops(padded=True) for l in plan)
+            total_bytes = sum(l.problem.bytes_moved(padded=True) for l in plan)
             row.append(total_flops / total_bytes)
         for scheme in schemes:
-            row.append(sel.scheme_overhead_percent(scheme))
-        guided = sel.guided_overhead_percent
+            row.append(plan.scheme_overhead_percent(scheme))
+        guided = plan.guided_overhead_percent
         row.append(guided)
         if "global" in schemes and guided > 0:
-            row.append(reduction_factor(sel.scheme_overhead_percent("global"), guided))
+            row.append(reduction_factor(plan.scheme_overhead_percent("global"), guided))
         else:
             row.append(float("nan"))
-        table.add_row(row)
-    return table
-
-
-def layer_selection_table(
-    selection: ModelSelection,
-    *,
-    title: str | None = None,
-    max_rows: int | None = None,
-) -> Table:
-    """Per-layer detail: intensity, per-scheme overhead, winner."""
-    schemes = list(selection.layers[0].scheme_times_s) if selection.layers else []
-    columns = ["layer", "M", "N", "K", "AI"] + [f"{s} (%)" for s in schemes] + ["chosen"]
-    table = Table(
-        columns,
-        title=title or f"{selection.model_name} on {selection.device}: per-layer selection",
-    )
-    rows = selection.layers[:max_rows] if max_rows else selection.layers
-    for sel in rows:
-        row: list[object] = [
-            sel.layer_name,
-            sel.problem.m,
-            sel.problem.n,
-            sel.problem.k,
-            sel.intensity,
-        ]
-        for scheme in schemes:
-            row.append(sel.overhead_percent(scheme))
-        row.append(sel.chosen)
         table.add_row(row)
     return table

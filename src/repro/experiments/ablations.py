@@ -30,9 +30,9 @@ def ablation_check_overlap(
     model = build_model("mlp_bottom")
     for fraction in fractions:
         constants = DEFAULT_CONSTANTS.with_overrides(check_kernel_overlap=fraction)
-        sel = IntensityGuidedABFT(T4, constants=constants).select_for_model(model)
-        global_pct = sel.scheme_overhead_percent("global")
-        guided_pct = sel.guided_overhead_percent
+        plan = IntensityGuidedABFT(T4, constants=constants).select_for_model(model)
+        global_pct = plan.scheme_overhead_percent("global")
+        guided_pct = plan.guided_overhead_percent
         table.add_row(
             [fraction, global_pct, guided_pct,
              global_pct / guided_pct if guided_pct > 0 else float("inf")]
@@ -77,16 +77,16 @@ def ablation_device_sweep(*, model_name: str = "resnet50") -> Table:
     model = build_model(model_name)
     for name in list_gpus():
         spec = get_gpu(name)
-        sel = IntensityGuidedABFT(spec).select_for_model(model)
-        counts = sel.selection_counts
+        plan = IntensityGuidedABFT(spec).select_for_model(model)
+        counts = plan.selection_counts
         table.add_row(
             [
                 spec.name,
                 spec.cmr,
                 counts.get("thread_onesided", 0),
                 counts.get("global", 0),
-                sel.scheme_overhead_percent("global"),
-                sel.guided_overhead_percent,
+                plan.scheme_overhead_percent("global"),
+                plan.guided_overhead_percent,
             ]
         )
     return table

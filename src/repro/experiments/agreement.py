@@ -30,21 +30,21 @@ def agreement_study(spec: GPUSpec = T4) -> Table:
         title=f"§7.2 — analytical (AI vs CMR) vs empirical selection on {spec.name}",
     )
     for name in list_models():
-        selection = guided.select_for_model(build_model(name))
+        plan = guided.select_for_model(build_model(name))
         agree = 0
         analytical_total = 0.0
-        for layer in selection.layers:
+        for layer in plan:
             rule = analytical_choice(layer.problem, spec)
-            if rule == layer.chosen:
+            if rule == layer.scheme:
                 agree += 1
             analytical_total += layer.scheme_times_s[rule]
-        profiled_pct = selection.guided_overhead_percent
-        analytical_pct = (analytical_total / selection.baseline_s - 1.0) * 100.0
+        profiled_pct = plan.guided_overhead_percent
+        analytical_pct = (analytical_total / plan.baseline_s - 1.0) * 100.0
         table.add_row(
             [
                 name,
-                len(selection.layers),
-                f"{agree}/{len(selection.layers)}",
+                len(plan),
+                f"{agree}/{len(plan)}",
                 profiled_pct,
                 analytical_pct,
                 analytical_pct - profiled_pct,
@@ -58,9 +58,8 @@ def agreement_fraction(spec: GPUSpec = T4) -> float:
     guided = IntensityGuidedABFT(spec)
     agree = total = 0
     for name in list_models():
-        selection = guided.select_for_model(build_model(name))
-        for layer in selection.layers:
+        for layer in guided.select_for_model(build_model(name)):
             total += 1
-            if analytical_choice(layer.problem, spec) == layer.chosen:
+            if analytical_choice(layer.problem, spec) == layer.scheme:
                 agree += 1
     return agree / total

@@ -32,15 +32,15 @@ def fig10_dlrm(spec: GPUSpec = T4, *, batches: tuple[int, ...] = (1, 2048)) -> T
     for name in ("mlp_bottom", "mlp_top"):
         for batch in batches:
             model = build_model(name, batch=batch)
-            sel = guided.select_for_model(model)
-            global_pct = sel.scheme_overhead_percent("global")
-            guided_pct = sel.guided_overhead_percent
+            plan = guided.select_for_model(model)
+            global_pct = plan.scheme_overhead_percent("global")
+            guided_pct = plan.guided_overhead_percent
             table.add_row(
                 [
                     name,
                     batch,
                     model.aggregate_intensity(),
-                    sel.scheme_overhead_percent("thread_onesided"),
+                    plan.scheme_overhead_percent("thread_onesided"),
                     global_pct,
                     guided_pct,
                     global_pct / guided_pct if guided_pct > 0 else float("inf"),

@@ -30,14 +30,14 @@ def fig11_specialized(spec: GPUSpec = T4, *, batch: int = 64) -> Table:
     )
     for name in SPECIALIZED_CNNS:
         model = build_model(name, batch=batch)
-        sel = guided.select_for_model(model)
-        global_pct = sel.scheme_overhead_percent("global")
-        guided_pct = sel.guided_overhead_percent
+        plan = guided.select_for_model(model)
+        global_pct = plan.scheme_overhead_percent("global")
+        guided_pct = plan.guided_overhead_percent
         table.add_row(
             [
                 name,
                 model.aggregate_intensity(),
-                sel.scheme_overhead_percent("thread_onesided"),
+                plan.scheme_overhead_percent("thread_onesided"),
                 global_pct,
                 guided_pct,
                 global_pct / guided_pct if guided_pct > 0 else float("inf"),

@@ -62,10 +62,8 @@ def transformer_abft(spec: GPUSpec = T4) -> Table:
         graph = build_transformer_graph(block_name, spec=block)
         for dtype in DTYPES:
             guided = IntensityGuidedABFT(spec, dtype=dtype)
-            sel = guided.select_for_model(graph)
-            by_layer = {
-                layer.layer_name.rsplit("/", 1)[-1]: layer for layer in sel.layers
-            }
+            plan = guided.select_for_model(graph)
+            by_layer = {layer.name.rsplit("/", 1)[-1]: layer for layer in plan}
             suffix = "" if dtype == "fp16" else f"@{dtype}"
             table.add_row(
                 [
@@ -73,11 +71,11 @@ def transformer_abft(spec: GPUSpec = T4) -> Table:
                     dtype,
                     graph.aggregate_intensity(),
                     guided.spec.cmr,
-                    sel.scheme_overhead_percent(f"thread_onesided{suffix}"),
-                    sel.scheme_overhead_percent(f"global{suffix}"),
-                    sel.guided_overhead_percent,
-                    by_layer["attn.h0.scores"].chosen,
-                    by_layer["ffn.fc1"].chosen,
+                    plan.scheme_overhead_percent(f"thread_onesided{suffix}"),
+                    plan.scheme_overhead_percent(f"global{suffix}"),
+                    plan.guided_overhead_percent,
+                    by_layer["attn.h0.scores"].scheme,
+                    by_layer["ffn.fc1"].scheme,
                 ]
             )
     return table

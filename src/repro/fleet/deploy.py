@@ -38,7 +38,7 @@ from ..utils import Table
 from .registry import PlanRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..api.plan import DeploymentPlan
+    from ..core.plan import DeploymentPlan
     from ..faults.recovery import RecoveryPolicy
 
 

@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
-from ..api.plan import DeploymentPlan
+from ..core.plan import DeploymentPlan
 from ..errors import ConfigurationError, PlanError
 from ..utils import Table
 

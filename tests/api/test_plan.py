@@ -228,15 +228,10 @@ class TestDeploymentPlanJson:
 
 
 class TestPlanAccessors:
-    def test_matches_model_selection(self, mlp, guided_plan):
-        selection = IntensityGuidedABFT(T4).select_for_model(mlp)
-        assert guided_plan.guided_overhead_percent == pytest.approx(
-            selection.guided_overhead_percent
-        )
-        assert guided_plan.scheme_overhead_percent(
-            "thread_onesided"
-        ) == pytest.approx(selection.scheme_overhead_percent("thread_onesided"))
-        assert guided_plan.selection_counts == selection.selection_counts
+    def test_guided_policy_plan_is_the_selection(self, mlp, guided_plan):
+        selection = IntensityGuidedABFT(T4).select_for_model(mlp, policy="guided")
+        assert selection == guided_plan
+        assert selection.selection_counts == {"thread_onesided": 3}
 
     def test_layer_lookup(self, guided_plan):
         assert guided_plan.layer("fc1").name == "fc1"
@@ -263,6 +258,17 @@ class TestPolicies:
         assert plan.guided_overhead_percent == pytest.approx(
             plan.scheme_overhead_percent("global")
         )
+
+    @pytest.mark.parametrize(
+        "token, base, dtype",
+        [("global_multi:2", "global_multi:2", "fp16"),
+         ("thread_onesided@int8", "thread_onesided", "int8")],
+    )
+    def test_fixed_policy_is_a_one_candidate_selection(self, mlp, token, base, dtype):
+        plan = FixedPolicy(token).assign(mlp, T4)
+        guided = IntensityGuidedABFT(T4, candidates=(base,), dtype=dtype)
+        assert plan == guided.select_for_model(mlp, policy=f"fixed:{token}")
+        assert all(list(layer.scheme_times_s) == [token] for layer in plan)
 
     def test_fixed_policy_rejects_bad_token_eagerly(self):
         with pytest.raises(ConfigurationError):

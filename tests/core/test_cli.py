@@ -32,11 +32,14 @@ class TestIntensity:
 
 
 class TestSelect:
+    """``select`` is an alias of ``deploy``."""
+
     def test_human_readable(self, capsys):
         assert main(["select", "mlp_bottom", "--device", "T4"]) == 0
         out = capsys.readouterr().out
-        assert "intensity-guided" in out
-        assert "thread_onesided" in out
+        assert "deployment plan (policy guided)" in out
+        assert "global (%)" in out and "thread_onesided (%)" in out
+        assert "deployed plan" in out
 
     def test_json_output_parses(self, capsys):
         assert main(["select", "mlp_bottom", "--json"]) == 0
@@ -44,6 +47,12 @@ class TestSelect:
         assert parsed["model"] == "mlp_bottom"
         assert parsed["device"] == "T4"
         assert len(parsed["layers"]) == 3
+
+    def test_json_output_is_the_deploy_plan(self, capsys):
+        assert main(["select", "mlp_bottom", "--json"]) == 0
+        selected = capsys.readouterr().out
+        assert main(["deploy", "mlp_bottom", "--json"]) == 0
+        assert selected == capsys.readouterr().out
 
     def test_device_choice(self, capsys):
         assert main(["select", "mlp_bottom", "--device", "P4"]) == 0

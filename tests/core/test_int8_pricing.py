@@ -62,7 +62,7 @@ class TestGuidedInt8:
         guided = IntensityGuidedABFT(get_gpu("T4"), dtype="int8")
         sel = guided.select_for_problem(GemmProblem(64, 64, 64))
         assert set(sel.scheme_times_s) == {"global@int8", "thread_onesided@int8"}
-        assert sel.chosen.endswith("@int8")
+        assert sel.scheme.endswith("@int8")
 
     @pytest.mark.parametrize("dtype", ["fp16", "int8"])
     def test_intra_block_flip_on_the_large_block(self, dtype):
@@ -76,7 +76,7 @@ class TestGuidedInt8:
         guided = IntensityGuidedABFT(get_gpu("T4"), dtype=dtype)
         sel = guided.select_for_model(graph)
         chosen = {
-            layer.layer_name.rsplit("/", 1)[-1]: layer.chosen
+            layer.name.rsplit("/", 1)[-1]: layer.scheme
             for layer in sel.layers
         }
         suffix = "" if dtype == "fp16" else "@int8"

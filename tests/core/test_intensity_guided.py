@@ -23,12 +23,12 @@ class TestPerLayerSelection:
     def test_bandwidth_bound_layer_prefers_thread_level(self, guided):
         # AI 85 << CMR 203.
         sel = guided.select_for_problem(GemmProblem(256, 256, 256))
-        assert sel.chosen == "thread_onesided"
+        assert sel.scheme == "thread_onesided"
 
     def test_compute_bound_layer_prefers_global(self, guided):
         # AI 683 >> CMR 203.
         sel = guided.select_for_problem(GemmProblem(2048, 2048, 2048))
-        assert sel.chosen == "global"
+        assert sel.scheme == "global"
 
     def test_chosen_is_argmin(self, guided):
         sel = guided.select_for_problem(GemmProblem(512, 512, 512))
@@ -46,6 +46,19 @@ class TestPerLayerSelection:
         so the per-layer selection is genuinely mixed for ResNet-50."""
         counts = resnet_selection.selection_counts
         assert set(counts) == {"global", "thread_onesided"}
+
+    def test_model_plan_carries_the_graph_metadata(self, guided, resnet_selection):
+        graph = build_model("resnet50")
+        assert (resnet_selection.model, resnet_selection.device) == ("resnet50", "T4")
+        assert (resnet_selection.batch, resnet_selection.input_desc) == (
+            graph.batch, graph.input_desc
+        )
+        assert [(l.name, l.kind, l.problem) for l in resnet_selection] == [
+            (l.name, l.kind, l.problem.with_label("")) for l in graph
+        ]
+        assert resnet_selection.policy is None
+        labelled = guided.select_for_model(graph, policy="guided")
+        assert labelled.policy == "guided"
 
     def test_layer_records_intensity(self, resnet_selection):
         for layer in resnet_selection.layers:
@@ -86,7 +99,7 @@ class TestAnalyticalChoice:
         agree = 0
         for s in sizes:
             p = GemmProblem(s, s, s)
-            if analytical_choice(p, T4) == guided.select_for_problem(p).chosen:
+            if analytical_choice(p, T4) == guided.select_for_problem(p).scheme:
                 agree += 1
         assert agree / len(sizes) >= 0.8
 
@@ -104,3 +117,15 @@ class TestConfiguration:
         assert set(sel.scheme_times_s) == {
             "global", "thread_onesided", "thread_twosided"
         }
+
+    def test_candidate_tokens_carry_constructor_arguments(self):
+        guided = IntensityGuidedABFT(T4, candidates=("global", "global_multi:3"))
+        sel = guided.select_for_problem(GemmProblem(128, 128, 128))
+        assert list(sel.scheme_times_s) == ["global", "global_multi:3"]
+        assert sel.scheme_times_s["global"] < sel.scheme_times_s["global_multi:3"]
+
+    def test_candidates_sharing_a_scheme_name_rejected(self):
+        """The profiler prices one entry per scheme name, so two
+        global_multi counts would silently share one time."""
+        with pytest.raises(ProfilingError, match="share a scheme name"):
+            IntensityGuidedABFT(T4, candidates=("global_multi:2", "global_multi:4"))

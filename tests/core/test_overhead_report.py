@@ -4,11 +4,11 @@ import pytest
 
 from repro.core import (
     IntensityGuidedABFT,
-    layer_selection_table,
     model_overhead_table,
     overhead_percent,
     reduction_factor,
 )
+from repro.core.plan import layer_plan_table
 from repro.errors import ProfilingError
 from repro.gpu import T4
 from repro.nn import build_model
@@ -40,23 +40,26 @@ class TestOverheadMetric:
 
 class TestReportTables:
     @pytest.fixture(scope="class")
-    def selections(self):
+    def plans(self):
         guided = IntensityGuidedABFT(T4)
         return [guided.select_for_model(build_model(n)) for n in ("mlp_bottom", "coral")]
 
-    def test_model_table_rows_and_columns(self, selections):
-        table = model_overhead_table(selections)
+    def test_model_table_rows_and_columns(self, plans):
+        table = model_overhead_table(plans)
         assert len(table) == 2
         out = table.render()
         assert "mlp_bottom" in out and "coral" in out
         assert "intensity-guided" in out
 
-    def test_layer_table(self, selections):
-        table = layer_selection_table(selections[0])
-        out = table.render()
-        assert "chosen" in out
+    def test_layer_table(self, plans):
+        table = layer_plan_table(plans[0])
+        header = table.render().splitlines()[1]
+        # One overhead column per candidate, in profiling order.
+        assert [cell.strip() for cell in header.split("|")][5:] == [
+            "scheme", "global (%)", "thread_onesided (%)"
+        ]
         assert len(table) == 3  # MLP-Bottom has three layers
 
-    def test_layer_table_max_rows(self, selections):
-        table = layer_selection_table(selections[1], max_rows=2)
+    def test_layer_table_max_rows(self, plans):
+        table = layer_plan_table(plans[1], max_rows=2)
         assert len(table) == 2

@@ -14,8 +14,8 @@ class TestCrossoverMovesWithCMR:
         should prefer global ABFT; on the T4 (CMR 203) it is bandwidth
         bound and prefers thread-level."""
         p = GemmProblem(256, 256, 256)
-        t4_choice = IntensityGuidedABFT(T4).select_for_problem(p).chosen
-        p4_choice = IntensityGuidedABFT(P4).select_for_problem(p).chosen
+        t4_choice = IntensityGuidedABFT(T4).select_for_problem(p).scheme
+        p4_choice = IntensityGuidedABFT(P4).select_for_problem(p).scheme
         assert t4_choice == "thread_onesided"
         assert p4_choice == "global"
 

@@ -63,7 +63,7 @@ class TestSelectionInvariants:
         problem = GemmProblem(m, m, m)
         ai = problem.arithmetic_intensity()
         guided = IntensityGuidedABFT(T4)
-        chosen = guided.select_for_problem(problem).chosen
+        chosen = guided.select_for_problem(problem).scheme
         if ai < T4.cmr / 2:
             assert chosen == "thread_onesided"
         elif ai > T4.cmr * 2:
