@@ -456,19 +456,6 @@ class PreparedExecution:
         # the scheme hook while the lock is held.
         self._lazy_lock = threading.RLock()
 
-    def __getstate__(self) -> dict:
-        """Slot state minus the (unpicklable) lock, for shard export."""
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot != "_lazy_lock"
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._lazy_lock = threading.RLock()
-
     @property
     def epilogue(self) -> Callable[[np.ndarray], np.ndarray]:
         """The executor's epilogue bound to this GEMM's scale product.
