@@ -1,10 +1,11 @@
 """Experiment drivers regenerating every table and figure of the paper.
 
 Each module computes one evaluation artifact and renders it as an ASCII
-table whose rows/series mirror what the paper reports.  The benchmark
-harness (``benchmarks/``) wraps these drivers with pytest-benchmark;
-``runner.run_all`` regenerates everything at once (used to produce
-EXPERIMENTS.md).
+table whose rows/series mirror what the paper reports.  ``repro
+experiments [NAME...]`` prints them by their ``runner.EXPERIMENTS``
+name, and ``tests/integration/test_paper_results.py`` asserts the
+paper's claims on them; ``runner.run_all`` regenerates everything at
+once (used to produce EXPERIMENTS.md).
 """
 
 from .fig04_intensity import fig04_aggregate_intensity

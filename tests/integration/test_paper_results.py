@@ -4,9 +4,12 @@ absolute T4 milliseconds — see DESIGN.md §6 and EXPERIMENTS.md)."""
 import pytest
 
 from repro.core import IntensityGuidedABFT, PredeploymentProfiler
+from repro.experiments.agreement import agreement_fraction
+from repro.experiments.fig05_layers import fig05_summary
 from repro.gemm import GemmProblem
 from repro.gpu import T4
 from repro.nn import build_model, list_models
+from repro.nn.models.registry import SPECIALIZED_CNNS
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +66,33 @@ class TestFig8Headlines:
         sel = all_selections["wide_resnet50_2"]
         assert sel.guided_overhead_percent < sel.scheme_overhead_percent("global")
         assert sel.selection_counts.get("thread_onesided", 0) > 0
+
+
+class TestFig5LayerIntensity:
+    def test_resnet50_layers_span_1_to_511(self):
+        """Fig. 5: ResNet-50's per-layer intensity on HD inputs ranges
+        from ~1 to ~511."""
+        summary = fig05_summary()
+        assert abs(summary["min"] - 1.0) < 0.05
+        assert abs(summary["max"] - 511) / 511 < 0.01
+
+
+class TestFig11Specialized:
+    @pytest.mark.parametrize("name", SPECIALIZED_CNNS)
+    def test_guided_beats_global_mostly_on_thread_level(self, all_selections, name):
+        """Fig. 11: guided ABFT beats global on every specialized CNN,
+        and these low-intensity models put most layers on thread-level
+        ABFT."""
+        sel = all_selections[name]
+        assert sel.guided_overhead_percent < sel.scheme_overhead_percent("global")
+        assert sel.selection_counts.get("thread_onesided", 0) > len(sel) / 2
+
+
+class TestSec72Agreement:
+    def test_analytical_rule_agrees_on_most_layers(self):
+        """§7.2: the AI-vs-CMR rule agrees with the profiler on about
+        three quarters of all models' layers."""
+        assert agreement_fraction() >= 0.7
 
 
 class TestFig9ResolutionEffect:
@@ -152,6 +182,11 @@ class TestFig12SquareSweep:
             for s in sweep
         )
         assert wins >= len(sweep) - 1
+
+    @pytest.mark.parametrize("size", [32, 256, 512, 1024, 2048])
+    def test_one_sided_never_above_two_sided_at_figure_sizes(self, sweep, size):
+        row = sweep[size]
+        assert row["thread_onesided"] <= row["thread_twosided"] + 1e-9
 
     def test_replication_spikes_beyond_512(self, sweep):
         """§6.5: replication overhead 'sharply spikes' for sizes 512+
