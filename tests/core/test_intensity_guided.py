@@ -19,7 +19,7 @@ def resnet_selection(guided):
     return guided.select_for_model(build_model("resnet50"))
 
 
-class TestPerLayerSelection:
+class TestPerLayerPlan:
     def test_bandwidth_bound_layer_prefers_thread_level(self, guided):
         # AI 85 << CMR 203.
         sel = guided.select_for_problem(GemmProblem(256, 256, 256))
